@@ -7,24 +7,32 @@ Each run writes a JSON report with the echoed inputs, the library and
 interpreter versions, and the results; reruns of the same command are
 byte-identical.  This script generates a space, validates it, and runs
 one verb from each family against it.
+
+Each command runs as ``python -m mmslab.cli``, the program behind the
+mms-lab executable, with this checkout's ``src/`` first on the child's
+PYTHONPATH, so the demo works without installing the package.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 
 WORK = pathlib.Path(tempfile.mkdtemp(prefix="mms_demo_"))
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 
 def run(*args):
     """Run one mms-lab command and return the parsed report."""
     report = WORK / f"report_{run.counter:02d}.json"
     run.counter += 1
-    cmd = ["mms-lab", *args, "--report", str(report)]
-    print("$", " ".join(cmd[:-2]))
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    print("$ mms-lab", " ".join(args))
+    cmd = [sys.executable, "-m", "mmslab.cli", *args, "--report", str(report)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(proc.returncode)

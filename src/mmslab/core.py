@@ -20,6 +20,10 @@ TRIANGLE_TOL = 1e-9
 # Validator switches to sampled triples above this size to stay O(budget).
 FULL_TRIANGLE_LIMIT = 300
 
+# Sampled triples are drawn and checked this many at a time, so the check
+# needs constant memory beyond the matrix whatever the budget.
+TRIANGLE_BLOCK = 16_384
+
 
 def _as_float_array(a, name, ndim):
     arr = np.asarray(a, dtype=float)
@@ -125,7 +129,16 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
     The triangle inequality is checked on all triples for small spaces and
     on a seeded random sample above ``FULL_TRIANGLE_LIMIT`` points.  The
     defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).
+
+    The sample holds ``min(max_triples, 4 n^2)`` triples.  It is drawn and
+    checked in blocks of ``TRIANGLE_BLOCK`` triples from one generator, so
+    it needs no memory beyond the matrix and a constant, and the report
+    is the same as if the whole sample were drawn at once.  Up to 32
+    violations are listed, in draw order.  Raises ``ValueError`` when
+    ``max_triples`` is below 1.
     """
+    if max_triples < 1:
+        raise ValueError("max_triples must be positive")
     d = space.dist
     n = space.n
     sym = float(np.abs(d - d.T).max()) if n else 0.0
@@ -152,16 +165,20 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
                     violations.append((int(i), int(j), k, float(defect[i, j])))
         else:
             rng = np.random.default_rng(seed)
-            m = min(max_triples, 4 * n * n)
-            idx = rng.integers(0, n, size=(m, 3))
-            defect = d[idx[:, 0], idx[:, 1]] - d[idx[:, 0], idx[:, 2]] - d[idx[:, 2], idx[:, 1]]
-            checked = m
-            worst = float(defect.max())
-            if worst > tol:
-                bad = np.argwhere(defect > tol).ravel()
-                for b in bad[:32]:
-                    i, j, k = (int(v) for v in idx[b])
-                    violations.append((i, j, k, float(defect[b])))
+            flat = d.ravel()
+            checked = min(max_triples, 4 * n * n)
+            worst = -np.inf
+            for start in range(0, checked, TRIANGLE_BLOCK):
+                c = min(TRIANGLE_BLOCK, checked - start)
+                i, j, k = rng.integers(0, n, size=(c, 3)).T
+                row = i * n
+                defect = flat.take(row + j) - flat.take(row + k) - flat.take(k * n + j)
+                worst = float(np.maximum(worst, defect.max()))  # keeps a NaN
+                if len(violations) < 32:
+                    for b in np.flatnonzero(defect > tol)[:32 - len(violations)]:
+                        violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
+            if not worst > tol:  # as when exhaustive, a NaN defect lists none
+                violations = []
     return ValidationReport(
         n=n,
         symmetry_defect=sym,

@@ -1,6 +1,7 @@
 """Core data structures: spaces, validation, balls, geodesics, round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mmslab import (
     segment_space,
     validate_space,
 )
+from mmslab.core import TRIANGLE_BLOCK, TRIANGLE_TOL, ValidationReport
 from mmslab.generators import NecklaceParams, necklace
 
 
@@ -91,6 +93,135 @@ def test_large_space_uses_sampled_triples():
     assert rep.ok
     assert not rep.exhaustive
     assert rep.triples_checked > 0
+
+
+def cloud_space(n, seed):
+    pts = np.random.default_rng(seed).random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return FiniteMMS(dist=dist, weight=np.ones(n))
+
+
+def random_symmetric_space(n, seed):
+    dist = np.random.default_rng(seed).random((n, n))
+    dist = np.triu(dist, 1)
+    return FiniteMMS(dist=dist + dist.T, weight=np.ones(n))
+
+
+def random_asymmetric_space(n, seed):
+    dist = np.random.default_rng(seed).random((n, n))
+    np.fill_diagonal(dist, 0.0)
+    return FiniteMMS(dist=dist, weight=np.ones(n))
+
+
+def stretched_space(n, seed, pairs):
+    """A valid cloud with ``pairs`` distances tripled: a few violations
+    scattered over many blocks of the sample."""
+    dist = cloud_space(n, seed).dist.copy()
+    rng = np.random.default_rng(seed + 100)
+    for a, b in rng.integers(0, n, size=(pairs, 2)):
+        if a != b:
+            dist[a, b] = dist[b, a] = 3.0 * dist[a, b]
+    return FiniteMMS(dist=dist, weight=np.ones(n))
+
+
+def sampled_validation_oracle(space, tol=TRIANGLE_TOL, seed=0,
+                              max_triples=20_000_000):
+    """The sampled triangle check drawing and gathering every triple at
+    once, as validate_space did before it streamed blocks."""
+    d = space.dist
+    n = space.n
+    rng = np.random.default_rng(seed)
+    m = min(max_triples, 4 * n * n)
+    idx = rng.integers(0, n, size=(m, 3))
+    defect = d[idx[:, 0], idx[:, 1]] - d[idx[:, 0], idx[:, 2]] - d[idx[:, 2], idx[:, 1]]
+    worst = float(defect.max())
+    violations = []
+    if worst > tol:
+        bad = np.argwhere(defect > tol).ravel()
+        for b in bad[:32]:
+            i, j, k = (int(v) for v in idx[b])
+            violations.append((i, j, k, float(defect[b])))
+    return ValidationReport(
+        n=n,
+        symmetry_defect=float(np.abs(d - d.T).max()),
+        diagonal_defect=float(np.abs(np.diag(d)).max()),
+        negative_weights=int(np.sum(space.weight <= 0)),
+        triangle_violations=tuple(violations),
+        worst_triangle_defect=max(worst, 0.0),
+        triples_checked=m,
+        exhaustive=False,
+    )
+
+
+@pytest.mark.parametrize("n", [301, 450])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("make", [cloud_space, random_symmetric_space,
+                                  random_asymmetric_space])
+def test_streamed_sample_matches_all_at_once_oracle(make, seed, n):
+    space = make(n, seed)
+    rep = validate_space(space, seed=seed)
+    assert rep == sampled_validation_oracle(space, seed=seed)
+    assert rep.ok == (make is cloud_space)
+
+
+@pytest.mark.parametrize("max_triples", [1, TRIANGLE_BLOCK, 3 * TRIANGLE_BLOCK + 5,
+                                         20_000_000])
+def test_streamed_sample_matches_oracle_across_block_boundaries(max_triples):
+    space = stretched_space(301, 0, pairs=20)
+    rep = validate_space(space, max_triples=max_triples)
+    assert rep == sampled_validation_oracle(space, max_triples=max_triples)
+    assert rep.triples_checked == min(max_triples, 4 * 301 * 301)
+
+
+def test_violation_cap_is_reached_after_the_first_block():
+    # A few stretched pairs: the first block holds fewer than 32 violating
+    # triples and the whole sample more, so the list spans several blocks.
+    space = stretched_space(301, 0, pairs=20)
+    first = validate_space(space, max_triples=TRIANGLE_BLOCK)
+    full = validate_space(space)
+    assert 0 < len(first.triangle_violations) < 32
+    assert len(full.triangle_violations) == 32
+    assert full.triangle_violations[:len(first.triangle_violations)] == first.triangle_violations
+
+
+def test_streamed_sample_lists_the_first_32_violations_in_draw_order():
+    space = random_symmetric_space(301, 0)
+    rep = validate_space(space)
+    assert len(rep.triangle_violations) == 32
+    assert rep.triangle_violations == sampled_validation_oracle(space).triangle_violations
+    d = space.dist
+    for i, j, k, defect in rep.triangle_violations:
+        assert defect == d[i, j] - d[i, k] - d[k, j]
+
+
+def test_streamed_sample_keeps_a_nan_defect_like_the_oracle():
+    dist = cloud_space(320, 1).dist.copy()
+    dist[:, 5] = dist[5, :] = np.nan
+    dist[3, 7] = dist[7, 3] = 10.0
+    space = FiniteMMS(dist=dist, weight=np.ones(320))
+    rep = validate_space(space)
+    oracle = sampled_validation_oracle(space)
+    assert math.isnan(rep.worst_triangle_defect)
+    assert rep.triangle_violations == oracle.triangle_violations == ()
+    assert rep.triples_checked == oracle.triples_checked
+
+
+def test_sampled_validation_memory_stays_near_the_matrix():
+    space = cloud_space(1000, 0)
+    tracemalloc.start()
+    try:
+        rep = validate_space(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.triples_checked == 4_000_000
+    assert peak < 3 * space.dist.nbytes, peak
+
+
+@pytest.mark.parametrize("max_triples", [0, -5])
+def test_validate_space_rejects_nonpositive_max_triples(max_triples):
+    with pytest.raises(ValueError, match="max_triples must be positive"):
+        validate_space(cloud_space(320, 0), max_triples=max_triples)
 
 
 # === scaling ===
