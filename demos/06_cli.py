@@ -20,7 +20,6 @@ import subprocess
 import sys
 import tempfile
 
-WORK = pathlib.Path(tempfile.mkdtemp(prefix="mms_demo_"))
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
@@ -41,47 +40,51 @@ def run(*args):
 
 run.counter = 0
 
-# generate an earring space and validate it
-space = WORK / "earring.json"
-doc = run("space", "gen", "--kind", "earring",
-          "--params", '{"n": 3, "resolution": 24}', "--out", str(space))
-print("  cells:", doc["results"]["cells"])
+# every file and report goes to a directory removed at the end
+with tempfile.TemporaryDirectory(prefix="mms_demo_") as tmp:
+    WORK = pathlib.Path(tmp)
 
-doc = run("space", "validate", "--space", str(space))
-print("  ok:", doc["results"]["ok"],
-      "worst triangle defect:", doc["results"]["worst_triangle_defect"])
+    # generate an earring space and validate it
+    space = WORK / "earring.json"
+    doc = run("space", "gen", "--kind", "earring",
+              "--params", '{"n": 3, "resolution": 24}', "--out", str(space))
+    print("  cells:", doc["results"]["cells"])
 
-# optimal transport between two point masses on the largest circle
-doc = run("ot", "solve", "--space", str(space),
-          "--mu0", '{"point": 5}', "--mu1", '{"point": 12}')
-print("  W2 distance:", doc["results"]["w2"])
+    doc = run("space", "validate", "--space", str(space))
+    print("  ok:", doc["results"]["ok"],
+          "worst triangle defect:", doc["results"]["worst_triangle_defect"])
 
-# enumerate the isometry group
-doc = run("iso", "enum", "--space", str(space), "--iso-tol", "1e-9")
-print("  isometries:", doc["results"]["count"],
-      "complete:", doc["results"]["complete"])
+    # optimal transport between two point masses on the largest circle
+    doc = run("ot", "solve", "--space", str(space),
+              "--mu0", '{"point": 5}', "--mu1", '{"point": 12}')
+    print("  W2 distance:", doc["results"]["w2"])
 
-# search for an almost-trivial subgroup at a generous threshold
-doc = run("iso", "probe", "--space", str(space), "--eps", "0.4",
-          "--iso-tol", "1e-9")
-print("  small subgroup found:", doc["results"]["found"],
-      "sup displacement:", doc["results"]["sup_displacement"])
+    # enumerate the isometry group
+    doc = run("iso", "enum", "--space", str(space), "--iso-tol", "1e-9")
+    print("  isometries:", doc["results"]["count"],
+          "complete:", doc["results"]["complete"])
 
-# the scalar estimate behind the contraction bound
-doc = run("mcp", "scalar-bound", "--samples", "400")
-print("  scalar bound ok:", doc["results"]["ok"],
-      "min margin:", doc["results"]["min_margin"])
+    # search for an almost-trivial subgroup at a generous threshold
+    doc = run("iso", "probe", "--space", str(space), "--eps", "0.4",
+              "--iso-tol", "1e-9")
+    print("  small subgroup found:", doc["results"]["found"],
+          "sup displacement:", doc["results"]["sup_displacement"])
 
-# exact GH distance between two generated segments
-seg_a = WORK / "seg_a.json"
-seg_b = WORK / "seg_b.json"
-run("space", "gen", "--kind", "segment",
-    "--params", '{"resolution": 0.3927}', "--out", str(seg_a))
-run("space", "gen", "--kind", "segment",
-    "--params", '{"resolution": 0.19635}', "--out", str(seg_b))
-doc = run("gh", "exact", "--space", str(seg_a), "--space2", str(seg_b))
-print("  GH(coarse segment, fine segment):", doc["results"]["value"])
+    # the scalar estimate behind the contraction bound
+    doc = run("mcp", "scalar-bound", "--samples", "400")
+    print("  scalar bound ok:", doc["results"]["ok"],
+          "min margin:", doc["results"]["min_margin"])
 
-# every report carries the same envelope
-print("\nreport envelope keys:", sorted(doc))
-print("threads:", doc["threads"], "versions:", doc["versions"])
+    # exact GH distance between two generated segments
+    seg_a = WORK / "seg_a.json"
+    seg_b = WORK / "seg_b.json"
+    run("space", "gen", "--kind", "segment",
+        "--params", '{"resolution": 0.3927}', "--out", str(seg_a))
+    run("space", "gen", "--kind", "segment",
+        "--params", '{"resolution": 0.19635}', "--out", str(seg_b))
+    doc = run("gh", "exact", "--space", str(seg_a), "--space2", str(seg_b))
+    print("  GH(coarse segment, fine segment):", doc["results"]["value"])
+
+    # every report carries the same envelope
+    print("\nreport envelope keys:", sorted(doc))
+    print("versions:", doc["versions"])

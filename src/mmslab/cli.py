@@ -3,18 +3,19 @@
 Every verb loads JSON inputs, runs one library operation, and emits a
 report: JSON by default, CSV for the tabular sections when ``--csv`` is
 given.  Identical flags and input files produce byte-identical reports.
-Exit codes: 0 for a completed run, 1 for a usage or precondition error
-(with a machine-readable error object on the report stream), 2 when the
-verdict is inconclusive and ``--strict`` was requested.
+Exit codes: 0 for a completed run, 1 for a usage error or for any
+failure after parsing (with a machine-readable error object on the
+report stream), 2 when the verdict is inconclusive and ``--strict`` was
+requested.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import platform
 import sys
+from dataclasses import fields
 
 import numpy as np
 import scipy
@@ -167,12 +168,14 @@ def _emit_csv(header, rows, path):
     _write(buf.getvalue(), path)
 
 
-def _thread_cap():
-    raw = os.environ.get("MMS_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _fields(obj, *drop, **extra):
+    """Results dict of a result dataclass: its fields except those named
+    in ``drop``, plus the computed values in ``extra``.  ``_sig12``
+    turns the tuples into lists and the JSON keys are sorted on output."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj)
+           if f.name not in drop}
+    out.update(extra)
+    return out
 
 
 # === verb handlers ===
@@ -209,29 +212,16 @@ def _cmd_space_gen(args):
 def _cmd_space_validate(args):
     sp = load_space(args.space)
     rep = validate_space(sp, tol=args.tol, seed=args.seed)
-    results = {
-        "ok": rep.ok,
-        "n": rep.n,
-        "symmetry_defect": rep.symmetry_defect,
-        "diagonal_defect": rep.diagonal_defect,
-        "negative_weights": rep.negative_weights,
-        "worst_triangle_defect": rep.worst_triangle_defect,
-        "triangle_violations": [list(t) for t in rep.triangle_violations],
-        "triples_checked": rep.triples_checked,
-        "exhaustive": rep.exhaustive,
-    }
     inconclusive = rep.ok and not rep.exhaustive
-    return _ANCHORS[("space", "validate")], results, inconclusive, None
+    return (_ANCHORS[("space", "validate")], _fields(rep, ok=rep.ok),
+            inconclusive, None)
 
 
 def _cmd_ot_solve(args):
     sp = load_space(args.space)
     res = solve_w2(sp, _measure(sp, args.mu0), _measure(sp, args.mu1))
-    results = {
-        "cost": res.cost,
-        "w2": math.sqrt(res.cost),
-        "coupling": _coupling_rows(res.coupling),
-    }
+    results = _fields(res, coupling=_coupling_rows(res.coupling),
+                      w2=math.sqrt(res.cost))
     return _ANCHORS[("ot", "solve")], results, False, None
 
 
@@ -239,13 +229,10 @@ def _cmd_ot_probe(args):
     sp = load_space(args.space)
     res = uniqueness_probe(sp, _measure(sp, args.mu0), _measure(sp, args.mu1),
                            tol=args.tol, seed=args.seed, draws=args.draws)
-    results = {
-        "unique": res.unique,
-        "deviation": res.deviation,
-        "cost": res.base.cost,
-        "coupling": _coupling_rows(res.base.coupling),
-        "witness": None if res.witness is None else _coupling_rows(res.witness),
-    }
+    results = _fields(
+        res, "base", cost=res.base.cost,
+        coupling=_coupling_rows(res.base.coupling),
+        witness=None if res.witness is None else _coupling_rows(res.witness))
     return _ANCHORS[("ot", "probe")], results, False, None
 
 
@@ -256,30 +243,8 @@ def _cmd_ot_competitor(args):
     comp = symmetrized_competitor(sp, args.perm, plan, x=args.x,
                                   targets=args.targets)
     rep = verify_competitor(sp, plan, comp)
-    results = {
-        "ok": rep.ok,
-        "marginal_defect": rep.marginal_defect,
-        "cost_defect": rep.cost_defect,
-        "plan_difference": rep.plan_difference,
-        "marginals_equal": rep.marginals_equal,
-        "cost_equal": rep.cost_equal,
-        "distinct": rep.distinct,
-        "cost": res.cost,
-    }
+    results = _fields(rep, ok=rep.ok, cost=res.cost)
     return _ANCHORS[("ot", "competitor")], results, False, None
-
-
-def _mcp_results(rep):
-    return {
-        "ok": rep.ok,
-        "allowance": rep.allowance,
-        "worst_slack": rep.worst_slack,
-        "worst_t": rep.worst_t,
-        "worst_cell": rep.worst_cell,
-        "mass_target": rep.mass_target,
-        "marginal_defect": rep.marginal_defect,
-        "rows": [list(r) for r in rep.rows],
-    }
 
 
 def _cmd_mcp_verify(args):
@@ -297,9 +262,8 @@ def _cmd_mcp_verify(args):
         plan = necklace_schedule(sp, args.x, args.target_fiber,
                                  args.target_count).plan
     rep = mcp_check(sp, plan, t_samples=t_samples, allowance=args.allowance)
-    table = (["t", "cell", "lhs", "rhs", "slack"],
-             [list(r) for r in rep.rows])
-    return _ANCHORS[("mcp", "verify")], _mcp_results(rep), False, table
+    table = (["t", "cell", "lhs", "rhs", "slack"], rep.rows)
+    return _ANCHORS[("mcp", "verify")], _fields(rep), False, table
 
 
 def _cmd_mcp_schedule(args):
@@ -307,64 +271,25 @@ def _cmd_mcp_schedule(args):
     sched = necklace_schedule(sp, args.source, args.target_fiber,
                               args.target_count)
     dens = schedule_density_check(sp, sched, allowance=args.allowance)
-    results = {
-        "ok": dens.all_ok,
-        "x_source": sched.x_source,
-        "x_spread": sched.x_spread,
-        "x_spread_exact": sched.x_spread_exact,
-        "x_target": sched.x_target,
-        "length": sched.length,
-        "t_spread": sched.t_spread,
-        "t_flat_start": sched.t_flat_start,
-        "t_flat_end": sched.t_flat_end,
-        "kappa_spread": sched.kappa_spread,
-        "kappa_target": sched.kappa_target,
-        "max_segment_slope": sched.max_segment_slope,
-        "worst_speed_defect": sched.worst_speed_defect,
-        "density": {
-            "ok": dens.ok,
-            "allowance": dens.allowance,
-            "worst_slack": dens.worst_slack,
-            "worst_t": dens.worst_t,
-            "ratio_defect": dens.ratio_defect,
-            "heights_ok": dens.heights_ok,
-            "marginal_defect": dens.marginal_defect,
-            "rows": [list(r) for r in dens.rows],
-            "height_rows": [list(r) for r in dens.height_rows],
-        },
-    }
-    table = (["t", "support_mass", "lhs", "rhs", "slack"],
-             [list(r) for r in dens.rows])
+    results = _fields(sched, "plan", "source", "target_cells", "spread_cells",
+                      "fiber_count_spread", "fiber_count_target",
+                      ok=dens.all_ok, density=_fields(dens))
+    table = (["t", "support_mass", "lhs", "rhs", "slack"], dens.rows)
     return _ANCHORS[("mcp", "schedule")], results, False, table
 
 
 def _cmd_mcp_scalar_bound(args):
     rep = scalar_bound(t_max=args.t_max, d_max=args.d_max,
                        samples=args.samples, cushion=args.cushion)
-    results = {
-        "ok": rep.ok,
-        "min_margin": rep.min_margin,
-        "argmin_t": rep.argmin_t,
-        "argmin_d": rep.argmin_d,
-        "samples": rep.samples,
-    }
-    return _ANCHORS[("mcp", "scalar-bound")], results, False, None
+    return _ANCHORS[("mcp", "scalar-bound")], _fields(rep), False, None
 
 
 def _cmd_iso_enum(args):
     sp = load_space(args.space)
     res = enumerate_isometries(sp, iso_tol=args.iso_tol, budget=args.budget)
-    results = {
-        "count": len(res.maps),
-        "complete": res.complete,
-        "nodes": res.nodes,
-        "maps": [{
-            "perm": list(m.perm),
-            "distortion": m.distortion,
-            "measure_defect": m.measure_defect,
-            "measure_preserving": m.is_measure_preserving(),
-        } for m in res.maps],
-    }
+    results = _fields(res, count=len(res.maps), maps=[
+        _fields(m, measure_preserving=m.is_measure_preserving())
+        for m in res.maps])
     table = (["iso", "distortion", "measure_defect"],
              [[i, m.distortion, m.measure_defect]
               for i, m in enumerate(res.maps)])
@@ -379,19 +304,13 @@ def _cmd_iso_fix(args):
     else:
         res = enumerate_isometries(sp, iso_tol=args.iso_tol)
         perms, complete = list(res.perms()), res.complete
-    maps = []
-    for perm in perms:
-        fs = fixed_set(sp, perm, fix_tol=args.fix_tol, balls=balls)
-        maps.append({
-            "perm": list(perm),
-            "mass": fs.mass,
-            "cells": len(fs.indices),
-            "ball_masses": list(fs.ball_masses),
-        })
-    results = {"complete": complete, "maps": maps,
-               "balls": [list(b) for b in balls]}
+    sets = [fixed_set(sp, perm, fix_tol=args.fix_tol, balls=balls)
+            for perm in perms]
+    results = {"complete": complete, "balls": balls, "maps": [
+        _fields(fs, "indices", perm=perm, cells=len(fs.indices))
+        for perm, fs in zip(perms, sets)]}
     header = ["iso", "mass"] + [f"ball{i}" for i in range(len(balls))]
-    rows = [[i, m["mass"]] + m["ball_masses"] for i, m in enumerate(maps)]
+    rows = [[i, fs.mass, *fs.ball_masses] for i, fs in enumerate(sets)]
     return _ANCHORS[("iso", "fix")], results, not complete, (header, rows)
 
 
@@ -417,34 +336,17 @@ def _cmd_iso_condition_a(args):
     sp = load_space(args.space)
     rep = condition_a_scan(sp, args.x, args.s, iso_tol=args.iso_tol,
                            fix_tol=args.fix_tol)
-    results = {
-        "holds": rep.holds,
-        "vacuous": rep.vacuous,
-        "complete": rep.complete,
-        "fix_sup": rep.fix_sup,
-        "ball_mass": rep.ball_mass,
-        "gap": rep.gap,
-        "normalized_gap": rep.normalized_gap,
-        "nontrivial": rep.nontrivial,
-    }
-    return _ANCHORS[("iso", "condition-a")], results, not rep.complete, None
+    return (_ANCHORS[("iso", "condition-a")], _fields(rep), not rep.complete,
+            None)
 
 
 def _cmd_iso_probe(args):
     sp = load_space(args.space)
     res = small_subgroup_probe(sp, args.eps, compact=args.compact,
                                budget=args.budget, iso_tol=args.iso_tol)
-    results = {
-        "found": res.found,
-        "inconclusive": res.inconclusive,
-        "epsilon": res.epsilon,
-        "sup_displacement": res.sup_displacement,
-        "candidates": res.candidates,
-        "subgroup": None if res.subgroup is None else {
-            "order": len(res.subgroup),
-            "elements": [list(p) for p in res.subgroup.elements],
-        },
-    }
+    sub = res.subgroup
+    results = _fields(res, subgroup=None if sub is None else
+                      _fields(sub, "generators", "closed", order=len(sub)))
     return _ANCHORS[("iso", "probe")], results, res.inconclusive, None
 
 
@@ -466,14 +368,7 @@ def _cmd_iso_escape(args):
                                 v=np.asarray(args.v, dtype=float))
     res = euclidean_power_escape(iso, threshold=args.threshold,
                                  max_pow=args.max_pow)
-    results = {
-        "found": res.found,
-        "n": res.n,
-        "displacement": res.displacement,
-        "threshold": res.threshold,
-        "max_pow": res.max_pow,
-        "k": iso.k,
-    }
+    results = _fields(res, k=iso.k)
     return _ANCHORS[("iso", "escape")], results, not res.found, None
 
 
@@ -482,13 +377,7 @@ def _cmd_iso_critical_scale(args):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol)
     cs = critical_scale(sp, res.perms(), args.x, args.lo, args.hi,
                         tol=args.tol)
-    results = {
-        "r": cs.r,
-        "bracket": list(cs.bracket),
-        "displacement": cs.displacement,
-        "defect": cs.defect,
-        "elements": len(res.maps),
-    }
+    results = _fields(cs, elements=len(res.maps))
     return _ANCHORS[("iso", "critical-scale")], results, not res.complete, None
 
 
@@ -496,26 +385,8 @@ def _cmd_gh_exact(args):
     x = load_space(args.space)
     y = load_space(args.space2)
     value, witness = gh_exact(x, y, size_limit=args.size_limit)
-    results = {
-        "value": value,
-        "lower_bound": gh_lower_bound(x, y),
-        "distortion": witness.distortion,
-        "relation": [list(p) for p in witness.relation],
-    }
+    results = _fields(witness, value=value, lower_bound=gh_lower_bound(x, y))
     return _ANCHORS[("gh", "exact")], results, False, None
-
-
-def _scan_rows(rows):
-    return [{
-        "r": row.r,
-        "k": row.k,
-        "estimate": row.estimate,
-        "ratio": row.ratio,
-        "err_verdict": row.err_verdict,
-        "err_sound": row.err_sound,
-        "ball_cells": row.ball_cells,
-        "verdict": row.verdict,
-    } for row in rows]
 
 
 def _cmd_gh_scan(args):
@@ -523,11 +394,8 @@ def _cmd_gh_scan(args):
     rep = epsilon_regular_scan(sp, args.x, eps=args.eps, delta=args.delta,
                                k_set=args.k, r_samples=args.r_samples,
                                subsample=args.subsample)
-    results = {
-        "verdicts": {str(k): v for k, v in sorted(rep.verdicts.items())},
-        "degenerate": rep.degenerate,
-        "rows": _scan_rows(rep.rows),
-    }
+    results = _fields(rep, "x", "epsilon", "delta", "r_values", rows=[
+        _fields(row, "rho_x", "rho_e") for row in rep.rows])
     inconclusive = any(v == "inconclusive" for v in rep.verdicts.values())
     table = (["k", "r", "estimate", "ratio", "err_verdict", "err_sound",
               "verdict"],
@@ -542,17 +410,10 @@ def _cmd_gh_regular_mass(args):
                               k_set=args.k, budget=args.budget,
                               r_samples=args.r_samples,
                               subsample=args.subsample)
-
-    def split(ms):
-        return {"in_mass": ms.in_mass, "out_mass": ms.out_mass,
-                "inconclusive_mass": ms.inconclusive_mass}
-
-    results = {
-        "per_k": {str(k): split(ms) for k, ms in sorted(rep.per_k.items())},
-        "overall": split(rep.overall),
-        "scanned_cells": len(rep.scanned),
-        "scanned_mass": rep.scanned_mass,
-    }
+    results = _fields(
+        rep, "scanned", scanned_cells=len(rep.scanned),
+        per_k={k: _fields(ms) for k, ms in rep.per_k.items()},
+        overall=_fields(rep.overall))
     inconclusive = rep.overall.inconclusive_mass > 0.0
     return _ANCHORS[("gh", "regular-mass")], results, inconclusive, None
 
@@ -751,8 +612,7 @@ def main(argv=None) -> int:
     report_path = args.report
     try:
         anchor, results, inconclusive, table = args.handler(args)
-    except (ValueError, KeyError, TypeError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+    except Exception as exc:
         doc = {"command": args.command,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         _emit_json(doc, report_path)
@@ -767,7 +627,6 @@ def main(argv=None) -> int:
             "inputs": _inputs_echo(args),
             "paper_anchor": anchor,
             "results": results,
-            "threads": {"cap": _thread_cap(), "used": 1},
             "versions": {
                 "mmslab": __version__,
                 "numpy": np.__version__,

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -23,8 +25,7 @@ SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "mmslab" / "schemas"
      / "report.schema.json").read_text())
 
-ENVELOPE_KEYS = {"command", "inputs", "paper_anchor", "results", "threads",
-                 "versions"}
+ENVELOPE_KEYS = {"command", "inputs", "paper_anchor", "results", "versions"}
 
 
 def run(capsys, *argv):
@@ -346,14 +347,47 @@ def test_gh_regular_mass_splits_sum(tmp_path, capsys):
 
 # === report contract ===
 
-def test_precondition_failure_emits_error_object(tmp_path, capsys):
-    path = circle_file(tmp_path, capsys, resolution=12)
-    rc, cap = run(capsys, "gh", "exact", "--space", path, "--space2", path)
+def run_error(capsys, *argv):
+    """Run a verb that must fail: exit 1 and a schema-valid error object
+    on the report stream, named on stderr too."""
+    rc, cap = run(capsys, *argv)
     assert rc == 1
     doc = json.loads(cap.out)
     jsonschema.validate(doc, SCHEMA)
-    assert doc["error"]["type"] == "ValueError"
-    assert "ValueError" in cap.err
+    assert set(doc) == {"command", "error"}
+    assert doc["error"]["type"] in cap.err
+    return doc["error"]
+
+
+def test_precondition_failure_emits_error_object(tmp_path, capsys):
+    path = circle_file(tmp_path, capsys, resolution=12)
+    error = run_error(capsys, "gh", "exact", "--space", path, "--space2", path)
+    assert error["type"] == "ValueError"
+
+
+def test_deep_path_failure_emits_error_object(tmp_path, capsys):
+    """An end-to-end lift on a 1,600-cell segment overflows the recursive
+    geodesic walk; the run still ends in an error object, not a
+    traceback."""
+    path = tmp_path / "seg.json"
+    rc, _ = run_json(capsys, "space", "gen", "--kind", "segment", "--params",
+                     json.dumps({"resolution": math.pi / 2 / 1600}),
+                     "--out", path, "--dist-mode", "ambient-L2")
+    assert rc == 0
+    error = run_error(capsys, "mcp", "verify", "--space", path, "--x", 0,
+                      "--A", 1599)
+    assert error["type"] == "RecursionError"
+
+
+def test_solver_failure_emits_error_object(tmp_path, capsys, monkeypatch):
+    def failing_solver(*args, **kwargs):
+        raise RuntimeError("transport LP failed")
+
+    monkeypatch.setattr("mmslab.cli.solve_w2", failing_solver)
+    path = two_point_file(tmp_path, 1.0, "pair.json")
+    error = run_error(capsys, "ot", "solve", "--space", path,
+                      "--mu0", '{"point": 0}', "--mu1", '{"point": 1}')
+    assert error == {"type": "RuntimeError", "message": "transport LP failed"}
 
 
 def test_unknown_verb_exits_one_with_usage(capsys):
@@ -376,16 +410,167 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     jsonschema.validate(json.loads(first), SCHEMA)
 
 
-def test_thread_cap_is_echoed(monkeypatch, capsys):
-    monkeypatch.setenv("MMS_LAB_THREADS", "5")
-    rc, doc = run_json(capsys, "mcp", "scalar-bound", "--samples", 50)
-    assert rc == 0
-    assert doc["threads"] == {"cap": 5, "used": 1}
-
-
 def test_numbers_carry_twelve_significant_digits(capsys):
     rc, doc = run_json(capsys, "mcp", "scalar-bound", "--samples", 50)
     text = json.dumps(doc["results"])
     for token in ("argmin_d", "min_margin"):
         value = doc["results"][token]
         assert float(f"{value:.12g}") == value
+
+
+# === golden reports ===
+# Every verb runs on small fixed inputs; its results (or error object),
+# its exit code and, for the verbs with a table, its CSV text must equal
+# the committed file.  Regenerate that file, after a deliberate change
+# of a report, with ``PYTHONPATH=src python tests/test_cli.py``.
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_results.json"
+
+
+def _golden_cases():
+    """(name, argv, has_table) for every verb, in run order; the space
+    files are written by the first cases or here, in the current
+    directory."""
+    beads = ((0.4, 0.3), (1.1, 0.3))
+    neck = necklace(NecklaceParams(beads=beads, resolution=math.pi / 2 / 120))
+    _, fx, _, fcount, fstart, _ = necklace_fibers(neck)
+    src_f = int(np.argmin(np.abs(fx - 0.38)))
+    tgt_f = int(np.argmin(np.abs(fx - 1.06)))
+    src = int(fstart[src_f] + fcount[src_f] // 2)
+
+    earring = hawaiian_truncation(3, 12)
+    perm = circle_reflection(earring, 0)
+    m = earring.meta["cells_per_circle"]
+    x = 5
+    mu1 = {"atoms": [{"point": x, "mass": 0.5},
+                     {"point": int(perm[x]), "mass": 0.5}]}
+
+    # a 4-point file with d(0, 1) = 3 > d(0, 2) + d(2, 1) = 2
+    bad = np.ones((4, 4)) - np.eye(4)
+    bad[0, 1] = bad[1, 0] = 3.0
+    save_space(FiniteMMS(dist=bad, weight=np.ones(4)), "bad.json")
+
+    def gen(kind, params, out):
+        return ["space", "gen", "--kind", kind, "--params",
+                json.dumps(params), "--out", out]
+
+    return [
+        ("gen-segment", gen("segment", {"resolution": 0.02}, "seg.json"),
+         False),
+        ("gen-segment-coarse", gen("segment", {"resolution": 0.3927},
+                                   "seg4.json"), False),
+        ("gen-segment-fine", gen("segment", {"resolution": 0.19635},
+                                 "seg8.json"), False),
+        ("gen-circle", gen("circle", {"radius": 1.0, "resolution": 12},
+                           "circle.json"), False),
+        ("gen-earring", gen("earring", {"n": 3, "resolution": 12},
+                            "earring.json"), False),
+        ("gen-necklace", gen("necklace", {"beads": beads,
+                                          "resolution": math.pi / 2 / 120},
+                             "neck.json"), False),
+        ("gen-ball", gen("ball", {"k": 2, "r": 0.5, "resolution": 0.1},
+                         "ball.json"), False),
+        ("validate", ["space", "validate", "--space", "circle.json"], False),
+        ("validate-failing", ["space", "validate", "--space", "bad.json"],
+         False),
+        ("ot-solve", ["ot", "solve", "--space", "seg.json",
+                      "--mu0", '{"point": 3}',
+                      "--mu1", '{"uniform": [50, 51, 52, 53]}'], False),
+        ("ot-probe", ["ot", "probe", "--space", "circle.json",
+                      "--mu0", '{"uniform": [0, 6]}',
+                      "--mu1", '{"uniform": [3, 9]}'], False),
+        ("ot-competitor", ["ot", "competitor", "--space", "earring.json",
+                           "--mu0", json.dumps({"uniform": [
+                               1 + (m - 1) + j for j in range(3, 7)]}),
+                           "--mu1", json.dumps(mu1),
+                           "--perm", json.dumps([int(v) for v in perm]),
+                           "--x", str(x)], False),
+        ("mcp-verify", ["mcp", "verify", "--space", "seg.json", "--x", "0",
+                        "--A", "60,61,62,63", "--t-samples", "9"], True),
+        ("mcp-verify-schedule", ["mcp", "verify", "--space", "neck.json",
+                                 "--x", str(src), "--plan", "schedule",
+                                 "--target-fiber", str(tgt_f),
+                                 "--target-count", "2", "--t-samples", "9"],
+         True),
+        ("mcp-schedule", ["mcp", "schedule", "--space", "neck.json",
+                          "--source", str(src), "--target-fiber", str(tgt_f),
+                          "--target-count", "2"], True),
+        ("mcp-scalar-bound", ["mcp", "scalar-bound", "--samples", "200"],
+         False),
+        ("iso-enum", ["iso", "enum", "--space", "circle.json",
+                      "--iso-tol", "1e-9"], True),
+        ("iso-enum-budget", ["iso", "enum", "--space", "earring.json",
+                             "--iso-tol", "1e-9", "--budget", "40"], True),
+        ("iso-fix", ["iso", "fix", "--space", "circle.json",
+                     "--iso-tol", "1e-9", "--fix-tol", "1e-9",
+                     "--ball", "0:1.0", "--ball", "3:0.5"], True),
+        ("iso-displacement", ["iso", "displacement", "--space",
+                              "circle.json", "--x", "0", "--r", "1.0",
+                              "--iso-tol", "1e-9"], False),
+        ("iso-condition-a", ["iso", "condition-a", "--space", "ball.json",
+                             "--x", "0", "--s", "0.5", "--iso-tol", "1e-9"],
+         False),
+        ("iso-probe", ["iso", "probe", "--space", "earring.json",
+                       "--eps", "0.4", "--iso-tol", "1e-9"], False),
+        ("iso-probe-none", ["iso", "probe", "--space", "circle.json",
+                            "--eps", "0.3", "--iso-tol", "1e-9"], False),
+        ("iso-escape", ["iso", "escape", "--q", "[[0, -1], [1, 0]]",
+                        "--v", "[0, 0]"], False),
+        ("iso-escape-random", ["iso", "escape", "--random", "--k", "3",
+                               "--seed", "11"], False),
+        ("iso-critical-scale", ["iso", "critical-scale", "--space",
+                                "earring.json", "--x", "0", "--lo", "0.8",
+                                "--hi", "63.0", "--tol", "1e-4",
+                                "--iso-tol", "1e-9"], False),
+        ("gh-exact", ["gh", "exact", "--space", "seg4.json",
+                      "--space2", "seg8.json"], False),
+        ("gh-scan", ["gh", "scan", "--space", "seg.json", "--x", "40",
+                     "--eps", "0.35", "--delta", "0.3", "--k", "1,2",
+                     "--r-samples", "3"], True),
+        ("gh-regular-mass", ["gh", "regular-mass", "--space", "circle.json",
+                             "--eps", "0.3", "--delta", "1.0", "--k", "1,2",
+                             "--budget", "4", "--r-samples", "3"], False),
+        ("error", ["gh", "exact", "--space", "circle.json",
+                   "--space2", "circle.json"], False),
+    ]
+
+
+def _golden_runs():
+    """Run the golden cases in the current directory.  Each report must
+    match the schema; returns {name: {"exit", "results" or "error",
+    "csv"}}."""
+    runs = {}
+    for name, argv, has_table in _golden_cases():
+        rc = main(argv + ["--report", name + ".report"])
+        doc = json.loads(Path(name + ".report").read_text())
+        jsonschema.validate(doc, SCHEMA)
+        entry = {"exit": rc}
+        entry.update((k, doc[k]) for k in ("results", "error") if k in doc)
+        if has_table:
+            assert main(argv + ["--csv", "--report", name + ".csv"]) == rc
+            entry["csv"] = Path(name + ".csv").read_text()
+        runs[name] = entry
+    return runs
+
+
+def test_golden_reports(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = _golden_runs()
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(runs) == sorted(golden)
+    for name, entry in runs.items():
+        assert (json.dumps(entry, sort_keys=True)
+                == json.dumps(golden[name], sort_keys=True)), name
+    assert runs["iso-enum-budget"]["results"]["complete"] is False
+    assert runs["validate-failing"]["results"]["ok"] is False
+    assert runs["validate-failing"]["results"]["triangle_violations"]
+    assert runs["iso-probe"]["results"]["subgroup"] is not None
+    assert runs["iso-probe-none"]["results"]["subgroup"] is None
+    assert runs["error"]["exit"] == 1
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        GOLDEN.write_text(json.dumps(_golden_runs(), indent=1, sort_keys=True)
+                          + "\n")
