@@ -9,6 +9,8 @@ validator certifies the metric and measure axioms cell by cell.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -65,8 +67,18 @@ for name, sp in [("triangle", tri), ("segment", seg), ("circle", circ),
     print(f"validate {name:9s}: ok={rep.ok} "
           f"worst triangle defect {rep.worst_triangle_defect:.2e} ({mode})")
 
-# spaces round-trip through a JSON file
-save_space(circ, "/tmp/demo_circle.json")
-again = load_space("/tmp/demo_circle.json")
-print("round trip exact:", bool(np.array_equal(circ.dist, again.dist)
-                                and np.array_equal(circ.weight, again.weight)))
+# spaces round-trip through JSON files: an explicit file holds the whole
+# distance matrix, a recipe file only the generator and its parameters,
+# from which loading rebuilds the space bit for bit
+with tempfile.TemporaryDirectory() as work:
+    explicit = os.path.join(work, "circle.json")
+    save_space(circ, explicit)
+    recipe = os.path.join(work, "necklace.json")
+    save_space(neck, recipe, dist_mode="recipe")
+    print(f"files:    circle explicit {os.path.getsize(explicit)} bytes, "
+          f"necklace recipe {os.path.getsize(recipe)} bytes")
+    exact = all(np.array_equal(sp.dist, again.dist)
+                and np.array_equal(sp.weight, again.weight)
+                for sp, again in [(circ, load_space(explicit)),
+                                  (neck, load_space(recipe))])
+print("round trip exact:", exact)

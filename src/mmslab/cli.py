@@ -24,10 +24,8 @@ from scipy.linalg import expm
 from mmslab import __version__
 from mmslab.contraction import (chebyshev_times, mcp_check, necklace_schedule,
                                 scalar_bound, schedule_density_check)
-from mmslab.core import load_space, save_space, validate_space
-from mmslab.generators import (NecklaceParams, circle_space,
-                               euclidean_ball_grid, hawaiian_truncation,
-                               necklace, segment_space)
+from mmslab.core import DIST_MODES, load_space, save_space, validate_space
+from mmslab.generators import GENERATORS, generate
 from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
 from mmslab.symmetry import (EuclideanIsometry, condition_a_scan,
@@ -183,20 +181,7 @@ def _fields(obj, *drop, **extra):
 # (header, rows) for the verbs with a tabular section, else None.
 
 def _cmd_space_gen(args):
-    p = args.params
-    if args.kind == "segment":
-        sp = segment_space(float(p["resolution"]))
-    elif args.kind == "circle":
-        sp = circle_space(float(p["radius"]), int(p["resolution"]))
-    elif args.kind == "earring":
-        sp = hawaiian_truncation(int(p["n"]), int(p["resolution"]))
-    elif args.kind == "necklace":
-        beads = tuple((float(x), float(r)) for x, r in p["beads"])
-        sp = necklace(NecklaceParams(beads=beads,
-                                     resolution=float(p["resolution"])))
-    else:
-        sp = euclidean_ball_grid(int(p["k"]), float(p["r"]),
-                                 float(p["resolution"]))
+    sp = generate(args.kind, args.params)
     save_space(sp, args.out, dist_mode=args.dist_mode)
     results = {
         "kind": args.kind,
@@ -444,15 +429,11 @@ def _build_parser():
                                                       required=True)
     p = leaf(space, "gen", _cmd_space_gen, "space gen",
              help="write a generated space to a JSON file")
-    p.add_argument("--kind", required=True,
-                   choices=["segment", "circle", "earring", "necklace",
-                            "ball"])
+    p.add_argument("--kind", required=True, choices=GENERATORS)
     p.add_argument("--params", required=True, type=json.loads,
                    help='generator parameters, e.g. {"resolution": 0.01}')
     p.add_argument("--out", required=True)
-    p.add_argument("--dist-mode", default="explicit",
-                   choices=["explicit", "ambient-L2", "ambient-Linf",
-                            "graph"])
+    p.add_argument("--dist-mode", default="explicit", choices=DIST_MODES)
     p = leaf(space, "validate", _cmd_space_validate, "space validate",
              help="check the metric axioms of a space file")
     p.add_argument("--space", required=True)
@@ -609,18 +590,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
 
-    report_path = args.report
     try:
         anchor, results, inconclusive, table = args.handler(args)
     except Exception as exc:
+        sys.stderr.write(f"mms-lab: {type(exc).__name__}: {exc}\n")
         doc = {"command": args.command,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
-        _emit_json(doc, report_path)
-        sys.stderr.write(f"mms-lab: {type(exc).__name__}: {exc}\n")
-        return 1
-
-    if args.csv and table is not None:
-        _emit_csv(table[0], table[1], report_path)
+        code, table = 1, None
     else:
         doc = {
             "command": args.command,
@@ -634,10 +610,17 @@ def main(argv=None) -> int:
                 "scipy": scipy.__version__,
             },
         }
-        _emit_json(doc, report_path)
-    if inconclusive and args.strict:
-        return 2
-    return 0
+        code = 2 if inconclusive and args.strict else 0
+
+    try:
+        if args.csv and table is not None:
+            _emit_csv(table[0], table[1], args.report)
+        else:
+            _emit_json(doc, args.report)
+    except OSError as exc:
+        sys.stderr.write(f"mms-lab: cannot write report {args.report}: {exc}\n")
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -197,6 +197,7 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     if not factor > 0:
         raise ValueError("scale factor must be positive")
     meta = dict(space.meta)
+    meta.pop("params", None)
     meta["scaled_by"] = float(meta.get("scaled_by", 1.0) * factor)
     if "pitch" in meta:
         meta["pitch"] = float(meta["pitch"]) / factor
@@ -213,13 +214,14 @@ def ball_indices(space: FiniteMMS, center: int, radius: float,
 def ball(space: FiniteMMS, center: int, radius: float, closed: bool = True) -> FiniteMMS:
     """Restrict the space to the metric ball around ``center``.
 
-    The returned space keeps the original indices in ``meta['subset']``.
-    Raises on an empty ball (an open ball of radius 0, say).
+    The returned space keeps the original indices in ``meta['subset']``,
+    drops the recipe, and raises on an empty ball (open, of radius 0).
     """
     idx = ball_indices(space, center, radius, closed=closed)
     if idx.size == 0:
         raise ValueError("empty ball")
     meta = dict(space.meta)
+    meta.pop("params", None)
     meta["subset"] = [int(i) for i in idx]
     meta["ball"] = {"center": int(center), "radius": float(radius), "closed": bool(closed)}
     return FiniteMMS(
@@ -388,78 +390,64 @@ def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1,
 
 # === serialization ===
 
-def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None:
-    """Write a space as JSON.
+DIST_MODES = ("explicit", "recipe")
 
-    ``dist_mode`` is one of "explicit" (full matrix), "ambient-L2",
-    "ambient-Linf" (recomputed from coords on load), or "graph" (intrinsic
-    metric of the L-infinity neighbor graph; needs meta pitch/edge_factor).
+
+def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None:
+    """Write a space as JSON in one of the ``DIST_MODES``: "explicit"
+    (matrix, weights, points and meta; n^2 in size) or "recipe" (only the
+    ``meta["generator"]`` kind and ``meta["params"]``, from which
+    ``load_space`` rebuilds the space bit for bit).  ``scale``, ``ball``
+    and hand-built spaces carry no recipe; saving one as a recipe raises
+    ``ValueError``.
     """
-    points = []
-    for i in range(space.n):
-        rec = {"id": i}
-        if space.coords is not None:
-            rec["coords"] = [float(c) for c in space.coords[i]]
-        if space.labels is not None:
-            rec["label"] = str(space.labels[i])
-        points.append(rec)
-    if dist_mode == "explicit":
-        dist = [[float(v) for v in row] for row in space.dist]
-    elif dist_mode in ("ambient-L2", "ambient-Linf", "graph"):
-        if space.coords is None:
-            raise ValueError(f"dist_mode {dist_mode!r} needs coordinates")
-        dist = {"mode": dist_mode}
+    if dist_mode == "recipe":
+        if "params" not in space.meta:
+            raise ValueError("space has no recipe: hand-built or derived")
+        doc = {"recipe": {"kind": space.meta["generator"],
+                          "params": _jsonable(space.meta["params"])}}
+    elif dist_mode == "explicit":
+        points = []
+        for i in range(space.n):
+            rec = {"id": i}
+            if space.coords is not None:
+                rec["coords"] = [float(c) for c in space.coords[i]]
+            if space.labels is not None:
+                rec["label"] = str(space.labels[i])
+            points.append(rec)
+        doc = {
+            "points": points,
+            "dist": [[float(v) for v in row] for row in space.dist],
+            "weights": [float(w) for w in space.weight],
+            "meta": _jsonable(space.meta),
+        }
     else:
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
-    doc = {
-        "points": points,
-        "dist": dist,
-        "weights": [float(w) for w in space.weight],
-        "meta": _jsonable(space.meta),
-    }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_space(path: str) -> FiniteMMS:
+    """Read a space written by ``save_space``.  A recipe file runs its
+    generator again, which takes as long as generating did."""
     with open(path) as fh:
         doc = json.load(fh)
+    if "recipe" in doc:
+        from mmslab.generators import generate  # generators imports core
+        return generate(doc["recipe"]["kind"], doc["recipe"]["params"])
+    if not isinstance(doc["dist"], list):
+        raise ValueError("dist must be a matrix, or save a recipe")
     points = sorted(doc["points"], key=lambda p: p["id"])
-    n = len(points)
     coords = None
     if points and "coords" in points[0]:
         coords = np.array([p["coords"] for p in points], dtype=float)
     labels = None
     if points and "label" in points[0]:
         labels = tuple(p["label"] for p in points)
-    weights = np.asarray(doc["weights"], dtype=float)
-    meta = doc.get("meta", {})
-    spec = doc["dist"]
-    if isinstance(spec, list):
-        dist = np.asarray(spec, dtype=float)
-    else:
-        mode = spec["mode"]
-        if coords is None:
-            raise ValueError(f"dist mode {mode!r} needs point coordinates")
-        if mode == "ambient-L2":
-            diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff ** 2).sum(axis=-1))
-        elif mode == "ambient-Linf":
-            diff = np.abs(coords[:, None, :] - coords[None, :, :])
-            dist = diff.max(axis=-1)
-        elif mode == "graph":
-            pitch = float(meta["pitch"])
-            factor = float(meta.get("edge_factor", 1.5))
-            diff = np.abs(coords[:, None, :] - coords[None, :, :])
-            linf = diff.max(axis=-1)
-            mask = (linf > 0) & (linf <= factor * pitch)
-            rows, cols = np.nonzero(mask)
-            graph = csr_matrix((linf[rows, cols], (rows, cols)), shape=(n, n))
-            dist = dijkstra(graph, directed=False)
-        else:
-            raise ValueError(f"unknown dist mode {mode!r}")
-    return FiniteMMS(dist=dist, weight=weights, coords=coords, labels=labels, meta=meta)
+    return FiniteMMS(dist=np.asarray(doc["dist"], dtype=float),
+                     weight=np.asarray(doc["weights"], dtype=float),
+                     coords=coords, labels=labels, meta=doc.get("meta", {}))
 
 
 def _jsonable(obj):

@@ -4,7 +4,7 @@ Five families: a cos^2-weighted segment, intrinsic circles, wedge-of-circles
 truncations, necklace spaces (segments with diamond-shaped 2D beads under the
 intrinsic L-infinity metric), and Euclidean ball grids.  Every constructor
 records its grid pitch in ``meta`` so downstream tolerances can scale with
-resolution.
+resolution, and its arguments in ``meta["params"]`` for ``generate``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ def segment_space(resolution: float) -> FiniteMMS:
     dist = np.abs(x[:, None] - x[None, :])
     weight = np.cos(x) ** 2 * w
     coords = np.column_stack([x, np.zeros(n)])
-    meta = {"generator": "segment", "pitch": w, "cells": n, "length": HALF_PI}
+    meta = {"generator": "segment", "params": {"resolution": resolution},
+            "pitch": w, "cells": n, "length": HALF_PI}
     return FiniteMMS(dist=dist, weight=weight, coords=coords, meta=meta)
 
 
@@ -61,8 +62,8 @@ def circle_space(radius: float, resolution: int) -> FiniteMMS:
     dist = np.minimum(gap, circumference - gap)
     theta = 2 * math.pi * np.arange(m) / m
     coords = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    meta = {"generator": "circle", "pitch": circumference / m,
-            "radius": radius, "cells": m}
+    meta = {"generator": "circle", "pitch": circumference / m, "cells": m,
+            "params": {"radius": radius, "resolution": resolution}}
     return FiniteMMS(dist=dist, weight=np.full(m, circumference / m),
                      coords=coords, meta=meta)
 
@@ -107,6 +108,7 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
 
     meta = {
         "generator": "earring",
+        "params": {"n": n, "resolution": resolution},
         "pitch": 2 * math.pi / m,
         "circles": n,
         "cells_per_circle": m,
@@ -219,6 +221,8 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
 
     meta = {
         "generator": "necklace",
+        "params": {"beads": [[x, r] for x, r in params.beads],
+                   "resolution": h},
         "pitch": w,
         "beads": [[x, r] for x, r in params.beads],
         "width_factor": DIAMOND_SLOPE,
@@ -274,6 +278,28 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     pts = pts[keep]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    meta = {"generator": "ball", "pitch": pitch, "dim": k, "radius": r}
+    meta = {"generator": "ball", "pitch": pitch,
+            "params": {"k": k, "r": r, "resolution": resolution}}
     return FiniteMMS(dist=dist, weight=np.full(len(pts), pitch**k),
                      coords=pts, meta=meta)
+
+
+# === the generator table ===
+
+GENERATORS = {
+    "segment": lambda p: segment_space(**p),
+    "circle": lambda p: circle_space(**p),
+    "earring": lambda p: hawaiian_truncation(**p),
+    "necklace": lambda p: necklace(NecklaceParams(**p)),
+    "ball": lambda p: euclidean_ball_grid(**p),
+}
+
+
+def generate(kind: str, params: dict) -> FiniteMMS:
+    """Run generator ``kind``, one of ``GENERATORS``, with the keyword
+    arguments ``params`` (the necklace takes the ``NecklaceParams``
+    fields).  The space records ``kind`` and ``params`` in its meta."""
+    build = GENERATORS.get(kind)
+    if build is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return build(params)

@@ -127,6 +127,15 @@ def _repair_marginals(matrix, row, col, tol):
     return m
 
 
+def _marginal_constraints(sm, tm):
+    """(A_eq, b_eq) fixing the row sums ``sm`` and the column sums ``tm``
+    of the row-major flattened coupling."""
+    n0, n1 = len(sm), len(tm)
+    a_eq = np.vstack([np.repeat(np.eye(n0), n1, axis=1),
+                      np.tile(np.eye(n1), n0)])
+    return a_eq, np.concatenate([sm, tm])
+
+
 def solve_w2(space: FiniteMMS, mu0, mu1, repair_tol: float = 1e-12) -> TransportResult:
     """LP solve of the squared W2 problem on the marginal supports."""
     mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
@@ -138,13 +147,8 @@ def solve_w2(space: FiniteMMS, mu0, mu1, repair_tol: float = 1e-12) -> Transport
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
     else:
-        a_eq = np.zeros((n0 + n1, n0 * n1))
-        for a in range(n0):
-            a_eq[a, a * n1:(a + 1) * n1] = 1.0
-        for b in range(n1):
-            a_eq[n0 + b, b::n1] = 1.0
-        res = linprog(d2.ravel(), A_eq=a_eq,
-                      b_eq=np.concatenate([sm, tm]),
+        a_eq, b_eq = _marginal_constraints(sm, tm)
+        res = linprog(d2.ravel(), A_eq=a_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
         if not res.success:
             raise RuntimeError(f"transport LP failed: {res.message}")
@@ -234,12 +238,7 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     if n0 == 1 or n1 == 1:
         return ProbeResult(unique=True, deviation=0.0, base=base)
     d2 = (space.dist[np.ix_(si, ti)] ** 2).ravel()
-    a_eq = np.zeros((n0 + n1, n0 * n1))
-    for a in range(n0):
-        a_eq[a, a * n1:(a + 1) * n1] = 1.0
-    for b in range(n1):
-        a_eq[n0 + b, b::n1] = 1.0
-    b_eq = np.concatenate([sm, tm])
+    a_eq, b_eq = _marginal_constraints(sm, tm)
     face = base.cost + 1e-9 * max(1.0, abs(base.cost))
 
     rng = np.random.default_rng(seed)

@@ -13,7 +13,6 @@ from mmslab import (
     condition_a_scan,
     displacement,
     enumerate_isometries,
-    euclidean_ball_grid,
     hawaiian_truncation,
     load_space,
     save_space,
@@ -88,16 +87,41 @@ def test_space_gen_rejects_unknown_kind(tmp_path, capsys):
     assert "usage" in cap.err
 
 
-def test_space_gen_ambient_mode_round_trips(tmp_path, capsys):
-    path = tmp_path / "ball.json"
-    rc, doc = run_json(capsys, "space", "gen", "--kind", "ball", "--params",
-                       json.dumps({"k": 2, "r": 0.4, "resolution": 0.1}),
-                       "--out", path, "--dist-mode", "ambient-L2")
-    assert rc == 0
-    sp = load_space(str(path))
-    direct = euclidean_ball_grid(2, 0.4, 0.1)
-    assert sp.n == direct.n == doc["results"]["cells"]
-    assert np.allclose(sp.dist, direct.dist)
+GEN_PARAMS = {
+    "segment": {"resolution": 0.05},
+    "circle": {"radius": 1, "resolution": 24},
+    "earring": {"n": 3, "resolution": 12},
+    "necklace": {"beads": [[0.8, 0.3]], "resolution": math.pi / 2 / 300},
+    "ball": {"k": 2, "r": 0.4, "resolution": 0.1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_PARAMS))
+def test_space_gen_recipe_mode_round_trips(tmp_path, capsys, kind):
+    explicit, recipe = tmp_path / "explicit.json", tmp_path / "recipe.json"
+    for path, mode in ((explicit, "explicit"), (recipe, "recipe")):
+        rc, doc = run_json(capsys, "space", "gen", "--kind", kind,
+                           "--params", json.dumps(GEN_PARAMS[kind]),
+                           "--out", path, "--dist-mode", mode)
+        assert rc == 0
+        assert doc["inputs"]["dist_mode"] == mode
+    want, got = load_space(str(explicit)), load_space(str(recipe))
+    assert got.n == doc["results"]["cells"]
+    assert np.array_equal(got.dist, want.dist)
+    assert np.array_equal(got.weight, want.weight)
+    assert (got.coords is None and want.coords is None) or np.array_equal(
+        got.coords, want.coords)
+    assert json.dumps(got.meta, sort_keys=True) == json.dumps(
+        want.meta, sort_keys=True)
+
+
+def test_space_gen_rejects_a_computed_dist_mode(tmp_path, capsys):
+    rc, cap = run(capsys, "space", "gen", "--kind", "segment", "--params",
+                  '{"resolution": 0.1}', "--out", tmp_path / "s.json",
+                  "--dist-mode", "graph")
+    assert rc == 1
+    assert "usage" in cap.err
+    assert not (tmp_path / "s.json").exists()
 
 
 # === transport ===
@@ -372,11 +396,30 @@ def test_deep_path_failure_emits_error_object(tmp_path, capsys):
     path = tmp_path / "seg.json"
     rc, _ = run_json(capsys, "space", "gen", "--kind", "segment", "--params",
                      json.dumps({"resolution": math.pi / 2 / 1600}),
-                     "--out", path, "--dist-mode", "ambient-L2")
+                     "--out", path, "--dist-mode", "recipe")
     assert rc == 0
     error = run_error(capsys, "mcp", "verify", "--space", path, "--x", 0,
                       "--A", 1599)
     assert error["type"] == "RecursionError"
+
+
+def test_unknown_recipe_kind_emits_error_object(tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"recipe": {"kind": "torus", "params": {}}}))
+    error = run_error(capsys, "space", "validate", "--space", path)
+    assert error == {"type": "ValueError",
+                     "message": "unknown generator kind 'torus'"}
+
+
+def test_unwritable_report_exits_one_naming_the_path(tmp_path, capsys):
+    report = tmp_path / "missing" / "x.json"
+    rc, cap = run(capsys, "mcp", "scalar-bound", "--samples", 20,
+                  "--report", report)
+    assert rc == 1
+    assert cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1
+    assert str(report) in lines[0] and "No such file" in lines[0]
 
 
 def test_solver_failure_emits_error_object(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Core data structures: spaces, validation, balls, geodesics, round trips."""
 
+import json
 import math
 import tracemalloc
 
@@ -22,7 +23,9 @@ from mmslab import (
     validate_space,
 )
 from mmslab.core import TRIANGLE_BLOCK, TRIANGLE_TOL, ValidationReport
-from mmslab.generators import NecklaceParams, necklace
+from mmslab.generators import (NecklaceParams, circle_space,
+                               euclidean_ball_grid, hawaiian_truncation,
+                               necklace)
 
 
 def two_point(d=1.0):
@@ -425,18 +428,46 @@ def test_save_load_roundtrip_explicit(tmp_path):
     assert back.meta["pitch"] == pytest.approx(space.meta["pitch"])
 
 
-def test_save_load_ambient_modes(tmp_path):
-    space = segment_space(math.pi / 2 / 50)
-    for mode in ("ambient-L2", "ambient-Linf"):
-        path = tmp_path / f"{mode}.json"
-        save_space(space, path, dist_mode=mode)
-        back = load_space(path)
-        assert np.allclose(back.dist, space.dist, atol=1e-9)
+GENERATED = {
+    "segment": lambda: segment_space(math.pi / 2 / 50),
+    "circle": lambda: circle_space(1, 24),
+    "earring": lambda: hawaiian_truncation(3, 12),
+    "necklace": lambda: necklace(NecklaceParams(  # 351 cells
+        beads=((0.8, 0.3),), resolution=math.pi / 2 / 300)),
+    "ball": lambda: euclidean_ball_grid(2, 0.5, 0.1),
+}
 
 
-def test_graph_mode_reconstructs_chain_metric(tmp_path):
-    space = segment_space(math.pi / 2 / 50)
-    path = tmp_path / "graph.json"
-    save_space(space, path, dist_mode="graph")
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_recipe_round_trip_is_exact(tmp_path, kind):
+    space = GENERATED[kind]()
+    assert space.meta["generator"] == kind
+    path = tmp_path / "space.json"
+    save_space(space, path, dist_mode="recipe")
+    assert set(json.loads(path.read_text())) == {"recipe"}
     back = load_space(path)
-    assert np.allclose(back.dist, space.dist, atol=1e-9)
+    assert np.array_equal(back.dist, space.dist)
+    assert np.array_equal(back.weight, space.weight)
+    assert (back.coords is None and space.coords is None) or np.array_equal(
+        back.coords, space.coords)
+    # equal as JSON text, so an int stays an int
+    assert json.dumps(back.meta, sort_keys=True) == json.dumps(
+        space.meta, sort_keys=True)
+
+
+def test_recipe_refuses_spaces_it_cannot_rebuild(tmp_path):
+    circle = GENERATED["circle"]()
+    path = tmp_path / "space.json"
+    for space in (scale(circle, 2.0), ball(circle, 0, 1.0), two_point()):
+        assert "params" not in space.meta
+        with pytest.raises(ValueError, match="recipe"):
+            save_space(space, path, dist_mode="recipe")
+    assert not path.exists()
+
+
+def test_load_rejects_a_computed_dist(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": [{"id": 0}], "weights": [1.0],
+                                "dist": {"mode": "graph"}}))
+    with pytest.raises(ValueError, match="matrix"):
+        load_space(path)
