@@ -61,14 +61,14 @@ print(f"\nsmall-mover subgroup found={probe.found}: order "
       f"{len(probe.subgroup)}, sup displacement {probe.sup_displacement:.4f}")
 
 # the displacement profile of that subgroup around the base point
-disp = displacement(sp8, probe.subgroup, r=1.0, x=0)
+disp = displacement(sp8, probe.subgroup.elements, r=1.0, x=0)
 print(f"displacement of the subgroup on the unit ball: {disp:.4f}")
 
 # the scale above which the full group stops moving the half-ball by
 # r/20: every map moves some cell of the largest circle a distance pi,
 # so the crossing sits near r = 20 pi
 full = enumerate_isometries(sp8, iso_tol=1e-9)
-crit = critical_scale(sp8, full, x=0, lo=0.8, hi=63.0, tol=1e-4)
+crit = critical_scale(sp8, full.perms(), x=0, lo=0.8, hi=63.0, tol=1e-4)
 print(f"critical scale r={crit.r:.4f} (20 pi = {20 * math.pi:.4f}), "
       f"displacement there {crit.displacement:.4f}")
 

@@ -285,10 +285,10 @@ def _cmd_iso_fix(args):
     sp = load_space(args.space)
     balls = args.ball or []
     if args.perm is not None:
-        perms, complete = [tuple(args.perm)], True
+        perms, complete = [args.perm], True
     else:
         res = enumerate_isometries(sp, iso_tol=args.iso_tol)
-        perms, complete = list(res.perms()), res.complete
+        perms, complete = res.perms(), res.complete
     sets = [fixed_set(sp, perm, fix_tol=args.fix_tol, balls=balls)
             for perm in perms]
     results = {"complete": complete, "balls": balls, "maps": [
@@ -302,10 +302,10 @@ def _cmd_iso_fix(args):
 def _cmd_iso_displacement(args):
     sp = load_space(args.space)
     if args.perm:
-        group, complete = [tuple(p) for p in args.perm], True
+        group, complete = args.perm, True
     else:
         res = enumerate_isometries(sp, iso_tol=args.iso_tol)
-        group, complete = list(res.perms()), res.complete
+        group, complete = res.perms(), res.complete
     value = displacement(sp, group, args.r, args.x)
     results = {
         "displacement": value,

@@ -44,8 +44,6 @@ class FiniteMMS:
         Strictly positive cell masses.
     coords : (n, k) ndarray or None
         Optional ambient coordinates, used by generators and serialization.
-    labels : tuple of str or None
-        Optional per-cell labels.
     meta : dict
         Provenance tag: generator name, parameters, grid pitch.
     """
@@ -53,7 +51,6 @@ class FiniteMMS:
     dist: np.ndarray
     weight: np.ndarray
     coords: np.ndarray | None = None
-    labels: tuple | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -141,7 +138,10 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
         raise ValueError("max_triples must be positive")
     d = space.dist
     n = space.n
-    sym = float(np.abs(d - d.T).max()) if n else 0.0
+    # upper-triangle row blocks against column blocks: no n^2 temporaries
+    step = max(1, TRIANGLE_BLOCK // max(n, 1))
+    sym = float(np.max([np.abs(d[s:s + step, s:] - d[s:, s:s + step].T).max()
+                        for s in range(0, n, step)])) if n else 0.0
     diag = float(np.abs(np.diag(d)).max()) if n else 0.0
     neg = int(np.sum(space.weight <= 0))
 
@@ -228,7 +228,6 @@ def ball(space: FiniteMMS, center: int, radius: float, closed: bool = True) -> F
         dist=space.dist[np.ix_(idx, idx)].copy(),
         weight=space.weight[idx].copy(),
         coords=None if space.coords is None else space.coords[idx].copy(),
-        labels=None if space.labels is None else tuple(space.labels[i] for i in idx),
         meta=meta,
     )
 
@@ -398,12 +397,19 @@ def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None
     (matrix, weights, points and meta; n^2 in size) or "recipe" (only the
     ``meta["generator"]`` kind and ``meta["params"]``, from which
     ``load_space`` rebuilds the space bit for bit).  ``scale``, ``ball``
-    and hand-built spaces carry no recipe; saving one as a recipe raises
-    ``ValueError``.
+    and hand-built spaces carry no recipe, and a recipe save reruns the
+    generator; either a missing recipe or a space that differs from what
+    it generates (say, after ``dataclasses.replace``) raises ``ValueError``.
     """
     if dist_mode == "recipe":
         if "params" not in space.meta:
             raise ValueError("space has no recipe: hand-built or derived")
+        from mmslab.generators import generate  # generators imports core
+        fresh = generate(space.meta["generator"], space.meta["params"])
+        if not (np.array_equal(fresh.dist, space.dist)
+                and np.array_equal(fresh.weight, space.weight)
+                and np.array_equal(fresh.coords, space.coords)):
+            raise ValueError("space differs from what its recipe generates")
         doc = {"recipe": {"kind": space.meta["generator"],
                           "params": _jsonable(space.meta["params"])}}
     elif dist_mode == "explicit":
@@ -412,8 +418,6 @@ def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None
             rec = {"id": i}
             if space.coords is not None:
                 rec["coords"] = [float(c) for c in space.coords[i]]
-            if space.labels is not None:
-                rec["label"] = str(space.labels[i])
             points.append(rec)
         doc = {
             "points": points,
@@ -442,12 +446,9 @@ def load_space(path: str) -> FiniteMMS:
     coords = None
     if points and "coords" in points[0]:
         coords = np.array([p["coords"] for p in points], dtype=float)
-    labels = None
-    if points and "label" in points[0]:
-        labels = tuple(p["label"] for p in points)
     return FiniteMMS(dist=np.asarray(doc["dist"], dtype=float),
                      weight=np.asarray(doc["weights"], dtype=float),
-                     coords=coords, labels=labels, meta=doc.get("meta", {}))
+                     coords=coords, meta=doc.get("meta", {}))
 
 
 def _jsonable(obj):

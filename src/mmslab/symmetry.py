@@ -21,58 +21,66 @@ from mmslab.core import FiniteMMS, ball_indices
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_GROUP_BUDGET = 4096
+COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 
 
 # === maps and groups ===
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryMap:
-    perm: tuple
+    perm: np.ndarray           # read-only index array: cell i -> perm[i]
     distortion: float
     measure_defect: float
 
     def is_measure_preserving(self, tol: float = 1e-9) -> bool:
         return self.measure_defect <= tol
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.perm, dtype=int)
+
+def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
+    """Permutations as (m, n) index rows.  An empty sequence is the empty
+    set; anything else that is not a stack of permutations of the cells
+    raises ``ValueError``."""
+    try:
+        rows = np.asarray(perms, dtype=np.intp)
+    except ValueError:                   # rows of different lengths
+        raise ValueError("not a permutation of the cells") from None
+    if rows.shape == (0,):
+        rows = rows.reshape(0, space.n)
+    if (rows.ndim != 2 or rows.shape[1] != space.n
+            or np.any(np.sort(rows, axis=1) != np.arange(space.n))):
+        raise ValueError("not a permutation of the cells")
+    return rows
 
 
 def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(space.n)):
-        raise ValueError("not a permutation of the cells")
+    perm = _perm_rows(space, [perm])[0]
+    perm.setflags(write=False)
     distortion = float(np.max(np.abs(space.dist[np.ix_(perm, perm)] - space.dist)))
     defect = float(np.max(np.abs(space.weight[perm] - space.weight)))
-    return IsometryMap(perm=tuple(int(v) for v in perm),
-                       distortion=distortion, measure_defect=defect)
+    return IsometryMap(perm=perm, distortion=distortion, measure_defect=defect)
 
 
-def compose(outer, inner) -> tuple:
+def compose(outer, inner) -> np.ndarray:
     """Permutation of ``outer after inner``: i -> outer[inner[i]]."""
-    outer = np.asarray(outer, dtype=int)
-    inner = np.asarray(inner, dtype=int)
-    return tuple(int(v) for v in outer[inner])
+    return np.asarray(outer, dtype=np.intp)[np.asarray(inner, dtype=np.intp)]
 
 
-def invert(perm) -> tuple:
-    perm = np.asarray(perm, dtype=int)
-    out = np.empty_like(perm)
-    out[perm] = np.arange(len(perm))
-    return tuple(int(v) for v in out)
+def invert(perm) -> np.ndarray:
+    """Inverse permutation; on (m, n) rows, the inverse of each row."""
+    return np.argsort(np.asarray(perm, dtype=np.intp), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    elements: tuple            # permutation tuples, sorted
-    generators: tuple
+    elements: np.ndarray       # (m, n) permutation rows, sorted
+    generators: np.ndarray
     closed: bool
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, perm):
-        return tuple(perm) in set(self.elements)
+        return bool(np.any(np.all(self.elements == np.asarray(perm), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -81,22 +89,9 @@ class EnumerationResult:
     complete: bool
     nodes: int
 
-    def perms(self) -> tuple:
-        return tuple(m.perm for m in self.maps)
-
-
-def _perms_of(group) -> list:
-    if isinstance(group, Subgroup):
-        return [np.asarray(p, dtype=int) for p in group.elements]
-    if isinstance(group, EnumerationResult):
-        return [np.asarray(m.perm, dtype=int) for m in group.maps]
-    if isinstance(group, IsometryMap):
-        return [group.as_array()]
-    group = list(group)
-    if group and np.isscalar(group[0]):
-        return [np.asarray(group, dtype=int)]
-    return [np.asarray(m.perm if isinstance(m, IsometryMap) else m, dtype=int)
-            for m in group]
+    def perms(self) -> np.ndarray:
+        """The maps' permutations as (m, n) rows, sorted."""
+        return np.array([m.perm for m in self.maps], dtype=np.intp)
 
 
 # === enumeration ===
@@ -153,42 +148,47 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
                 continue
         if depth == n - 1:
             perm[i] = j
-            found.append(tuple(int(v) for v in perm))
+            found.append(perm.copy())
             perm[i] = -1
             continue
         perm[i] = j
         used[j] = True
         iters.append(iter(cand[order[depth + 1]]))
 
-    maps = tuple(isometry_from_perm(space, p) for p in sorted(found))
+    rows = np.unique(np.array(found, dtype=np.intp).reshape(-1, n), axis=0)
+    maps = tuple(isometry_from_perm(space, p) for p in rows)
     return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
 
 
 def generate_subgroup(space: FiniteMMS, gens,
                       budget: int = DEFAULT_GROUP_BUDGET) -> Subgroup:
     """Closure of the generators under composition and inverse, breadth
-    first, truncated (and flagged open) past ``budget`` elements."""
-    gen_perms = [tuple(int(v) for v in p) for p in _perms_of(gens)]
-    identity = tuple(range(space.n))
-    seeds = set(gen_perms) | {invert(p) for p in gen_perms} | {identity}
-    elements = set(seeds)
-    frontier = list(seeds)
+    first, truncated (and flagged open) past ``budget`` elements.
+
+    Each level composes every frontier row with every seed in one
+    indexing step, ``COMPOSE_BLOCK`` entries (at least one row) at a time."""
+    gens = _perm_rows(space, gens)
+    n = space.n
+    seeds = np.unique(np.vstack([gens, invert(gens), np.arange(n)]), axis=0)
+    seen = {row.tobytes() for row in seeds}
+    frontier = seeds
+    step = max(1, COMPOSE_BLOCK // (len(seeds) * n))
     closed = True
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in seeds:
-                c = compose(a, b)
-                if c not in elements:
-                    elements.add(c)
-                    nxt.append(c)
-        if len(elements) > budget:
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), step):
+            block = frontier[start:start + step][:, seeds].reshape(-1, n)
+            for key in map(np.ndarray.tobytes, block):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+        if len(seen) > budget:
             closed = False
             break
-        frontier = nxt
-    return Subgroup(elements=tuple(sorted(elements)),
-                    generators=tuple(sorted(set(gen_perms))),
-                    closed=closed)
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, n)
+    elements = np.frombuffer(b"".join(seen), dtype=np.intp).reshape(-1, n)
+    return Subgroup(elements=np.unique(elements, axis=0),
+                    generators=np.unique(gens, axis=0), closed=closed)
 
 
 # === fixed sets and displacement ===
@@ -207,7 +207,7 @@ def fixed_set(space: FiniteMMS, perm, fix_tol: float | None = None,
     (center, radius) pairs."""
     if fix_tol is None:
         fix_tol = space.pitch()
-    perm = _perms_of(perm)[0]
+    perm = _perm_rows(space, [perm])[0]
     moved = space.dist[np.arange(space.n), perm]
     idx = np.flatnonzero(moved <= fix_tol)
     inside = []
@@ -226,10 +226,8 @@ def displacement(space: FiniteMMS, group, r: float, x: int) -> float:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     idx = ball_indices(space, x, r / 2.0)
-    out = 0.0
-    for perm in _perms_of(group):
-        out = max(out, float(space.dist[idx, perm[idx]].max()))
-    return out
+    rows = _perm_rows(space, group)
+    return float(space.dist[idx, rows[:, idx]].max(initial=0.0))
 
 
 # === small subgroups ===
@@ -261,23 +259,22 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     if compact is None:
         compact = np.arange(space.n)
     compact = np.asarray(list(compact), dtype=int)
-    identity = tuple(range(space.n))
 
-    def sup_move(perm):
-        perm = np.asarray(perm, dtype=int)
-        return float(space.dist[compact, perm[compact]].max())
+    def sup_move(rows):
+        return space.dist[compact, rows[:, compact]].max(axis=1)
 
-    small = [m.perm for m in maps.maps
-             if m.perm != identity and sup_move(m.perm) < epsilon]
+    rows = _perm_rows(space, maps.perms())
+    nontrivial = np.any(rows != np.arange(space.n), axis=1)
+    small = rows[nontrivial & (sup_move(rows) < epsilon)]
     for perm in small:
         sub = generate_subgroup(space, [perm], budget=budget)
         if not sub.closed:
             continue
-        sups = [sup_move(p) for p in sub.elements]
-        if max(sups) < epsilon and len(sub) > 1:
+        sup = float(sup_move(sub.elements).max())
+        if sup < epsilon and len(sub) > 1:
             return SubgroupProbe(found=True, inconclusive=False,
                                  epsilon=epsilon, subgroup=sub,
-                                 sup_displacement=max(sups),
+                                 sup_displacement=sup,
                                  candidates=len(small))
     return SubgroupProbe(found=False, inconclusive=not maps.complete,
                          epsilon=epsilon, candidates=len(small))
@@ -481,12 +478,11 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
     """
     if maps is None:
         maps = enumerate_isometries(space, iso_tol=iso_tol)
-    identity = tuple(range(space.n))
     ball_mass = float(space.weight[ball_indices(space, x, s)].sum())
     fix_sup = 0.0
     count = 0
     for m in maps.maps:
-        if m.perm == identity:
+        if np.array_equal(m.perm, np.arange(space.n)):
             continue
         count += 1
         inside = fixed_set(space, m.perm, fix_tol=fix_tol,
@@ -530,7 +526,7 @@ def large_fix_implies_small_displacement(space: FiniteMMS, perm, x: int,
     """
     if fix_tol is None:
         fix_tol = space.pitch()
-    perm = _perms_of(perm)[0]
+    perm = _perm_rows(space, [perm])[0]
     big = ball_indices(space, x, float(n_scale))
     big_mass = float(space.weight[big].sum())
     small = min(
@@ -576,7 +572,7 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     so the result is a bracket of width ``tol`` and the defect achieved
     at its left end.
     """
-    perms = _perms_of(group)
+    perms = _perm_rows(space, group)
     d_lo = displacement(space, perms, lo, x)
     d_hi = displacement(space, perms, hi, x)
     if d_lo < lo / 20.0 or d_hi >= hi / 20.0:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mmslab.core import DiscreteGeodesic, FiniteMMS, evaluate, geodesics_between
+from mmslab.symmetry import invert, isometry_from_perm
 
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
@@ -347,16 +348,14 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     the image branch through its inverse; marginals and cost survive
     because the sources are fixed and the map is an isometry.
     """
-    perm = np.asarray(perm, dtype=int)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
+    iso = isometry_from_perm(space, perm)
+    perm, inv = iso.perm, invert(iso.perm)
     if iso_tol is None:
         iso_tol = 2 * space.pitch()
     if fix_tol is None:
         fix_tol = space.pitch()
-    distortion = float(np.max(np.abs(space.dist[np.ix_(perm, perm)] - space.dist)))
-    if distortion > iso_tol:
-        raise ValueError(f"permutation distorts distances by {distortion:g}")
+    if iso.distortion > iso_tol:
+        raise ValueError(f"permutation distorts distances by {iso.distortion:g}")
 
     if targets is None:
         if x is None:

@@ -261,6 +261,20 @@ def test_iso_displacement_matches_the_library(tmp_path, capsys):
     assert doc["results"]["elements"] == 32
 
 
+@pytest.mark.parametrize("perm", ["[0,0,0,0,0,0]", "[0,1,2]", "[5,4,3,2,1,9]"])
+def test_non_permutations_emit_error_objects(tmp_path, capsys, perm):
+    path = circle_file(tmp_path, capsys, resolution=6)
+    for argv in (["iso", "fix", "--space", path, "--perm", perm],
+                 ["iso", "displacement", "--space", path, "--x", 0,
+                  "--r", 1.0, "--perm", "[0,1,2,3,4,5]", "--perm", perm],
+                 ["ot", "competitor", "--space", path,
+                  "--mu0", '{"point": 0}', "--mu1", '{"point": 1}',
+                  "--perm", perm, "--x", 1]):
+        error = run_error(capsys, *argv)
+        assert error == {"type": "ValueError",
+                         "message": "not a permutation of the cells"}
+
+
 def test_iso_condition_a_holds_on_a_grid_ball(tmp_path, capsys):
     path = tmp_path / "grid.json"
     rc, _ = run_json(capsys, "space", "gen", "--kind", "ball", "--params",

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,6 @@ def test_validator_flags_asymmetry_and_diagonal():
     object.__setattr__(space, "dist", np.array([[0.1, 1.0], [2.0, 0.0]]))
     object.__setattr__(space, "weight", np.array([1.0, -2.0]))
     object.__setattr__(space, "coords", None)
-    object.__setattr__(space, "labels", None)
     object.__setattr__(space, "meta", {})
     rep = validate_space(space)
     assert not rep.ok
@@ -209,7 +209,25 @@ def test_streamed_sample_keeps_a_nan_defect_like_the_oracle():
     assert rep.triples_checked == oracle.triples_checked
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 1100])
+def test_symmetry_defect_matches_the_full_difference(n):
+    """The blocked check over the upper triangle reports the same value
+    as |d - d^T| on the whole matrix, across block edges; a NaN entry
+    still makes it NaN."""
+    space = random_asymmetric_space(n, n)
+    full = float(np.abs(space.dist - space.dist.T).max())
+    rep = validate_space(space, max_triples=1)
+    assert rep.symmetry_defect == full
+    dist = space.dist.copy()
+    dist[n - 1, 0] = np.nan
+    rep = validate_space(FiniteMMS(dist=dist, weight=space.weight),
+                         max_triples=1)
+    assert math.isnan(rep.symmetry_defect)
+
+
 def test_sampled_validation_memory_stays_near_the_matrix():
+    """Neither the symmetry check nor the streamed sample allocates an
+    n^2 temporary."""
     space = cloud_space(1000, 0)
     tracemalloc.start()
     try:
@@ -218,7 +236,7 @@ def test_sampled_validation_memory_stays_near_the_matrix():
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.triples_checked == 4_000_000
-    assert peak < 3 * space.dist.nbytes, peak
+    assert peak < 0.5 * space.dist.nbytes, peak
 
 
 @pytest.mark.parametrize("max_triples", [0, -5])
@@ -461,6 +479,20 @@ def test_recipe_refuses_spaces_it_cannot_rebuild(tmp_path):
     for space in (scale(circle, 2.0), ball(circle, 0, 1.0), two_point()):
         assert "params" not in space.meta
         with pytest.raises(ValueError, match="recipe"):
+            save_space(space, path, dist_mode="recipe")
+    assert not path.exists()
+
+
+def test_recipe_refuses_a_space_its_recipe_does_not_generate(tmp_path):
+    circle = GENERATED["circle"]()
+    path = tmp_path / "space.json"
+    changed = (replace(circle, weight=np.arange(1.0, circle.n + 1.0)),
+               replace(circle, dist=2.0 * circle.dist),
+               replace(circle, coords=circle.coords + 1.0),
+               replace(circle, coords=None))
+    for space in changed:
+        assert space.meta["params"] == circle.meta["params"]
+        with pytest.raises(ValueError, match="recipe generates"):
             save_space(space, path, dist_mode="recipe")
     assert not path.exists()
 

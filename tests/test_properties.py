@@ -1,0 +1,155 @@
+"""Properties of the isometry machinery under relabelling, and the
+subgroup closure against the tuple-based breadth-first closure it
+replaced.
+
+Relabelling a space by a permutation L (cell a of the new space is cell
+L[a] of the old one) conjugates its isometry group: g becomes
+L^-1 o g o L, the rows ``invert(L)[g[L]]``.  Group order, the sorted
+fixed masses and the condition-(a) gap do not depend on the labels.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmslab import (
+    FiniteMMS,
+    circle_space,
+    condition_a_scan,
+    enumerate_isometries,
+    euclidean_ball_grid,
+    fixed_set,
+    generate_subgroup,
+    hawaiian_truncation,
+    invert,
+)
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=24,
+                    deadline=None)
+
+
+def cloud(count, seed):
+    pts = np.random.default_rng(seed).standard_normal((count, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return FiniteMMS(dist=dist, weight=np.ones(count), coords=pts)
+
+
+def make_space(spec):
+    kind, a, b = spec
+    if kind == "circle":
+        return circle_space(1.0, a)
+    if kind == "earring":
+        return hawaiian_truncation(a, b)
+    if kind == "ball":
+        return euclidean_ball_grid(2, a / 10.0, 0.1)
+    return cloud(a, b)
+
+
+SPECS = st.one_of(
+    st.tuples(st.just("circle"), st.integers(5, 10), st.just(0)),
+    st.tuples(st.just("earring"), st.integers(2, 3), st.sampled_from([8, 10, 12])),
+    st.tuples(st.just("ball"), st.integers(2, 3), st.just(0)),
+    st.tuples(st.just("cloud"), st.integers(5, 7), st.integers(0, 99)),
+)
+
+
+def relabel(space, labels):
+    return FiniteMMS(dist=space.dist[np.ix_(labels, labels)],
+                     weight=space.weight[labels],
+                     meta={"pitch": space.pitch()})
+
+
+def sorted_rows(rows):
+    rows = np.asarray(rows, dtype=int)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@SETTINGS
+@given(spec=SPECS, seed=st.integers(0, 2**32 - 1))
+def test_relabelling_conjugates_the_isometry_group(spec, seed):
+    base = make_space(spec)
+    labels = np.random.default_rng(seed).permutation(base.n)
+    moved = relabel(base, labels)
+    res = enumerate_isometries(base, iso_tol=1e-9)
+    back = enumerate_isometries(moved, iso_tol=1e-9)
+    assert res.complete and back.complete
+
+    group = np.asarray(res.perms(), dtype=int)
+    expected = sorted_rows(np.asarray(invert(labels))[group[:, labels]])
+    assert np.array_equal(np.asarray(back.perms()), expected)
+
+    assert (len(generate_subgroup(base, res.perms()))
+            == len(generate_subgroup(moved, back.perms())) == len(group))
+
+    def masses(space, maps):
+        return sorted(fixed_set(space, m.perm, fix_tol=1e-9).mass
+                      for m in maps.maps)
+
+    assert masses(moved, back) == pytest.approx(masses(base, res), rel=1e-12)
+
+    x = int(labels[0])
+    s = 0.5 * base.diameter
+    gap = condition_a_scan(base, x, s, fix_tol=1e-9, maps=res).gap
+    gap_back = condition_a_scan(moved, 0, s, fix_tol=1e-9, maps=back).gap
+    assert math.isclose(gap_back, gap, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# === the closure against the tuple oracle ===
+
+def closure_oracle(space, gens, budget):
+    """Breadth-first closure over permutation tuples, the representation
+    ``generate_subgroup`` used before it composed whole levels of index
+    rows at once.  Returns (elements, generators, closed)."""
+    def compose(outer, inner):
+        return tuple(outer[i] for i in inner)
+
+    def inverse(perm):
+        out = [0] * len(perm)
+        for i, v in enumerate(perm):
+            out[v] = i
+        return tuple(out)
+
+    gen_perms = [tuple(int(v) for v in p) for p in gens]
+    identity = tuple(range(space.n))
+    seeds = set(gen_perms) | {inverse(p) for p in gen_perms} | {identity}
+    elements = set(seeds)
+    frontier = list(seeds)
+    closed = True
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in seeds:
+                c = compose(a, b)
+                if c not in elements:
+                    elements.add(c)
+                    nxt.append(c)
+        if len(elements) > budget:
+            closed = False
+            break
+        frontier = nxt
+    return sorted(elements), sorted(set(gen_perms)), closed
+
+
+CLOSURE_SPECS = [("circle", 8, 0), ("circle", 9, 0), ("earring", 3, 8),
+                 ("earring", 2, 12), ("ball", 3, 0), ("cloud", 6, 4)]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+@pytest.mark.parametrize("budget", [3, 8, 16, 20, 40, 4096])
+def test_closure_matches_the_tuple_oracle(spec, budget):
+    base = make_space(spec)
+    labels = np.random.default_rng(len(spec[0]) + budget).permutation(base.n)
+    space = relabel(base, labels)
+    perms = np.asarray(enumerate_isometries(space, iso_tol=1e-9).perms())
+    nontrivial = [p for p in perms if np.any(p != np.arange(space.n))]
+    for gens in (perms, nontrivial[:1], nontrivial[-2:], nontrivial[1::3]):
+        sub = generate_subgroup(space, gens, budget=budget)
+        elements, generators, closed = closure_oracle(space, gens, budget)
+        assert np.array_equal(np.asarray(sub.elements),
+                              np.asarray(elements).reshape(-1, space.n))
+        assert np.array_equal(np.asarray(sub.generators).reshape(-1, space.n),
+                              np.asarray(generators).reshape(-1, space.n))
+        assert sub.closed == closed

@@ -103,8 +103,8 @@ def test_generic_cloud_admits_only_the_identity():
     sp = cloud_space(rng.standard_normal((6, 3)))
     res = enumerate_isometries(sp, iso_tol=1e-9)
     assert res.complete
-    assert res.perms() == (tuple(range(6)),)
-    assert list(res.perms()) == brute_isometries(sp, 1e-9)
+    assert np.array_equal(res.perms(), [np.arange(6)])
+    assert np.array_equal(res.perms(), brute_isometries(sp, 1e-9))
 
 
 def test_circle_enumeration_matches_brute_force():
@@ -112,7 +112,7 @@ def test_circle_enumeration_matches_brute_force():
     res = enumerate_isometries(sp, iso_tol=1e-9)
     assert res.complete
     assert len(res.maps) == 12
-    assert list(res.perms()) == brute_isometries(sp, 1e-9)
+    assert np.array_equal(res.perms(), brute_isometries(sp, 1e-9))
     for m in res.maps:
         assert m.distortion <= 1e-9
         assert m.is_measure_preserving()
@@ -121,14 +121,14 @@ def test_circle_enumeration_matches_brute_force():
 def test_enumeration_output_is_a_sorted_group():
     sp = circle_space(1.0, 8)
     res = enumerate_isometries(sp, iso_tol=1e-9)
-    perms = set(res.perms())
+    perms = set(map(tuple, res.perms()))
     assert len(perms) == 16
     assert tuple(range(8)) in perms
-    assert list(res.perms()) == sorted(perms)
+    assert np.array_equal(res.perms(), sorted(perms))
     for a in perms:
-        assert invert(a) in perms
+        assert tuple(invert(a)) in perms
         for b in perms:
-            assert compose(a, b) in perms
+            assert tuple(compose(a, b)) in perms
     assert res.nodes > 0
 
 
@@ -136,7 +136,7 @@ def test_wedge_maps_are_reflection_combinations():
     sp = hawaiian_truncation(3, 8)
     res = enumerate_isometries(sp, iso_tol=1e-9)
     assert res.complete
-    assert list(res.perms()) == reflection_combinations(sp)
+    assert np.array_equal(res.perms(), reflection_combinations(sp))
     assert len(res.maps) == 8
 
 
@@ -150,7 +150,7 @@ def test_node_budget_exhaustion_is_flagged():
 def test_weight_defects_are_reported_not_filtered():
     sp = cloud_space([[0.0, 0.0], [1.0, 0.0]], weights=[0.3, 0.7])
     res = enumerate_isometries(sp, iso_tol=1e-9)
-    by_perm = {m.perm: m for m in res.maps}
+    by_perm = {tuple(m.perm): m for m in res.maps}
     assert set(by_perm) == {(0, 1), (1, 0)}
     assert by_perm[(0, 1)].is_measure_preserving()
     swap = by_perm[(1, 0)]
@@ -164,13 +164,39 @@ def test_isometry_from_perm_rejects_non_permutations():
         isometry_from_perm(sp, [0, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [[0] * 6, [0, 1, 2, 3, 4, 6], [0, 1, 2],
+                                 [[0, 1, 2, 3, 4, 5], [0, 0, 0, 0, 0, 0]]])
+def test_non_permutations_are_rejected(bad):
+    sp = circle_space(1.0, 6)
+    rows = np.atleast_2d(bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        generate_subgroup(sp, rows)
+    with pytest.raises(ValueError, match="not a permutation"):
+        displacement(sp, rows, 1.0, 0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        critical_scale(sp, rows, x=0, lo=0.8, hi=63.0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        fixed_set(sp, rows[-1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        large_fix_implies_small_displacement(sp, rows[-1], x=0, n_scale=1)
+
+
+def test_isometry_maps_hold_read_only_arrays():
+    sp = circle_space(1.0, 6)
+    m = isometry_from_perm(sp, [1, 2, 3, 4, 5, 0])
+    assert m.perm.dtype.kind == "i" and not m.perm.flags.writeable
+    res = enumerate_isometries(sp, iso_tol=1e-9)
+    assert res.perms().shape == (12, 6)
+    assert displacement(sp, res.perms()[:0], 1.0, 0) == 0.0
+
+
 def test_compose_and_invert_round_trip():
     rng = np.random.default_rng(11)
     p = tuple(int(v) for v in rng.permutation(9))
     identity = tuple(range(9))
-    assert compose(p, invert(p)) == identity
-    assert compose(invert(p), p) == identity
-    assert invert(invert(p)) == p
+    assert np.array_equal(compose(p, invert(p)), identity)
+    assert np.array_equal(compose(invert(p), p), identity)
+    assert np.array_equal(invert(invert(p)), p)
 
 
 def test_ball_grid_symmetries_are_the_dihedral_eight():
@@ -189,7 +215,7 @@ def test_ball_grid_symmetries_are_the_dihedral_eight():
                 hits = np.flatnonzero(np.all(np.abs(pts - row) < 1e-12, axis=1))
                 perm.append(int(hits[0]))
             expected.add(tuple(perm))
-    assert set(res.perms()) == expected
+    assert set(map(tuple, res.perms())) == expected
 
 
 # === fixed sets ===
@@ -242,7 +268,7 @@ def test_fix_of_a_composition_contains_the_joint_fix():
 
 def test_displacement_values_on_the_wedge():
     sp = hawaiian_truncation(2, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
     assert displacement(sp, group, 0.2, 0) == 0.0
     assert abs(displacement(sp, group, 1.0, 0) - math.pi / 4) <= 1e-12
     assert abs(displacement(sp, group, 2.0, 0) - math.pi / 3) <= 1e-12
@@ -251,12 +277,12 @@ def test_displacement_values_on_the_wedge():
 
 def test_displacement_is_monotone():
     sp = hawaiian_truncation(2, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
     radii = [0.0, 0.4, 0.9, 1.7, 3.0, 8.0]
     vals = [displacement(sp, group, r, 0) for r in radii]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     sub = generate_subgroup(sp, [circle_reflection(sp, 1)])
-    assert displacement(sp, sub, 1e3, 0) <= displacement(sp, group, 1e3, 0)
+    assert displacement(sp, sub.elements, 1e3, 0) <= displacement(sp, group, 1e3, 0)
     assert displacement(sp, [tuple(range(sp.n))], 1e3, 0) == 0.0
     with pytest.raises(ValueError):
         displacement(sp, group, -1.0, 0)
@@ -280,7 +306,7 @@ def test_generated_rotations_recover_the_cyclic_group():
     sp = circle_space(1.0, 8)
     sub = generate_subgroup(sp, [rotation_perm(8, 1)])
     assert sub.closed
-    assert set(sub.elements) == {rotation_perm(8, s) for s in range(8)}
+    assert set(map(tuple, sub.elements)) == {rotation_perm(8, s) for s in range(8)}
     truncated = generate_subgroup(sp, [rotation_perm(8, 1)], budget=3)
     assert not truncated.closed
 
@@ -467,7 +493,7 @@ def test_large_fix_hypothesis_fails_for_the_big_circle():
 
 def test_critical_scale_brackets_the_crossing():
     sp = hawaiian_truncation(3, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
     res = critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=1e-6)
     a, b = res.bracket
     assert b - a <= 1e-6
@@ -479,7 +505,7 @@ def test_critical_scale_brackets_the_crossing():
 
 def test_critical_scale_requires_a_true_bracket():
     sp = hawaiian_truncation(3, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
     with pytest.raises(ValueError):
         critical_scale(sp, group, x=0, lo=1e-6, hi=63.0)
     with pytest.raises(ValueError):
