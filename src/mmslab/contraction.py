@@ -17,23 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmslab.core import DiscreteGeodesic, FiniteMMS, constant_speed_defect, evaluate
+from mmslab.core import DiscreteGeodesic, FiniteMMS, constant_speed_defect
 from mmslab.generators import necklace_fibers
-from mmslab.transport import GeodesicPlan, plan_marginals
+from mmslab.transport import GeodesicPlan, plan_evaluator, plan_marginals
 
 HALF_PI = math.pi / 2.0
 DEGENERATE_LENGTH = 1e-12
 
 
+def _coefficient(t: float, length: float) -> float:
+    """t sin^2(t l)/sin^2(l) on plain floats, t^3 for degenerate lengths.
+
+    The powers are rounded as the reports have always rounded them:
+    ``** 2`` by libm's ``pow`` on a scalar (numpy's array power squares
+    instead, which differs in about one case in a thousand), and the
+    cube by numpy's power loop (libm's ``pow`` differs from the SIMD
+    loop in about one case in twenty).
+    """
+    if length < DEGENERATE_LENGTH:
+        return float(np.power(t, 3))
+    return t * math.sin(t * length) ** 2 / math.sin(length) ** 2
+
+
 def model_coefficient(t, length):
     """Contraction weight t sin^2(t l)/sin^2(l), with the t^3 limit for
-    degenerate lengths."""
-    t = np.asarray(t, dtype=float)
-    length = np.asarray(length, dtype=float)
-    small = length < DEGENERATE_LENGTH
-    safe = np.where(small, 1.0, length)
-    out = t * np.sin(t * safe) ** 2 / np.sin(safe) ** 2
-    return np.where(small, t**3, out)
+    degenerate lengths; broadcasts over array arguments."""
+    return np.vectorize(_coefficient, otypes=[float])(t, length)
 
 
 def chebyshev_times(count: int = 33) -> np.ndarray:
@@ -81,13 +90,17 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     uniform[support] = space.weight[support] / mass_target
     marginal_defect = float(np.max(np.abs(e1 - uniform)))
 
+    nodes_at = plan_evaluator(plan)
+    lengths = [g.length for g, _ in plan.atoms]
+    masses = np.array([m for _, m in plan.atoms])
     worst = (math.inf, 0.0, -1)
     rows = []
-    for t in np.sort(np.asarray(t_samples, dtype=float)):
+    for t in np.sort(np.asarray(t_samples, dtype=float)).tolist():
+        nodes = nodes_at(t)
+        coef = np.array([_coefficient(t, length) for length in lengths])
         lhs = np.zeros(space.n)
-        for g, m in plan.atoms:
-            coef = float(model_coefficient(t, g.length))
-            lhs[evaluate(g, float(t))] += m * coef * mass_target
+        # np.add.at sums repeated cells in plan order
+        np.add.at(lhs, nodes, masses * coef * mass_target)
         touched = np.flatnonzero(lhs > 0)
         if len(touched) == 0:
             continue
@@ -333,13 +346,13 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
     # fiber columns, so they are not node times and must be added
     times = sorted(set(plan.atoms[0][0].times)
                    | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
+    nodes_at = plan_evaluator(plan)
     rows = []
     worst = (math.inf, 0.0)
     for t in times:
         if t <= 0.0:
             continue
-        supp = {evaluate(g, t) for g, _ in plan.atoms}
-        supp_mass = float(space.weight[sorted(supp)].sum())
+        supp_mass = float(space.weight[np.unique(nodes_at(t))].sum())
         lhs = mass_target / (t * supp_mass)
         rhs = math.sin(l) ** 2 / (t * math.sin(t * l) ** 2)
         slack = rhs - lhs

@@ -309,12 +309,18 @@ def restrict(g: DiscreteGeodesic, s: float, t: float) -> DiscreteGeodesic:
 
 
 def constant_speed_defect(space: FiniteMMS, g: DiscreteGeodesic) -> float:
-    """max over node pairs of | d(a, b) - (t_b - t_a) * length |."""
+    """max over node pairs of | d(a, b) - (t_b - t_a) * length |.
+
+    Rows are compared in blocks of about ``TRIANGLE_BLOCK`` entries, so a
+    long chain needs no (nodes x nodes) temporaries.
+    """
     idx = np.asarray(g.nodes)
     tt = np.asarray(g.times)
-    d = space.dist[np.ix_(idx, idx)]
-    target = np.abs(tt[:, None] - tt[None, :]) * g.length
-    return float(np.abs(d - target).max())
+    step = max(1, TRIANGLE_BLOCK // len(idx))
+    return float(np.max([
+        np.abs(space.dist[np.ix_(idx[s:s + step], idx)]
+               - np.abs(tt[s:s + step, None] - tt[None, :]) * g.length).max()
+        for s in range(0, len(idx), step)]))
 
 
 def neighbor_graph(space: FiniteMMS, edge_factor: float = 1.5):
@@ -325,6 +331,91 @@ def neighbor_graph(space: FiniteMMS, edge_factor: float = 1.5):
     mask = (space.dist > 0) & (space.dist <= edge_factor * pitch)
     rows, cols = np.nonzero(mask)
     return csr_matrix((space.dist[rows, cols], (rows, cols)), shape=space.dist.shape)
+
+
+class ShortestChains:
+    """Shortest node chains through one neighbor graph.
+
+    The graph and its edge list are built once; ``between`` then needs
+    only the Dijkstra rows of the two endpoints, which callers compute
+    for many endpoints in one ``dijkstra(indices=...)`` call.
+    """
+
+    def __init__(self, space: FiniteMMS, edge_factor: float = 1.5,
+                 geodesic_tol: float | None = None):
+        self.space = space
+        self.graph = neighbor_graph(space, edge_factor=edge_factor)
+        self.geodesic_tol = (2.0 * space.pitch() if geodesic_tol is None
+                             else geodesic_tol)
+        indptr = self.graph.indptr
+        # edge list in CSR order: rows ascending, columns ascending per row
+        self._rows = np.repeat(np.arange(space.n), np.diff(indptr))
+        self._cols = self.graph.indices
+        self._wts = self.graph.data
+
+    def distances(self, sources) -> np.ndarray:
+        """Dijkstra rows, one per source, from one call."""
+        return dijkstra(self.graph, directed=False, indices=sources)
+
+    def between(self, a: int, b: int, da: np.ndarray, db: np.ndarray,
+                budget: int = 1) -> list:
+        """Up to ``budget`` shortest chains from a to b (a != b), given the
+        Dijkstra rows ``da`` of a and ``db`` of b."""
+        space, tol = self.space, self.geodesic_tol
+        total = da[b]
+        if not np.isfinite(total):
+            raise ValueError("endpoints are not connected in the neighbor graph")
+        if abs(total - space.dist[a, b]) > tol:
+            raise ValueError(
+                "neighbor-graph shortest path deviates from dist "
+                f"({total:.6g} vs {space.dist[a, b]:.6g})"
+            )
+        slack = 1e-9 * max(total, 1.0)
+        # DAG of tight edges: u -> v on a shortest path iff
+        # da[u] + w + db[v] == total; da[v] > da[u] keeps the walk
+        # monotone, so ties make no cycles
+        rows, cols = self._rows, self._cols
+        tight = ((da[rows] + self._wts + db[cols] <= total + slack)
+                 & (da[cols] > da[rows]))
+        heads = rows[tight]
+        succ = cols[tight].tolist()
+        ptr = np.searchsorted(heads, np.arange(space.n + 1)).tolist()
+        chains = _walk(succ, ptr, a, b, budget)
+        out = []
+        length = float(space.dist[a, b])
+        for chain in chains:
+            tt = da[np.asarray(chain)] / total
+            g = DiscreteGeodesic(nodes=tuple(chain), times=tuple(tt), length=length)
+            defect = constant_speed_defect(space, g)
+            if defect > tol:
+                raise ValueError(f"constant-speed defect {defect:.3g} exceeds tolerance")
+            out.append(g)
+        return out
+
+
+def _walk(succ: list, ptr: list, a: int, b: int, budget: int) -> list:
+    """Depth-first walk of a DAG from a to b with an explicit stack; the
+    successors of u are ``succ[ptr[u]:ptr[u + 1]]``, tried in that order.
+    Returns the first ``budget`` chains reaching b, in the order found."""
+    chains = []
+    path = [a]
+    stack = [iter(succ[ptr[a]:ptr[a + 1]])]
+    while stack and len(chains) < budget:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            path.pop()
+        elif v == b:
+            chains.append(path + [v])
+        else:
+            path.append(v)
+            stack.append(iter(succ[ptr[v]:ptr[v + 1]]))
+    return chains
+
+
+def trivial_geodesic(a: int) -> DiscreteGeodesic:
+    """The two-node chain that stays at a."""
+    return DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)
 
 
 def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1,
@@ -339,52 +430,10 @@ def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1,
     space's metric is not the path metric of its own neighbor graph.
     """
     if a == b:
-        return [DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)]
-    if geodesic_tol is None:
-        geodesic_tol = 2.0 * space.pitch()
-    graph = neighbor_graph(space, edge_factor=edge_factor)
-    da = dijkstra(graph, directed=False, indices=a)
-    db = dijkstra(graph, directed=False, indices=b)
-    total = da[b]
-    if not np.isfinite(total):
-        raise ValueError("endpoints are not connected in the neighbor graph")
-    if abs(total - space.dist[a, b]) > geodesic_tol:
-        raise ValueError(
-            "neighbor-graph shortest path deviates from dist "
-            f"({total:.6g} vs {space.dist[a, b]:.6g})"
-        )
-    slack = 1e-9 * max(total, 1.0)
-    # DAG of tight edges: u -> v on a shortest path iff da[u] + w + db[v] == total
-    indptr, indices, data = graph.indptr, graph.indices, graph.data
-    chains = []
-
-    def extend(u, prefix):
-        if len(chains) >= budget:
-            return
-        if u == b:
-            chains.append(prefix)
-            return
-        nxt = indices[indptr[u]:indptr[u + 1]]
-        wts = data[indptr[u]:indptr[u + 1]]
-        tight = da[u] + wts + db[nxt] <= total + slack
-        order = np.argsort(nxt[tight], kind="stable")
-        for v in nxt[tight][order]:
-            if da[v] > da[u]:  # keeps the walk monotone, no cycles at ties
-                extend(int(v), prefix + [int(v)])
-                if len(chains) >= budget:
-                    return
-
-    extend(a, [a])
-    out = []
-    length = float(space.dist[a, b])
-    for chain in chains:
-        tt = da[np.asarray(chain)] / total
-        g = DiscreteGeodesic(nodes=tuple(chain), times=tuple(tt), length=length)
-        defect = constant_speed_defect(space, g)
-        if defect > geodesic_tol:
-            raise ValueError(f"constant-speed defect {defect:.3g} exceeds tolerance")
-        out.append(g)
-    return out
+        return [trivial_geodesic(a)]
+    sc = ShortestChains(space, edge_factor=edge_factor, geodesic_tol=geodesic_tol)
+    da, db = sc.distances([a, b])
+    return sc.between(a, b, da, db, budget=budget)
 
 
 # === serialization ===

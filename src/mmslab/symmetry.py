@@ -225,8 +225,12 @@ def displacement(space: FiniteMMS, group, r: float, x: int) -> float:
     sup over g and over y within r/2 of x of d(y, g(y))."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    return _displacement(space, _perm_rows(space, group), r, x)
+
+
+def _displacement(space: FiniteMMS, rows: np.ndarray, r: float, x: int) -> float:
+    """``displacement`` on validated permutation rows."""
     idx = ball_indices(space, x, r / 2.0)
-    rows = _perm_rows(space, group)
     return float(space.dist[idx, rows[:, idx]].max(initial=0.0))
 
 
@@ -577,13 +581,14 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     d_hi = displacement(space, perms, hi, x)
     if d_lo < lo / 20.0 or d_hi >= hi / 20.0:
         raise ValueError("no crossing inside the bracket")
+    # lo and hi passed the radius check; bisection stays between them
     a, b = lo, hi
     while b - a > tol:
         mid = (a + b) / 2.0
-        if displacement(space, perms, mid, x) >= mid / 20.0:
+        if _displacement(space, perms, mid, x) >= mid / 20.0:
             a = mid
         else:
             b = mid
-    d = displacement(space, perms, a, x)
+    d = _displacement(space, perms, a, x)
     return CriticalScale(r=a, bracket=(a, b), displacement=d,
                          defect=abs(d - a / 20.0))

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mmslab.core import DiscreteGeodesic, FiniteMMS, evaluate, geodesics_between
+from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
+                         trivial_geodesic)
 from mmslab.symmetry import invert, isometry_from_perm
 
 MASS_TOL = 1e-12
@@ -295,11 +297,29 @@ def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling,
                           edge_factor: float = 1.5,
                           geodesic_tol: float | None = None) -> GeodesicPlan:
     """One geodesic per positive coupling entry (the first chain returned
-    by the shortest-chain search)."""
+    by the shortest-chain search).
+
+    The neighbor graph is built once per plan, and one Dijkstra call
+    covers the distinct sources, one the distinct targets; each entry
+    then costs one vectorized pass over the edges and a walk of its
+    tight edges.
+    """
+    entries = list(coupling.entries())
+    moved = [(i, j) for i, j, _ in entries if i != j]
+    if moved:
+        sc = ShortestChains(space, edge_factor=edge_factor,
+                            geodesic_tol=geodesic_tol)
+        src = np.unique([i for i, _ in moved])
+        dst = np.unique([j for _, j in moved])
+        d_src = sc.distances(src)
+        d_dst = sc.distances(dst)
     atoms = []
-    for i, j, m in coupling.entries():
-        g = geodesics_between(space, i, j, budget=1, edge_factor=edge_factor,
-                              geodesic_tol=geodesic_tol)[0]
+    for i, j, m in entries:
+        if i == j:
+            g = trivial_geodesic(i)
+        else:
+            g = sc.between(i, j, d_src[np.searchsorted(src, i)],
+                           d_dst[np.searchsorted(dst, j)])[0]
         atoms.append((g, m))
     total = sum(m for _, m in atoms)
     atoms = [(g, m / total) for g, m in atoms]
@@ -320,11 +340,38 @@ def plan_marginals(space: FiniteMMS, plan: GeodesicPlan):
     return e0, e1
 
 
+def plan_evaluator(plan: GeodesicPlan):
+    """``nodes_at(t)``: the node of every atom at time t, in plan order.
+
+    The atoms' times and nodes are packed once; each call then picks all
+    nodes in one vectorized step with the rule of ``evaluate`` (the
+    first minimum of |times - t|), and raises as it does for t outside
+    [0, 1].  A plan without atoms gives an empty array for any t.
+    """
+    counts = [len(g.nodes) for g, _ in plan.atoms]
+    starts = np.cumsum([0] + counts[:-1])
+    times = np.fromiter(chain.from_iterable(g.times for g, _ in plan.atoms),
+                        dtype=float, count=sum(counts))
+    nodes = np.fromiter(chain.from_iterable(g.nodes for g, _ in plan.atoms),
+                        dtype=np.intp, count=sum(counts))
+    atom_of = np.repeat(np.arange(len(counts)), counts)
+
+    def nodes_at(t: float) -> np.ndarray:
+        if not counts:
+            return nodes
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("t must lie in [0, 1]")
+        gap = np.abs(times - t)
+        nearest = np.flatnonzero(gap == np.minimum.reduceat(gap, starts)[atom_of])
+        return nodes[nearest[np.searchsorted(nearest, starts)]]
+
+    return nodes_at
+
+
 def pushforward_at(space: FiniteMMS, plan: GeodesicPlan, t: float) -> np.ndarray:
     """Mass vector of the time-t evaluation of the plan."""
     out = np.zeros(space.n)
-    for g, m in plan.atoms:
-        out[evaluate(g, t)] += m
+    np.add.at(out, plan_evaluator(plan)(t), [m for _, m in plan.atoms])
     return out
 
 

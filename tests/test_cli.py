@@ -17,6 +17,7 @@ from mmslab import (
     load_space,
     save_space,
 )
+from mmslab import cli
 from mmslab.cli import main
 from mmslab.generators import NecklaceParams, necklace, necklace_fibers
 
@@ -403,18 +404,37 @@ def test_precondition_failure_emits_error_object(tmp_path, capsys):
     assert error["type"] == "ValueError"
 
 
-def test_deep_path_failure_emits_error_object(tmp_path, capsys):
-    """An end-to-end lift on a 1,600-cell segment overflows the recursive
-    geodesic walk; the run still ends in an error object, not a
-    traceback."""
+def segment_1600_file(tmp_path, capsys):
+    """The 1,600-cell segment of criterion 10, saved as a recipe."""
     path = tmp_path / "seg.json"
     rc, _ = run_json(capsys, "space", "gen", "--kind", "segment", "--params",
                      json.dumps({"resolution": math.pi / 2 / 1600}),
                      "--out", path, "--dist-mode", "recipe")
     assert rc == 0
+    return path
+
+
+def test_deep_path_failure_emits_error_object(tmp_path, capsys, monkeypatch):
+    """A lift that overflows the stack still ends in an error object, not
+    a traceback."""
+    path = segment_1600_file(tmp_path, capsys)
+
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "lift_to_geodesic_plan", overflow)
     error = run_error(capsys, "mcp", "verify", "--space", path, "--x", 0,
                       "--A", 1599)
     assert error["type"] == "RecursionError"
+
+
+def test_mcp_verify_lifts_the_1600_cell_segment(tmp_path, capsys):
+    path = segment_1600_file(tmp_path, capsys)
+    rc, doc = run_json(capsys, "mcp", "verify", "--space", path, "--x", 0,
+                       "--A", 1599)
+    assert rc == 0
+    assert doc["results"]["ok"] is True
+    assert doc["results"]["marginal_defect"] == 0.0
 
 
 def test_unknown_recipe_kind_emits_error_object(tmp_path, capsys):

@@ -422,6 +422,29 @@ def test_geodesics_between_endpoint_distance_equals_length():
     assert space.dist[g.start, g.end] == pytest.approx(g.length)
 
 
+def test_constant_speed_defect_in_row_blocks_matches_the_full_matrix():
+    """On a 1,600-node chain the blocked check equals the full-matrix
+    formula and allocates none of its (nodes x nodes) temporaries."""
+    space = segment_space(math.pi / 2 / 1600)
+    g = geodesics_between(space, 0, 1599)[0]
+    bent = DiscreteGeodesic(nodes=g.nodes[:800] + (805,) + g.nodes[801:],
+                            times=g.times, length=g.length)
+    for chain in (g, bent):
+        idx = np.asarray(chain.nodes)
+        tt = np.asarray(chain.times)
+        full = float(np.abs(space.dist[np.ix_(idx, idx)]
+                            - np.abs(tt[:, None] - tt[None, :])
+                            * chain.length).max())
+        assert constant_speed_defect(space, chain) == full
+    tracemalloc.start()
+    try:
+        constant_speed_defect(space, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * len(g.nodes) ** 2, peak
+
+
 def test_unreachable_pair_raises():
     dist = np.array([
         [0.0, 1.0, 10.0],

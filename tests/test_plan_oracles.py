@@ -1,0 +1,315 @@
+"""The plan-wide lift and plan evaluation against the per-atom code they
+replaced, kept here as oracles: the recursive tight-edge walk with one
+neighbor graph and two Dijkstras per pair, and the scalar ``mcp_check``
+loop with one ``model_coefficient`` and one ``evaluate`` call per
+(time, atom).  Plans and reports must be equal, not close."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.sparse.csgraph import dijkstra
+
+from mmslab import (
+    Coupling,
+    DiscreteGeodesic,
+    GeodesicPlan,
+    NecklaceParams,
+    as_measure,
+    chebyshev_times,
+    constant_speed_defect,
+    delta,
+    euclidean_ball_grid,
+    evaluate,
+    geodesics_between,
+    hawaiian_truncation,
+    lift_to_geodesic_plan,
+    mcp_check,
+    model_coefficient,
+    necklace,
+    necklace_schedule,
+    plan_marginals,
+    pushforward_at,
+    segment_space,
+    solve_w2,
+    uniform_on,
+)
+from mmslab.contraction import DEGENERATE_LENGTH, McpReport
+from mmslab.core import neighbor_graph
+from mmslab.generators import necklace_fibers
+from mmslab.transport import plan_evaluator
+
+HALF_PI = math.pi / 2.0
+
+
+# === oracles: the per-atom code ===
+
+def geodesics_oracle(space, a, b, budget=1, edge_factor=1.5,
+                     geodesic_tol=None):
+    if a == b:
+        return [DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)]
+    if geodesic_tol is None:
+        geodesic_tol = 2.0 * space.pitch()
+    graph = neighbor_graph(space, edge_factor=edge_factor)
+    da = dijkstra(graph, directed=False, indices=a)
+    db = dijkstra(graph, directed=False, indices=b)
+    total = da[b]
+    if not np.isfinite(total):
+        raise ValueError("endpoints are not connected in the neighbor graph")
+    if abs(total - space.dist[a, b]) > geodesic_tol:
+        raise ValueError("neighbor-graph shortest path deviates from dist")
+    slack = 1e-9 * max(total, 1.0)
+    indptr, indices, data = graph.indptr, graph.indices, graph.data
+    chains = []
+
+    def extend(u, prefix):
+        if len(chains) >= budget:
+            return
+        if u == b:
+            chains.append(prefix)
+            return
+        nxt = indices[indptr[u]:indptr[u + 1]]
+        wts = data[indptr[u]:indptr[u + 1]]
+        tight = da[u] + wts + db[nxt] <= total + slack
+        order = np.argsort(nxt[tight], kind="stable")
+        for v in nxt[tight][order]:
+            if da[v] > da[u]:
+                extend(int(v), prefix + [int(v)])
+                if len(chains) >= budget:
+                    return
+
+    extend(a, [a])
+    out = []
+    length = float(space.dist[a, b])
+    for chain in chains:
+        tt = da[np.asarray(chain)] / total
+        g = DiscreteGeodesic(nodes=tuple(chain), times=tuple(tt), length=length)
+        if constant_speed_defect(space, g) > geodesic_tol:
+            raise ValueError("constant-speed defect exceeds tolerance")
+        out.append(g)
+    return out
+
+
+def lift_oracle(space, coupling):
+    atoms = [(geodesics_oracle(space, i, j)[0], m)
+             for i, j, m in coupling.entries()]
+    total = sum(m for _, m in atoms)
+    return GeodesicPlan(atoms=tuple((g, m / total) for g, m in atoms))
+
+
+def coefficient_oracle(t, length):
+    t = np.asarray(t, dtype=float)
+    length = np.asarray(length, dtype=float)
+    small = length < DEGENERATE_LENGTH
+    safe = np.where(small, 1.0, length)
+    out = t * np.sin(t * safe) ** 2 / np.sin(safe) ** 2
+    return np.where(small, t**3, out)
+
+
+def mcp_oracle(space, plan, t_samples=None, allowance=None):
+    if t_samples is None:
+        t_samples = chebyshev_times()
+    if allowance is None:
+        allowance = 8.0 * space.pitch()
+    e0, e1 = plan_marginals(space, plan)
+    if int((e0 > 1e-12).sum()) != 1:
+        raise ValueError("plan must start from a single cell")
+    support = np.flatnonzero(e1 > 1e-12)
+    mass_target = float(space.weight[support].sum())
+    uniform = np.zeros(space.n)
+    uniform[support] = space.weight[support] / mass_target
+    marginal_defect = float(np.max(np.abs(e1 - uniform)))
+    worst = (math.inf, 0.0, -1)
+    rows = []
+    for t in np.sort(np.asarray(t_samples, dtype=float)):
+        lhs = np.zeros(space.n)
+        for g, m in plan.atoms:
+            coef = float(coefficient_oracle(t, g.length))
+            lhs[evaluate(g, float(t))] += m * coef * mass_target
+        touched = np.flatnonzero(lhs > 0)
+        if len(touched) == 0:
+            continue
+        slack = space.weight[touched] - lhs[touched]
+        k = int(np.argmin(slack))
+        cell = int(touched[k])
+        rows.append((float(t), cell, float(lhs[cell]),
+                     float(space.weight[cell]), float(slack[k])))
+        if slack[k] < worst[0]:
+            worst = (float(slack[k]), float(t), cell)
+    return McpReport(ok=bool(worst[0] + allowance >= 0.0),
+                     allowance=float(allowance), worst_slack=worst[0],
+                     worst_t=worst[1], worst_cell=worst[2],
+                     mass_target=mass_target, marginal_defect=marginal_defect,
+                     rows=tuple(rows))
+
+
+def pushforward_oracle(space, plan, t):
+    out = np.zeros(space.n)
+    for g, m in plan.atoms:
+        out[evaluate(g, t)] += m
+    return out
+
+
+def assert_evaluation_matches(space, plan, times):
+    nodes_at = plan_evaluator(plan)
+    for t in times:
+        t = float(t)
+        assert nodes_at(t).tolist() == [evaluate(g, t) for g, _ in plan.atoms]
+        assert np.array_equal(pushforward_at(space, plan, t),
+                              pushforward_oracle(space, plan, t))
+
+
+def assert_plan_matches(space, coupling, times=None):
+    plan = lift_to_geodesic_plan(space, coupling)
+    assert plan == lift_oracle(space, coupling)
+    e0, _ = plan_marginals(space, plan)
+    if int((e0 > 1e-12).sum()) == 1:
+        assert mcp_check(space, plan, t_samples=times) == mcp_oracle(
+            space, plan, t_samples=times)
+    assert_evaluation_matches(space, plan, chebyshev_times(17))
+    return plan
+
+
+# === lifts and reports ===
+
+@pytest.mark.parametrize("cells", [40, 90, 150, 260, 400])
+def test_segment_point_to_set_plans_match_the_oracles(cells):
+    rng = np.random.default_rng(cells)
+    sp = segment_space(HALF_PI / cells)
+    source = int(rng.integers(0, cells // 10))
+    width = cells // 4
+    start = int(rng.integers(cells // 2, cells - width + 1))
+    res = solve_w2(sp, delta(sp, source),
+                   uniform_on(sp, range(start, start + width)))
+    plan = assert_plan_matches(sp, res.coupling, chebyshev_times(129))
+    assert len(plan.atoms) == width
+
+
+def test_segment_set_to_set_plan_matches_the_oracle():
+    rng = np.random.default_rng(7)
+    sp = segment_space(HALF_PI / 120)
+    mu0 = as_measure(sp, {int(i): float(rng.uniform(0.2, 1.0))
+                          for i in rng.choice(40, size=6, replace=False)})
+    mu1 = as_measure(sp, {int(i): float(rng.uniform(0.2, 1.0))
+                          for i in 60 + rng.choice(60, size=9, replace=False)})
+    res = solve_w2(sp, mu0 / mu0.sum(), mu1 / mu1.sum())
+    assert_plan_matches(sp, res.coupling)
+
+
+def test_a_source_inside_its_target_set_matches_the_oracle():
+    """An atom of length zero takes the cubic branch of the coefficient,
+    whose rounding differs between numpy's power loop and libm's pow for
+    about one t in twenty, hence the many samples."""
+    sp = segment_space(HALF_PI / 60)
+    res = solve_w2(sp, delta(sp, 30), uniform_on(sp, range(25, 36)))
+    plan = assert_plan_matches(sp, res.coupling, np.linspace(0.0, 1.0, 401))
+    assert any(g.length == 0.0 for g, _ in plan.atoms)
+
+
+def test_coefficient_matches_the_numpy_formula_pair_by_pair():
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([chebyshev_times(129), rng.random(40)])
+    lengths = np.concatenate([np.arange(1, 101) * (HALF_PI / 100),
+                              rng.random(30) * 3.2, [0.0, 1e-13, 1e-12]])
+    got = model_coefficient(ts[:, None], lengths[None, :])
+    want = [[float(coefficient_oracle(t, length)) for length in lengths]
+            for t in ts]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("budget", [1, 3, 6])
+def test_chains_match_the_recursive_walk(budget):
+    space = necklace(NecklaceParams(beads=((0.8, 0.4),),
+                                    resolution=HALF_PI / 120))
+    x = space.coords[:, 0]
+    y = space.coords[:, 1]
+    pairs = [(int(np.argmin(np.abs(x - u) + np.abs(y - v))),
+              int(np.argmin(np.abs(x - s) + np.abs(y - w))))
+             for u, v, s, w in ((0.7, 0.0, 0.9, 0.0), (0.65, 0.02, 0.95, -0.03),
+                                (0.1, 0.0, 1.2, 0.0), (0.9, 0.0, 0.7, 0.0))]
+    seg = segment_space(HALF_PI / 100)
+    for sp, a, b in [(space, a, b) for a, b in pairs] + [(seg, 10, 60),
+                                                         (seg, 60, 10),
+                                                         (seg, 5, 5)]:
+        got = geodesics_between(sp, a, b, budget=budget)
+        assert got == geodesics_oracle(sp, a, b, budget=budget)
+    assert len(geodesics_between(space, *pairs[0], budget=budget)) == budget
+
+
+def test_earring_competitor_plan_matches_the_oracle():
+    m = 24
+    sp = hawaiian_truncation(3, m)
+    perm = np.arange(sp.n)
+    perm[1:m] = perm[1:m][::-1]
+    for offset, x in ((1, 5), (7, 17), (12, 3)):
+        mu0 = uniform_on(sp, [m + offset + j for j in range(4)])
+        mu1 = as_measure(sp, {x: 0.5, int(perm[x]): 0.5})
+        assert_plan_matches(sp, solve_w2(sp, mu0, mu1).coupling)
+
+
+def test_ball_grid_plan_matches_the_oracle():
+    sp = euclidean_ball_grid(2, 1.0, 0.125)
+    far = np.flatnonzero(sp.coords[:, 0] >= 0.5)
+    centre = int(np.argmin(np.abs(sp.coords).sum(axis=1)))
+    res = solve_w2(sp, delta(sp, centre), uniform_on(sp, far))
+    plan = assert_plan_matches(sp, res.coupling, chebyshev_times(65))
+    assert len(plan.atoms) >= len(far)
+
+
+def test_necklace_schedule_plan_matches_the_oracle():
+    sp = necklace(NecklaceParams(beads=((0.4, 0.3), (1.1, 0.3)),
+                                 resolution=HALF_PI / 320))
+    _, fx, _, fcount, fstart, _ = necklace_fibers(sp)
+    src_f = int(np.argmin(np.abs(fx - 0.38)))
+    source = int(fstart[src_f] + fcount[src_f] // 2)
+    sched = necklace_schedule(sp, source, int(np.argmin(np.abs(fx - 1.06))), 2)
+    plan = sched.plan
+    samples = sorted(set(chebyshev_times().tolist())
+                     | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
+    assert mcp_check(sp, plan, t_samples=samples) == mcp_oracle(
+        sp, plan, t_samples=samples)
+    # the density check's supports: node times and landmark times
+    nodes_at = plan_evaluator(plan)
+    for t in sorted(set(plan.atoms[0][0].times) | set(samples)):
+        assert np.array_equal(np.unique(nodes_at(t)),
+                              sorted({evaluate(g, t) for g, _ in plan.atoms}))
+    assert_evaluation_matches(sp, plan, samples)
+
+
+# === ties and empty plans ===
+
+def test_halfway_times_go_to_the_smaller_time_like_evaluate():
+    sp = segment_space(HALF_PI / 20)
+    atoms = (
+        (DiscreteGeodesic(nodes=(0, 1, 2, 3, 4),
+                          times=(0.0, 0.25, 0.5, 0.75, 1.0), length=1.0), 0.25),
+        (DiscreteGeodesic(nodes=(5, 9), times=(0.0, 1.0), length=0.5), 0.25),
+        (DiscreteGeodesic(nodes=(10, 11, 12), times=(0.0, 0.1, 1.0),
+                          length=0.3), 0.25),
+        (DiscreteGeodesic(nodes=(13, 14, 15, 16),
+                          times=(0.0, 0.25, 0.75, 1.0), length=0.9), 0.25),
+    )
+    plan = GeodesicPlan(atoms=atoms)
+    nodes_at = plan_evaluator(plan)
+    # each is exactly halfway between two node times of some atom
+    assert nodes_at(0.375).tolist() == [1, 5, 11, 14]
+    assert nodes_at(0.5).tolist() == [2, 5, 11, 14]
+    assert nodes_at(0.05).tolist() == [0, 5, 10, 13]
+    assert nodes_at(0.125).tolist() == [0, 5, 11, 13]
+    halfway = [0.125, 0.375, 0.625, 0.875, 0.5, 0.05, 0.55, 0.15, 0.85]
+    assert_evaluation_matches(sp, plan, halfway + np.linspace(0, 1, 41).tolist())
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        nodes_at(1.5)
+
+
+def test_an_empty_coupling_lifts_to_an_empty_plan():
+    sp = segment_space(HALF_PI / 20)
+    empty = Coupling(source_idx=np.array([0, 1]), target_idx=np.array([5]),
+                     matrix=np.zeros((2, 1)))
+    plan = lift_to_geodesic_plan(sp, empty)
+    assert plan == lift_oracle(sp, empty) == GeodesicPlan()
+    assert plan_evaluator(plan)(0.5).size == 0
+    assert np.array_equal(pushforward_at(sp, plan, 0.5), np.zeros(sp.n))
+    for check in (mcp_check, mcp_oracle):
+        with pytest.raises(ValueError, match="single cell"):
+            check(sp, plan)

@@ -271,6 +271,19 @@ def test_midpoint_of_a_single_atom_plan():
     assert gap <= 2 * sp.pitch()
 
 
+def test_a_1600_cell_lift_walks_the_whole_segment():
+    """The segment of criterion 10: a path of 1,594 nodes, far deeper
+    than a recursive walk could go."""
+    sp = segment_space(HALF_PI / 1600)
+    res = solve_w2(sp, delta(sp, 3), delta(sp, 1596))
+    plan = lift_to_geodesic_plan(sp, res.coupling)
+    (g, m), = plan.atoms
+    assert m == 1.0
+    assert g.nodes == tuple(range(3, 1597))
+    assert g.length == sp.dist[3, 1596]
+    assert plan_cost(plan) == pytest.approx(res.cost, rel=1e-12)
+
+
 # === the symmetrization competitor ===
 
 def earring_scenario():
