@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmslab.core import DiscreteGeodesic, FiniteMMS, constant_speed_defect
+from mmslab.core import (DiscreteGeodesic, FiniteMMS, constant_speed_defect,
+                         geodesic_tolerance)
 from mmslab.generators import necklace_fibers
 from mmslab.transport import GeodesicPlan, plan_evaluator, plan_marginals
 
@@ -161,8 +162,7 @@ def _path_y(breaks, x):
 
 
 def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
-                      target_count: int,
-                      geodesic_tol: float | None = None) -> Schedule:
+                      target_count: int) -> Schedule:
     """Spread a point mass sitting in one bead over a centered block of
     cells on a fiber of a bead further right.
 
@@ -173,13 +173,12 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     target cells.  Atom masses are uniform, so both marginals are exact.
     All atoms share the length x_target - x_source; nodes sit on every
     fiber in between, so the spread time is an exact node time while the
-    two bead-edge times fall between columns.
+    two bead-edge times fall between columns.  Every atom must keep
+    constant speed within ``geodesic_tolerance``.
     """
-    fiber_of_cell, fx, fh, fcount, fstart, bead_of_fiber = necklace_fibers(space)
+    fiber_of_cell, fx, _, fcount, fstart, bead_of_fiber = necklace_fibers(space)
     beads = space.meta["beads"]
-    pitch = space.pitch()
-    if geodesic_tol is None:
-        geodesic_tol = 2.0 * pitch
+    ys = space.coords[:, 1]     # cell heights, as ``necklace`` placed them
 
     f_src = int(fiber_of_cell[source])
     b_src = int(bead_of_fiber[f_src])
@@ -191,7 +190,7 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     x1, r1 = beads[b_src]
     x2, r2 = beads[b_tgt]
     x_src = float(fx[f_src])
-    y_src = _cell_y(space, fstart, fcount, fh, f_src, source)
+    y_src = float(ys[source])
     x_tgt = float(fx[target_fiber])
     k_tgt = int(fcount[target_fiber])
     if not 2 <= target_count <= k_tgt or target_count % 2:
@@ -221,9 +220,9 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     slope_max = 0.0
     defect_max = 0.0
     for ci in spread_cells:
-        y_hat = _cell_y(space, fstart, fcount, fh, f_hat, ci)
+        y_hat = float(ys[ci])
         for cj in target_cells:
-            y_tgt = _cell_y(space, fstart, fcount, fh, target_fiber, cj)
+            y_tgt = float(ys[cj])
             breaks = [(x_src, y_src), (x_hat, y_hat)]
             if x_hat < x1:
                 # ride the tent ray through the apex fiber before falling
@@ -240,17 +239,18 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
             nodes = []
             for k in fibers:
                 want = _path_y(breaks, float(fx[k]))
-                cells = np.arange(fstart[k], fstart[k] + fcount[k])
-                ys = _fiber_ys(fcount, fh, k)
-                nodes.append(int(cells[np.argmin(np.abs(ys - want))]))
+                lo = int(fstart[k])
+                fiber_ys = ys[lo:lo + int(fcount[k])]
+                nodes.append(lo + int(np.argmin(np.abs(fiber_ys - want))))
             times = tuple((float(fx[k]) - x_src) / length for k in fibers)
             g = DiscreteGeodesic(nodes=tuple(nodes), times=times, length=length)
             defect_max = max(defect_max, constant_speed_defect(space, g))
             atoms.append((g, 1.0 / (kappa * target_count)))
-    if defect_max > geodesic_tol:
+    tol = geodesic_tolerance(space)
+    if defect_max > tol:
         raise ValueError(
             f"schedule atoms miss constant speed by {defect_max:g}"
-            f" (tolerance {geodesic_tol:g})")
+            f" (tolerance {tol:g})")
 
     return Schedule(
         plan=GeodesicPlan(atoms=tuple(atoms)),
@@ -272,18 +272,6 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
         max_segment_slope=float(slope_max),
         worst_speed_defect=float(defect_max),
     )
-
-
-def _fiber_ys(fcount, fh, k):
-    n = int(fcount[k])
-    h = float(fh[k])
-    if n == 1:
-        return np.zeros(1)
-    return -h + (np.arange(n) + 0.5) * (2.0 * h / n)
-
-
-def _cell_y(space, fstart, fcount, fh, fiber, cell):
-    return float(_fiber_ys(fcount, fh, fiber)[cell - int(fstart[fiber])])
 
 
 # === aggregated density profile of a schedule ===

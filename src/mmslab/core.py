@@ -24,6 +24,9 @@ FULL_TRIANGLE_LIMIT = 300
 # needs constant memory beyond the matrix whatever the budget.
 TRIANGLE_BLOCK = 16_384
 
+# The neighbor graph joins every pair of cells within this many grid pitches.
+EDGE_FACTOR = 1.5
+
 
 def _as_float_array(a, name, ndim):
     arr = np.asarray(a, dtype=float)
@@ -278,36 +281,6 @@ def evaluate(g: DiscreteGeodesic, t: float) -> int:
     return int(g.nodes[int(np.argmin(np.abs(times - t)))])
 
 
-def restrict(g: DiscreteGeodesic, s: float, t: float) -> DiscreteGeodesic:
-    """Reparametrized window [s, t] of ``g``.
-
-    Endpoints are the nodes nearest to s and t (nearest-time rule); the
-    restricted length is (t - s) * length, matching the constant-speed
-    normalization.  Degenerate windows return a trivial two-node chain.
-    """
-    if not (0.0 <= s < t <= 1.0):
-        raise ValueError("need 0 <= s < t <= 1")
-    times = np.asarray(g.times)
-    a = int(np.argmin(np.abs(times - s)))
-    b = int(np.argmin(np.abs(times - t)))
-    if a == b:
-        v = g.nodes[a]
-        return DiscreteGeodesic(nodes=(v, v), times=(0.0, 1.0), length=0.0)
-    span = t - s
-    inner_nodes = []
-    inner_times = []
-    for k in range(a + 1, b):
-        u = (times[k] - s) / span
-        if 0.0 < u < 1.0:
-            inner_nodes.append(g.nodes[k])
-            inner_times.append(float(u))
-    return DiscreteGeodesic(
-        nodes=(g.nodes[a], *inner_nodes, g.nodes[b]),
-        times=(0.0, *inner_times, 1.0),
-        length=span * g.length,
-    )
-
-
 def constant_speed_defect(space: FiniteMMS, g: DiscreteGeodesic) -> float:
     """max over node pairs of | d(a, b) - (t_b - t_a) * length |.
 
@@ -323,12 +296,18 @@ def constant_speed_defect(space: FiniteMMS, g: DiscreteGeodesic) -> float:
         for s in range(0, len(idx), step)]))
 
 
-def neighbor_graph(space: FiniteMMS, edge_factor: float = 1.5):
-    """Sparse graph of all pairs within ``edge_factor`` grid pitches."""
+def geodesic_tolerance(space: FiniteMMS) -> float:
+    """How far a lifted chain may miss ``dist`` and constant speed: two
+    grid pitches."""
+    return 2.0 * space.pitch()
+
+
+def neighbor_graph(space: FiniteMMS):
+    """Sparse graph of all pairs within ``EDGE_FACTOR`` grid pitches."""
     pitch = space.pitch()
     if pitch <= 0:
         raise ValueError("space has no usable pitch")
-    mask = (space.dist > 0) & (space.dist <= edge_factor * pitch)
+    mask = (space.dist > 0) & (space.dist <= EDGE_FACTOR * pitch)
     rows, cols = np.nonzero(mask)
     return csr_matrix((space.dist[rows, cols], (rows, cols)), shape=space.dist.shape)
 
@@ -341,12 +320,10 @@ class ShortestChains:
     for many endpoints in one ``dijkstra(indices=...)`` call.
     """
 
-    def __init__(self, space: FiniteMMS, edge_factor: float = 1.5,
-                 geodesic_tol: float | None = None):
+    def __init__(self, space: FiniteMMS):
         self.space = space
-        self.graph = neighbor_graph(space, edge_factor=edge_factor)
-        self.geodesic_tol = (2.0 * space.pitch() if geodesic_tol is None
-                             else geodesic_tol)
+        self.graph = neighbor_graph(space)
+        self.geodesic_tol = geodesic_tolerance(space)
         indptr = self.graph.indptr
         # edge list in CSR order: rows ascending, columns ascending per row
         self._rows = np.repeat(np.arange(space.n), np.diff(indptr))
@@ -418,20 +395,18 @@ def trivial_geodesic(a: int) -> DiscreteGeodesic:
     return DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)
 
 
-def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1,
-                      edge_factor: float = 1.5,
-                      geodesic_tol: float | None = None) -> list:
+def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1) -> list:
     """Shortest node chains from a to b through the neighbor graph.
 
     Returns up to ``budget`` distinct shortest chains as DiscreteGeodesics
     with time stamps proportional to accumulated graph length.  Every chain
-    is checked against the constant-speed invariant (default tolerance:
-    twice the grid pitch) and against ``dist[a, b]``; a mismatch means the
+    is checked against the constant-speed invariant and against
+    ``dist[a, b]`` (within ``geodesic_tolerance``); a mismatch means the
     space's metric is not the path metric of its own neighbor graph.
     """
     if a == b:
         return [trivial_geodesic(a)]
-    sc = ShortestChains(space, edge_factor=edge_factor, geodesic_tol=geodesic_tol)
+    sc = ShortestChains(space)
     da, db = sc.distances([a, b])
     return sc.between(a, b, da, db, budget=budget)
 

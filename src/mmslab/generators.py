@@ -38,7 +38,8 @@ def segment_space(resolution: float) -> FiniteMMS:
     n = max(2, round(HALF_PI / resolution))
     w = HALF_PI / n
     x = (np.arange(n) + 0.5) * w
-    dist = np.abs(x[:, None] - x[None, :])
+    dist = x[:, None] - x[None, :]
+    np.abs(dist, out=dist)      # in place: one n^2 array, not two
     weight = np.cos(x) ** 2 * w
     coords = np.column_stack([x, np.zeros(n)])
     meta = {"generator": "segment", "params": {"resolution": resolution},

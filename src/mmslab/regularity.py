@@ -47,11 +47,12 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
     Returns (value, witness).  Every correspondence contains the graph of
     a map X -> Y joined with the transposed graph of a map Y -> X, and
     dropping pairs never increases distortion, so minimizing over such
-    double graphs is exact.  The search assigns the forward map first and
-    the backward map second.  Children of a node are visited in order of
-    their incremental distortion, so once one of them reaches the best
-    complete candidate the rest of the row is pruned with it; a greedy
-    pass seeds that bound before the search starts.
+    double graphs is exact.  One depth-first search assigns the forward
+    map point by point and then the backward map.  Children of a node
+    are visited in order of their incremental distortion, so once one of
+    them reaches the best complete candidate the rest of the row is
+    pruned with it; a greedy pass seeds that bound before the search
+    starts.
     """
     nx, ny = x.n, y.n
     if nx > size_limit or ny > size_limit:
@@ -77,14 +78,17 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
         return max(float(np.max(np.min(pair, axis=0))),
                    float(np.max(np.min(pair, axis=1))))
 
+    # one step per point: the forward map's rows, then the backward
+    # map's columns; a step fixes the partner of point k on its side
+    steps = ([(f, int(i), True) for i in order_x]
+             + [(g, int(j), False) for j in order_y])
+
     # greedy warm start for the pruning bound
     pair0 = np.zeros((nx, ny))
-    for i in order_x:
-        f[i] = int(np.argmin(pair0[i]))
-        pair0 = extend(pair0, i, f[i])
-    for j in order_y:
-        g[j] = int(np.argmin(pair0[:, j]))
-        pair0 = extend(pair0, g[j], j)
+    for assign, k, row in steps:
+        m = int(np.argmin(pair0[k] if row else pair0[:, k]))
+        assign[k] = m
+        pair0 = extend(pair0, k, m) if row else extend(pair0, m, k)
     seed = sorted({(int(i), int(f[i])) for i in range(nx)}
                   | {(int(g[j]), int(j)) for j in range(ny)})
     best = correspondence_distortion(x, y, seed)
@@ -97,47 +101,29 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
     floor = 2.0 * gh_lower_bound(x, y)
     done = best <= floor + 1e-15
 
-    def walk_g(depth, cur, pair):
+    def walk(depth, cur, pair):
         nonlocal best, best_pair, done
-        if depth == ny:
+        if depth == len(steps):
             best = cur
             best_pair = (f.copy(), g.copy())
             done = best <= floor + 1e-15
             return
-        j = order_y[depth]
-        cost = pair[:, j]
-        for i in np.argsort(cost, kind="stable"):
+        assign, k, row = steps[depth]
+        cost = pair[k] if row else pair[:, k]
+        for m in np.argsort(cost, kind="stable"):
             if done:
                 return
-            v = max(cur, float(cost[i]))
+            v = max(cur, float(cost[m]))
             if v >= best:
                 break
-            grown = extend(pair, i, j)
+            grown = extend(pair, k, m) if row else extend(pair, m, k)
             if max(v, relax(grown)) < best:
-                g[j] = i
-                walk_g(depth + 1, v, grown)
-        g[j] = -1
-
-    def walk_f(depth, cur, pair):
-        if depth == nx:
-            walk_g(0, cur, pair)
-            return
-        i = order_x[depth]
-        cost = pair[i]
-        for j in np.argsort(cost, kind="stable"):
-            if done:
-                return
-            v = max(cur, float(cost[j]))
-            if v >= best:
-                break
-            grown = extend(pair, i, j)
-            if max(v, relax(grown)) < best:
-                f[i] = j
-                walk_f(depth + 1, v, grown)
-        f[i] = -1
+                assign[k] = m
+                walk(depth + 1, v, grown)
+        assign[k] = -1
 
     if not done:
-        walk_f(0, 0.0, np.zeros((nx, ny)))
+        walk(0, 0.0, np.zeros((nx, ny)))
     ff, gg = best_pair
     relation = sorted({(int(i), int(ff[i])) for i in range(nx)}
                       | {(int(gg[j]), int(j)) for j in range(ny)})
@@ -217,10 +203,8 @@ def _model_ball(k, r, space_pitch):
     return pts, origin, pitch
 
 
-def _sample_space(dist, weight=None):
-    n = dist.shape[0]
-    w = np.ones(n) if weight is None else weight
-    return FiniteMMS(dist=dist, weight=w)
+def _sample_space(dist):
+    return FiniteMMS(dist=dist, weight=np.ones(dist.shape[0]))
 
 
 # === the regular-set scan ===

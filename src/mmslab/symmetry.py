@@ -32,8 +32,8 @@ class IsometryMap:
     distortion: float
     measure_defect: float
 
-    def is_measure_preserving(self, tol: float = 1e-9) -> bool:
-        return self.measure_defect <= tol
+    def is_measure_preserving(self) -> bool:
+        return self.measure_defect <= 1e-9
 
 
 def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
@@ -307,9 +307,9 @@ class EuclideanIsometry:
     def k(self) -> int:
         return self.q.shape[0]
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
+    def is_identity(self) -> bool:
         return (float(np.max(np.abs(self.q - np.eye(self.k)))) +
-                float(np.linalg.norm(self.v))) <= tol
+                float(np.linalg.norm(self.v))) <= 1e-12
 
 
 @dataclass(frozen=True)

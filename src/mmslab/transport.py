@@ -86,11 +86,12 @@ class Coupling:
     target_idx: np.ndarray
     matrix: np.ndarray
 
-    def entries(self, tol: float = MASS_TOL):
+    def entries(self):
+        """(source cell, target cell, mass) for masses above ``MASS_TOL``."""
         for a, i in enumerate(self.source_idx):
             for b, j in enumerate(self.target_idx):
                 m = self.matrix[a, b]
-                if m > tol:
+                if m > MASS_TOL:
                     yield int(i), int(j), float(m)
 
     def row_marginal(self) -> np.ndarray:
@@ -139,8 +140,9 @@ def _marginal_constraints(sm, tm):
     return a_eq, np.concatenate([sm, tm])
 
 
-def solve_w2(space: FiniteMMS, mu0, mu1, repair_tol: float = 1e-12) -> TransportResult:
-    """LP solve of the squared W2 problem on the marginal supports."""
+def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
+    """LP solve of the squared W2 problem on the marginal supports; solver
+    residuals above ``MASS_TOL`` in a marginal raise."""
     mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
     si, sm = _support(mu0)
     ti, tm = _support(mu1)
@@ -156,7 +158,7 @@ def solve_w2(space: FiniteMMS, mu0, mu1, repair_tol: float = 1e-12) -> Transport
         if not res.success:
             raise RuntimeError(f"transport LP failed: {res.message}")
         sigma = res.x.reshape(n0, n1)
-    sigma = _repair_marginals(sigma, sm, tm, repair_tol)
+    sigma = _repair_marginals(sigma, sm, tm, MASS_TOL)
     coupling = Coupling(source_idx=si, target_idx=ti, matrix=sigma)
     return TransportResult(coupling=coupling, cost=float((sigma * d2).sum()))
 
@@ -265,9 +267,10 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     return ProbeResult(unique=True, deviation=worst, base=base)
 
 
-def is_induced_by_map(coupling: Coupling, tol: float = 1e-9) -> bool:
+def is_induced_by_map(coupling: Coupling) -> bool:
     """True when every source cell with positive mass feeds exactly one
-    target cell (mass above ``tol``)."""
+    target cell (masses above 1e-9 count)."""
+    tol = 1e-9
     for a in range(coupling.matrix.shape[0]):
         row = coupling.matrix[a]
         if row.sum() > tol and int((row > tol).sum()) != 1:
@@ -293,9 +296,7 @@ class GeodesicPlan:
         return sum(m for _, m in self.atoms)
 
 
-def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling,
-                          edge_factor: float = 1.5,
-                          geodesic_tol: float | None = None) -> GeodesicPlan:
+def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling) -> GeodesicPlan:
     """One geodesic per positive coupling entry (the first chain returned
     by the shortest-chain search).
 
@@ -307,8 +308,7 @@ def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling,
     entries = list(coupling.entries())
     moved = [(i, j) for i, j, _ in entries if i != j]
     if moved:
-        sc = ShortestChains(space, edge_factor=edge_factor,
-                            geodesic_tol=geodesic_tol)
+        sc = ShortestChains(space)
         src = np.unique([i for i, _ in moved])
         dst = np.unique([j for _, j in moved])
         d_src = sc.distances(src)
@@ -384,23 +384,22 @@ def _apply_perm(perm: np.ndarray, g: DiscreteGeodesic) -> DiscreteGeodesic:
 
 def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
                            x=None, targets=None,
-                           fix_tol: float | None = None,
                            iso_tol: float | None = None) -> GeodesicPlan:
     """Swap the two target branches of a plan through an isometry.
 
-    The plan must start on the fixed set of the permutation (within
-    ``fix_tol``) and end either in ``{x, perm[x]}`` or, when ``targets``
-    is given, in that cell set and its disjoint image.  Atoms landing on
-    the first branch are pushed through the permutation, atoms landing on
-    the image branch through its inverse; marginals and cost survive
-    because the sources are fixed and the map is an isometry.
+    The permutation may distort distances by ``iso_tol`` (default two
+    grid pitches).  The plan must start on its fixed set (cells moved by
+    at most one grid pitch) and end either in ``{x, perm[x]}`` or, when
+    ``targets`` is given, in that cell set and its disjoint image.  Atoms
+    landing on the first branch are pushed through the permutation, atoms
+    landing on the image branch through its inverse; marginals and cost
+    survive because the sources are fixed and the map is an isometry.
     """
     iso = isometry_from_perm(space, perm)
     perm, inv = iso.perm, invert(iso.perm)
     if iso_tol is None:
         iso_tol = 2 * space.pitch()
-    if fix_tol is None:
-        fix_tol = space.pitch()
+    fix_tol = space.pitch()
     if iso.distortion > iso_tol:
         raise ValueError(f"permutation distorts distances by {iso.distortion:g}")
 

@@ -17,7 +17,6 @@ from mmslab import (
     evaluate,
     geodesics_between,
     load_space,
-    restrict,
     save_space,
     scale,
     segment_space,
@@ -324,7 +323,7 @@ def test_scale_and_ball_commute():
     assert np.allclose(a.dist, b.dist)
 
 
-# === geodesic evaluation and restriction ===
+# === geodesic evaluation ===
 
 def test_evaluate_endpoints():
     g = uniform_chain_geodesic(11, 2.0)
@@ -343,36 +342,6 @@ def test_evaluate_rejects_out_of_range():
     g = uniform_chain_geodesic(3, 1.0)
     with pytest.raises(ValueError):
         evaluate(g, 1.5)
-
-
-def test_restrict_identity():
-    g = uniform_chain_geodesic(11, 2.0)
-    r = restrict(g, 0.0, 1.0)
-    assert r.nodes == g.nodes
-    assert r.length == g.length
-
-
-def test_restrict_first_half():
-    g = uniform_chain_geodesic(11, 2.0)
-    r = restrict(g, 0.0, 0.5)
-    assert r.nodes == tuple(range(6))
-    assert r.length == pytest.approx(1.0)
-    assert np.allclose(r.times, np.linspace(0, 1, 6))
-
-
-def test_restrict_composes():
-    g = uniform_chain_geodesic(11, 2.0)
-    once = restrict(g, 0.0, 0.25)
-    twice = restrict(restrict(g, 0.0, 0.5), 0.0, 0.5)
-    assert once.nodes == twice.nodes
-    assert once.length == pytest.approx(twice.length)
-    assert np.allclose(once.times, twice.times)
-
-
-def test_restrict_scales_length_linearly():
-    g = uniform_chain_geodesic(21, 3.0)
-    r = restrict(g, 0.2, 0.7)
-    assert r.length == pytest.approx(0.5 * 3.0)
 
 
 def test_geodesic_constructor_checks_time_grid():

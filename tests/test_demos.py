@@ -1,18 +1,33 @@
-"""Smoke test of the capability tour: the spaces demo runs as a script."""
+"""Smoke tests of the capability tour: the spaces, transport and contraction
+demos run as scripts and print their verdicts."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_spaces_demo_runs_and_round_trips_exactly():
+def run_demo(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_spaces.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "round trip exact: True" in proc.stdout
+    return proc.stdout
+
+
+def test_spaces_demo_runs_and_round_trips_exactly():
+    assert "round trip exact: True" in run_demo("01_spaces.py")
+
+
+@pytest.mark.parametrize("script, verdict", [
+    ("02_transport.py", "competitor ok? True"),
+    ("03_contraction.py", "density bound ok=True heights ok=True"),
+])
+def test_demo_runs_and_prints_its_verdict(script, verdict):
+    assert verdict in run_demo(script)

@@ -1,6 +1,7 @@
 """Example-space constructors: masses, metrics, and fiber bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ def test_segment_distances_are_coordinate_gaps():
     x = space.coords[:, 0]
     assert np.allclose(space.dist, np.abs(x[:, None] - x[None, :]))
     assert validate_space(space).ok
+
+
+def test_segment_builds_its_matrix_without_a_second_copy():
+    # 1,600 cells: the absolute value is taken in place, so the peak is
+    # the matrix plus small vectors, not the difference and its abs
+    tracemalloc.start()
+    try:
+        space = segment_space(HALF_PI / 1600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.n == 1600
+    assert peak < 1.2 * space.dist.nbytes, peak
 
 
 def test_segment_rejects_bad_resolution():

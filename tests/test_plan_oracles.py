@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from mmslab import (
@@ -35,7 +36,6 @@ from mmslab import (
     uniform_on,
 )
 from mmslab.contraction import DEGENERATE_LENGTH, McpReport
-from mmslab.core import neighbor_graph
 from mmslab.generators import necklace_fibers
 from mmslab.transport import plan_evaluator
 
@@ -44,13 +44,15 @@ HALF_PI = math.pi / 2.0
 
 # === oracles: the per-atom code ===
 
-def geodesics_oracle(space, a, b, budget=1, edge_factor=1.5,
-                     geodesic_tol=None):
+def geodesics_oracle(space, a, b, budget=1):
     if a == b:
         return [DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)]
-    if geodesic_tol is None:
-        geodesic_tol = 2.0 * space.pitch()
-    graph = neighbor_graph(space, edge_factor=edge_factor)
+    pitch = space.pitch()
+    geodesic_tol = 2.0 * pitch
+    # the neighbor graph: all pairs within 1.5 grid pitches
+    d = space.dist
+    rows, cols = np.nonzero((d > 0) & (d <= 1.5 * pitch))
+    graph = csr_matrix((d[rows, cols], (rows, cols)), shape=d.shape)
     da = dijkstra(graph, directed=False, indices=a)
     db = dijkstra(graph, directed=False, indices=b)
     total = da[b]

@@ -20,7 +20,7 @@ from mmslab import (
     segment_space,
 )
 from mmslab.generators import necklace_fibers
-from mmslab.regularity import _fps, _model_ball
+from mmslab.regularity import GHCorrespondence, _fps, _model_ball
 
 HALF_PI = math.pi / 2.0
 
@@ -57,6 +57,89 @@ def brute_force_gh(x, y):
         cand = np.maximum(np.maximum(ff, gg), fg)
         best = min(best, float(cand.min()))
     return best / 2.0
+
+
+def gh_two_walk_oracle(x, y):
+    """The search ``gh_exact`` replaced, kept as an oracle: one walk over
+    the forward map's rows that hands over to a mirrored walk over the
+    backward map's columns, and a greedy warm start in two loops."""
+    nx, ny = x.n, y.n
+    dx, dy = x.dist, y.dist
+    order_x = np.argsort(-dx.max(axis=1), kind="stable")
+    order_y = np.argsort(-dy.max(axis=1), kind="stable")
+    f = np.full(nx, -1)
+    g = np.full(ny, -1)
+
+    def extend(pair, i, j):
+        return np.maximum(pair, np.abs(dx[:, i][:, None] - dy[:, j][None, :]))
+
+    def relax(pair):
+        return max(float(np.max(np.min(pair, axis=0))),
+                   float(np.max(np.min(pair, axis=1))))
+
+    pair0 = np.zeros((nx, ny))
+    for i in order_x:
+        f[i] = int(np.argmin(pair0[i]))
+        pair0 = extend(pair0, i, f[i])
+    for j in order_y:
+        g[j] = int(np.argmin(pair0[:, j]))
+        pair0 = extend(pair0, g[j], j)
+    seed = sorted({(int(i), int(f[i])) for i in range(nx)}
+                  | {(int(g[j]), int(j)) for j in range(ny)})
+    best = correspondence_distortion(x, y, seed)
+    best_pair = (f.copy(), g.copy())
+    f[:] = -1
+    g[:] = -1
+    floor = 2.0 * gh_lower_bound(x, y)
+    done = best <= floor + 1e-15
+
+    def walk_g(depth, cur, pair):
+        nonlocal best, best_pair, done
+        if depth == ny:
+            best = cur
+            best_pair = (f.copy(), g.copy())
+            done = best <= floor + 1e-15
+            return
+        j = order_y[depth]
+        cost = pair[:, j]
+        for i in np.argsort(cost, kind="stable"):
+            if done:
+                return
+            v = max(cur, float(cost[i]))
+            if v >= best:
+                break
+            grown = extend(pair, i, j)
+            if max(v, relax(grown)) < best:
+                g[j] = i
+                walk_g(depth + 1, v, grown)
+        g[j] = -1
+
+    def walk_f(depth, cur, pair):
+        if depth == nx:
+            walk_g(0, cur, pair)
+            return
+        i = order_x[depth]
+        cost = pair[i]
+        for j in np.argsort(cost, kind="stable"):
+            if done:
+                return
+            v = max(cur, float(cost[j]))
+            if v >= best:
+                break
+            grown = extend(pair, i, j)
+            if max(v, relax(grown)) < best:
+                f[i] = j
+                walk_f(depth + 1, v, grown)
+        f[i] = -1
+
+    if not done:
+        walk_f(0, 0.0, np.zeros((nx, ny)))
+    ff, gg = best_pair
+    relation = sorted({(int(i), int(ff[i])) for i in range(nx)}
+                      | {(int(gg[j]), int(j)) for j in range(ny)})
+    distortion = correspondence_distortion(x, y, relation)
+    return distortion / 2.0, GHCorrespondence(relation=tuple(relation),
+                                              distortion=distortion)
 
 
 def segment_interior_cell(space):
@@ -112,6 +195,25 @@ def test_gh_matches_brute_force_on_random_pairs():
         cover_x = {p[0] for p in witness.relation}
         cover_y = {p[1] for p in witness.relation}
         assert cover_x == set(range(x.n)) and cover_y == set(range(y.n))
+
+
+def test_gh_single_walk_matches_the_two_walk_oracle():
+    rng = np.random.default_rng(41)
+    pairs = [(random_cloud(rng, int(rng.integers(2, 9)),
+                           spread=float(rng.uniform(0.5, 2.0))),
+              random_cloud(rng, int(rng.integers(2, 9)),
+                           spread=float(rng.uniform(0.5, 2.0))))
+             for _ in range(24)]
+    # 6- and 7-point planar clouds against spatial ones
+    pairs += [(random_cloud(rng, 6 + k % 2),
+               cloud_space(rng.uniform(0.0, 1.0, size=(6 + k // 2 % 2, 3))))
+              for k in range(8)]
+    for x, y in pairs:
+        value, witness = gh_exact(x, y)
+        want, want_witness = gh_two_walk_oracle(x, y)
+        assert value == want
+        assert witness.relation == want_witness.relation
+        assert witness.distortion == want_witness.distortion
 
 
 def test_gh_scaling_equivariance():
