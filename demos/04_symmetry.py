@@ -44,7 +44,7 @@ print(f"fixed masses range {masses[0]:.4f} .. {masses[-1]:.4f} "
 
 # === condition (a): fixed sets are small inside a large ball ===
 
-rep = condition_a_scan(sp, 0, 2.0 * sp.diameter, iso_tol=1e-9, fix_tol=1e-9)
+rep = condition_a_scan(sp, 0, 2.0 * sp.diameter, fix_tol=1e-9, maps=res)
 print(f"condition (a) holds={rep.holds}: largest fixed mass "
       f"{rep.fix_sup:.4f} vs ball mass {rep.ball_mass:.4f} "
       f"(gap {rep.gap:.4f}, smallest circle {2 * math.pi / 36:.4f})")
@@ -56,7 +56,8 @@ print(f"condition (a) holds={rep.holds}: largest fixed mass "
 # an 8-circle wedge) a nontrivial subgroup of small movers exists
 
 sp8 = hawaiian_truncation(8, 64)
-probe = small_subgroup_probe(sp8, 2.0 * math.pi / 64, iso_tol=1e-9)
+full = enumerate_isometries(sp8, iso_tol=1e-9)
+probe = small_subgroup_probe(sp8, 2.0 * math.pi / 64, maps=full)
 print(f"\nsmall-mover subgroup found={probe.found}: order "
       f"{len(probe.subgroup)}, sup displacement {probe.sup_displacement:.4f}")
 
@@ -67,7 +68,6 @@ print(f"displacement of the subgroup on the unit ball: {disp:.4f}")
 # the scale above which the full group stops moving the half-ball by
 # r/20: every map moves some cell of the largest circle a distance pi,
 # so the crossing sits near r = 20 pi
-full = enumerate_isometries(sp8, iso_tol=1e-9)
 crit = critical_scale(sp8, full.perms(), x=0, lo=0.8, hi=63.0, tol=1e-4)
 print(f"critical scale r={crit.r:.4f} (20 pi = {20 * math.pi:.4f}), "
       f"displacement there {crit.displacement:.4f}")

@@ -22,6 +22,7 @@ from mmslab.core import FiniteMMS, ball_indices
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
+CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
 
 
 # === maps and groups ===
@@ -55,7 +56,8 @@ def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
 def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
     perm = _perm_rows(space, [perm])[0]
     perm.setflags(write=False)
-    distortion = float(np.max(np.abs(space.dist[np.ix_(perm, perm)] - space.dist)))
+    moved = space.dist.take(perm, axis=0).take(perm, axis=1) - space.dist
+    distortion = float(np.abs(moved, out=moved).max())
     defect = float(np.max(np.abs(space.weight[perm] - space.weight)))
     return IsometryMap(perm=perm, distortion=distortion, measure_defect=defect)
 
@@ -96,66 +98,156 @@ class EnumerationResult:
 
 # === enumeration ===
 
-def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
-                         budget: int = DEFAULT_NODE_BUDGET) -> EnumerationResult:
-    """All cell permutations with distance distortion at most ``iso_tol``.
+def isometry_tolerance(space: FiniteMMS) -> float:
+    """How far an isometry may distort distances by default: two grid
+    pitches."""
+    return 2.0 * space.pitch()
 
-    Candidate targets are prefiltered by sorted distance-row profiles
-    (a necessary condition for bounded distortion), then extended source
-    by source, most constrained first, with incremental distance checks
-    against everything already assigned.  The search counts extension
-    attempts as nodes; past ``budget`` it stops and flags the result
-    incomplete rather than failing.
+
+def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
+    """For each cell i, the cells j (ascending) whose sorted distance
+    rows differ by at most ``iso_tol`` in every column: the only targets
+    a map of distortion at most ``iso_tol`` can send i to.
+
+    Every column of the row-sorted matrix is one term of that maximum,
+    so one column that differs by more than ``iso_tol`` rejects a pair
+    exactly.  The pairs are windowed on the last column (sorted once and
+    searched per row, with a rounding margin so that the window never
+    drops a pair that passes), thinned on the quartile columns, and only
+    the survivors get the full row check, ``CANDIDATE_BLOCK`` profile
+    entries at a time.  The lists are those of the plain per-row check,
+    element for element.
     """
-    if iso_tol is None:
-        iso_tol = 2.0 * space.pitch()
-    n = space.n
-    dist = space.dist
+    n = len(dist)
     profiles = np.sort(dist, axis=1)
-    cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
-                           <= iso_tol) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(cand[i]), i))
-    src_so_far = np.asarray(order)
+    key = profiles[:, -1]
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    eps = np.finfo(float).eps
+    finite = np.abs(key[np.isfinite(key)]).max(initial=0.0)
+    # a margin of a few ulps covers the rounding of |a - b| and of key ± reach
+    reach = abs(iso_tol) * (1 + 4 * eps) + 4 * eps * finite
+    with np.errstate(invalid="ignore"):       # inf - inf: open the window
+        below, above = key - reach, key + reach
+    lo = np.searchsorted(sorted_key, np.where(np.isnan(below), -np.inf, below))
+    hi = np.searchsorted(sorted_key, np.where(np.isnan(above), np.inf, above),
+                         side="right")
+    width = np.maximum(hi - lo, 0)
+    ends = np.cumsum(width)
+    cols = np.unique([n // 4, n // 2, 3 * n // 4, n - 1])
+    group = max(1, CANDIDATE_BLOCK // len(cols))    # window pairs per group
+    batch = max(1, CANDIDATE_BLOCK // n)            # pairs per full check
 
-    perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
+    cand = []
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - width[start] + group, side="right")))
+        w = width[start:stop]
+        src = np.repeat(np.arange(start, stop), w)
+        dst = by_key[np.arange(len(src))
+                     + np.repeat(lo[start:stop] - (np.cumsum(w) - w), w)]
+        far = np.abs(profiles[src[:, None], cols] - profiles[dst[:, None], cols])
+        keep = ~np.any(far > iso_tol, axis=1)
+        src, dst = src[keep], dst[keep]
+        keep = np.empty(len(src), dtype=bool)
+        for b in range(0, len(src), batch):
+            diff = profiles[src[b:b + batch]] - profiles[dst[b:b + batch]]
+            keep[b:b + batch] = np.abs(diff, out=diff).max(axis=1) <= iso_tol
+        src, dst = src[keep], dst[keep]
+        dst = dst[np.lexsort((dst, src))]
+        counts = np.bincount(src - start, minlength=stop - start)
+        cand.extend(np.split(dst, np.cumsum(counts)[:-1]))
+        start = stop
+    return cand
+
+
+def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
+    """Depth-first extension of sources, fewest candidates first; returns
+    the permutations found as sorted rows, whether the search finished,
+    and its node count.
+
+    Entering depth d checks every candidate of source ``order[d]``
+    against the assigned prefix in one step: the matrix is held in
+    search order, so the source side is the row ``ordered[d, :d]`` and
+    the target side the gather ``dist[cand, target[:d]]``, where
+    ``target[d]`` is the cell assigned at depth d.  The candidates are
+    then walked one at a time in list order: each unused one is a node,
+    counted before the budget test and before the prune."""
+    n = len(dist)
+    order = np.argsort([len(c) for c in cand], kind="stable")
+    ordered = dist[np.ix_(order, order)]
+    cand_col = [cand[i][:, None] for i in order]
+    cand_list = [cand[i].tolist() for i in order]
+    target = np.empty(n, dtype=np.intp)
+    used = [False] * n
+
+    def level(d):
+        """Candidates of depth d, each with whether the prefix prunes it.
+        A NaN deviation does not prune; at the root the empty prefix
+        deviates by 0."""
+        dev = np.abs(ordered[d, :d] - dist[cand_col[d], target[:d]])
+        far = dev.max(axis=1, initial=0.0) > iso_tol
+        return zip(cand_list[d], far.tolist())
+
     found = []
     nodes = 0
     complete = True
-
-    # iterative depth-first search; iters[d] walks cand[order[d]]
-    iters = [iter(cand[order[0]])]
-    while iters:
-        depth = len(iters) - 1
-        i = order[depth]
-        j = next(iters[-1], None)
-        if j is None:
-            iters.pop()
-            if depth > 0:
-                prev = order[depth - 1]
-                used[perm[prev]] = False
-                perm[prev] = -1
+    levels = [level(0)]          # levels[d] walks the candidates of order[d]
+    while levels:
+        depth = len(levels) - 1
+        step = next(levels[-1], None)
+        if step is None:
+            levels.pop()
+            if depth:
+                used[target[depth - 1]] = False
             continue
+        j, far = step
         if used[j]:
             continue
         nodes += 1
         if nodes > budget:
             complete = False
             break
-        if depth:
-            asrc = src_so_far[:depth]
-            if np.max(np.abs(dist[i, asrc] - dist[j, perm[asrc]])) > iso_tol:
-                continue
-        if depth == n - 1:
-            perm[i] = j
-            found.append(perm.copy())
-            perm[i] = -1
+        if far:
             continue
-        perm[i] = j
+        target[depth] = j
+        if depth == n - 1:
+            perm = np.empty(n, dtype=np.intp)
+            perm[order] = target
+            found.append(perm)
+            continue
         used[j] = True
-        iters.append(iter(cand[order[depth + 1]]))
-
+        levels.append(level(depth + 1))
     rows = np.unique(np.array(found, dtype=np.intp).reshape(-1, n), axis=0)
+    return rows, complete, nodes
+
+
+def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
+                         budget: int = DEFAULT_NODE_BUDGET) -> EnumerationResult:
+    """All cell permutations with distance distortion at most ``iso_tol``
+    (``isometry_tolerance`` by default).
+
+    A map of distortion at most ``iso_tol`` sends each cell i to a cell
+    j whose sorted distance row p_j satisfies max_c |p_i[c] - p_j[c]| <=
+    ``iso_tol``.  Every column c is one term of that maximum, so one
+    column with |p_i[c] - p_j[c]| > ``iso_tol`` rules the pair out
+    exactly: ``profile_candidates`` windows the pairs on the last column,
+    tests the quartile columns, and runs the full row check only on the
+    pairs left, which gives the per-row lists exactly.
+
+    Sources are then extended depth first, fewest candidates first, and
+    each depth checks all candidates of its source against the cells
+    already assigned in one vectorized step (``_search``).  A node is
+    one extension attempt: an unused candidate target tried for a
+    source, whether or not the distance check keeps it.  Past ``budget``
+    nodes the search stops and flags the result incomplete rather than
+    failing.
+    """
+    if iso_tol is None:
+        iso_tol = isometry_tolerance(space)
+    rows, complete, nodes = _search(
+        space.dist, profile_candidates(space.dist, iso_tol), iso_tol, budget)
     maps = tuple(isometry_from_perm(space, p) for p in rows)
     return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
 

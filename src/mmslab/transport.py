@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
                          trivial_geodesic)
-from mmslab.symmetry import invert, isometry_from_perm
+from mmslab.symmetry import invert, isometry_from_perm, isometry_tolerance
 
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
@@ -398,7 +398,7 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     iso = isometry_from_perm(space, perm)
     perm, inv = iso.perm, invert(iso.perm)
     if iso_tol is None:
-        iso_tol = 2 * space.pitch()
+        iso_tol = isometry_tolerance(space)
     fix_tol = space.pitch()
     if iso.distortion > iso_tol:
         raise ValueError(f"permutation distorts distances by {iso.distortion:g}")

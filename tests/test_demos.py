@@ -1,5 +1,5 @@
-"""Smoke tests of the capability tour: the spaces, transport and contraction
-demos run as scripts and print their verdicts."""
+"""Smoke tests of the capability tour: the spaces, transport, contraction and
+symmetry demos run as scripts and print their verdicts."""
 
 import os
 import subprocess
@@ -28,6 +28,7 @@ def test_spaces_demo_runs_and_round_trips_exactly():
 @pytest.mark.parametrize("script, verdict", [
     ("02_transport.py", "competitor ok? True"),
     ("03_contraction.py", "density bound ok=True heights ok=True"),
+    ("04_symmetry.py", "enumeration complete=True: 64 maps (11599 search nodes)"),
 ])
 def test_demo_runs_and_prints_its_verdict(script, verdict):
     assert verdict in run_demo(script)

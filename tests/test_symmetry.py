@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mmslab import (
     EnumerationResult,
     EuclideanIsometry,
     FiniteMMS,
+    IsometryMap,
+    NecklaceParams,
     circle_space,
     compose,
     condition_a_scan,
@@ -24,8 +27,10 @@ from mmslab import (
     invert,
     isometry_from_perm,
     large_fix_implies_small_displacement,
+    necklace,
     small_subgroup_probe,
 )
+from mmslab.symmetry import DEFAULT_NODE_BUDGET, profile_candidates
 
 TAU = 2 * math.pi
 
@@ -216,6 +221,179 @@ def test_ball_grid_symmetries_are_the_dihedral_eight():
                 perm.append(int(hits[0]))
             expected.add(tuple(perm))
     assert set(map(tuple, res.perms())) == expected
+
+
+# === the level-batched search against the per-node search ===
+
+def candidate_oracle(dist, iso_tol):
+    """Profile candidates by the plain per-row check."""
+    profiles = np.sort(dist, axis=1)
+    return [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
+                           <= iso_tol) for i in range(len(dist))]
+
+
+def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET):
+    """The enumeration as it stood before the level-batched search: the
+    per-row prefilter, one distance check per search node, and each
+    map's distortion from the full ``np.ix_`` gather."""
+    if iso_tol is None:
+        iso_tol = 2.0 * space.pitch()
+    n = space.n
+    dist = space.dist
+    profiles = np.sort(dist, axis=1)
+    cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
+                           <= iso_tol) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(cand[i]), i))
+    src_so_far = np.asarray(order)
+
+    perm = np.full(n, -1, dtype=int)
+    used = np.zeros(n, dtype=bool)
+    found = []
+    nodes = 0
+    complete = True
+    iters = [iter(cand[order[0]])]
+    while iters:
+        depth = len(iters) - 1
+        i = order[depth]
+        j = next(iters[-1], None)
+        if j is None:
+            iters.pop()
+            if depth > 0:
+                prev = order[depth - 1]
+                used[perm[prev]] = False
+                perm[prev] = -1
+            continue
+        if used[j]:
+            continue
+        nodes += 1
+        if nodes > budget:
+            complete = False
+            break
+        if depth:
+            asrc = src_so_far[:depth]
+            if np.max(np.abs(dist[i, asrc] - dist[j, perm[asrc]])) > iso_tol:
+                continue
+        if depth == n - 1:
+            perm[i] = j
+            found.append(perm.copy())
+            perm[i] = -1
+            continue
+        perm[i] = j
+        used[j] = True
+        iters.append(iter(cand[order[depth + 1]]))
+
+    rows = np.unique(np.array(found, dtype=np.intp).reshape(-1, n), axis=0)
+    maps = tuple(IsometryMap(
+        perm=p,
+        distortion=float(np.max(np.abs(dist[np.ix_(p, p)] - dist))),
+        measure_defect=float(np.max(np.abs(space.weight[p] - space.weight))))
+        for p in rows)
+    return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
+
+
+def relabelled(space, seed):
+    labels = np.random.default_rng(seed).permutation(space.n)
+    return FiniteMMS(dist=space.dist[np.ix_(labels, labels)],
+                     weight=space.weight[labels],
+                     meta={"pitch": space.pitch()})
+
+
+def circle_with_entry(value):
+    """A 10-cell circle whose matrix holds one bad entry."""
+    dist = circle_space(1.0, 10).dist.copy()
+    dist[2, 5] = value
+    return FiniteMMS(dist=dist, weight=np.ones(10), meta={"pitch": TAU / 10})
+
+
+ORACLE_SPACES = {
+    "circle-16": lambda: relabelled(circle_space(1.0, 16), 1),
+    "earring-3-16": lambda: relabelled(hawaiian_truncation(3, 16), 2),
+    "earring-4-24": lambda: relabelled(hawaiian_truncation(4, 24), 3),
+    "ball-2-4": lambda: relabelled(euclidean_ball_grid(2, 1.0, 1 / 4), 4),
+    "ball-3-3": lambda: relabelled(euclidean_ball_grid(3, 1.0, 1 / 3), 5),
+    "cloud": lambda: cloud_space(np.random.default_rng(3).standard_normal((9, 3))),
+    "necklace": lambda: necklace(NecklaceParams(beads=((0.6, 0.5),),
+                                                resolution=0.05)),
+    "nan-entry": lambda: circle_with_entry(np.nan),
+    "inf-entry": lambda: circle_with_entry(np.inf),
+}
+BOUNDED = 3000      # node budget of the searches at two pitches
+
+
+def assert_same_enumeration(res, ref):
+    assert res.nodes == ref.nodes
+    assert res.complete == ref.complete
+    assert np.array_equal(res.perms(), ref.perms())
+    assert res.perms().dtype == ref.perms().dtype
+    for m, r in zip(res.maps, ref.maps):
+        assert m.distortion == r.distortion
+        assert m.measure_defect == r.measure_defect
+
+
+@pytest.mark.parametrize("pitches", [0, 2, math.inf])
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_profile_candidates_match_the_per_row_check(name, pitches):
+    sp = ORACLE_SPACES[name]()
+    tol = pitches * sp.pitch() or 1e-9
+    got = profile_candidates(sp.dist, tol)
+    want = candidate_oracle(sp.dist, tol)
+    assert len(got) == len(want) == sp.n
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_profile_window_keeps_a_pair_at_the_rounding_edge():
+    # |a - b| rounds to at most t, yet b lies below a - t as rounded, so
+    # a window on [a - t, a + t] without a margin would drop the pair
+    a, b, t = 1.0592123670732445, 0.42605242103668667, 0.6331599460365578
+    assert abs(a - b) <= t and b < a - t
+    dist = np.array([[0.0, a], [b, 0.0]])
+    got = profile_candidates(dist, t)
+    assert [c.tolist() for c in got] == [[0, 1], [0, 1]]
+    assert [c.tolist() for c in candidate_oracle(dist, t)] == [[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("pitches", [0, 2])
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_level_search_matches_the_per_node_oracle(name, pitches):
+    sp = ORACLE_SPACES[name]()
+    if pitches:
+        tol, budget = pitches * sp.pitch(), BOUNDED
+    else:
+        tol, budget = 1e-9, DEFAULT_NODE_BUDGET
+    assert_same_enumeration(enumerate_isometries(sp, tol, budget),
+                            enumeration_oracle(sp, tol, budget))
+
+
+@pytest.mark.parametrize("pitches", [0, 2])
+@pytest.mark.parametrize("name", ["circle-16", "earring-4-24", "ball-2-4",
+                                  "necklace"])
+def test_budget_cuts_match_the_oracle(name, pitches):
+    sp = ORACLE_SPACES[name]()
+    tol = pitches * sp.pitch() or 1e-9
+    full = enumeration_oracle(sp, tol, BOUNDED if pitches else
+                              DEFAULT_NODE_BUDGET).nodes
+    for budget in sorted({1, 7, full // 3, full - 1, full}):
+        assert_same_enumeration(enumerate_isometries(sp, tol, budget),
+                                enumeration_oracle(sp, tol, budget))
+
+
+def test_enumeration_peak_memory_stays_within_the_oracle():
+    sp = hawaiian_truncation(8, 64)
+
+    def peak(search):
+        tracemalloc.start()
+        try:
+            res = search(sp, 1e-9)
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    res, new_peak = peak(enumerate_isometries)
+    ref, old_peak = peak(enumeration_oracle)
+    assert_same_enumeration(res, ref)
+    assert len(res.maps) == 256
+    assert new_peak <= old_peak
 
 
 # === fixed sets ===
