@@ -42,7 +42,7 @@ class FiniteMMS:
     Attributes
     ----------
     dist : (n, n) ndarray
-        Symmetric distances with zero diagonal.
+        Symmetric distances with zero diagonal, n >= 1.
     weight : (n,) ndarray
         Strictly positive cell masses.
     coords : (n, k) ndarray or None
@@ -61,6 +61,8 @@ class FiniteMMS:
         weight = _as_float_array(self.weight, "weight", 1)
         if dist.shape[0] != dist.shape[1]:
             raise ValueError("dist must be square")
+        if dist.shape[0] == 0:
+            raise ValueError("a space needs at least one cell")
         if weight.shape[0] != dist.shape[0]:
             raise ValueError("weight length must match dist")
         if np.any(weight <= 0):
@@ -87,7 +89,7 @@ class FiniteMMS:
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
+        return float(self.dist.max())
 
     def pitch(self) -> float:
         """Grid pitch recorded by the generator, or the largest

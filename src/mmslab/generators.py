@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from mmslab.core import FiniteMMS
 
@@ -156,11 +154,25 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
     {|y| <= (r/4 - |x - x_k|)/9}.  Cells are organized per x-fiber: a fiber
     inside a bead of half-height H is split into an even number of y-cells
     of extent at most one pitch, all sharing the fiber mass cos^2(x)*pitch
-    equally (the bead density is constant in y for fixed x).  The metric is
-    the intrinsic length metric induced by the L-infinity norm, realized as
-    shortest paths in the cell-adjacency graph: consecutive cells of one
-    fiber at cost |dy|, all cell pairs of adjacent fibers at cost
-    max(pitch, |dy|).
+    equally (the bead density is constant in y for fixed x).
+
+    The metric is the intrinsic length metric induced by the L-infinity
+    norm: the shortest cell path that steps between consecutive cells of one
+    fiber at cost |dy| and between any cells of adjacent fibers at cost
+    max(pitch, |dy|).  One left-to-right sweep over the fibers computes it,
+    because paths that move monotonically in x suffice.  Every step costs
+    at least its |dy|, so a stretch of path that leaves a fiber and comes
+    back to it costs at least the vertical gap between its ends, which the
+    fiber's own evenly spaced cells cover at exactly |dy|; cutting out every
+    such excursion leaves a path that visits each fiber once.  Every step
+    between fibers costs at least the pitch w, so a step inside a fiber
+    next to one can be dropped too: max(w, |a - b'|) + |b' - b| >=
+    max(w, |a - b|).  Hence the distance within a fiber is |dy|, and the
+    distances from the cells at or left of fiber i-1 (the columns before
+    fiber i, as cells are stored fiber by fiber) to fiber i are one
+    min-plus step from fiber i-1 with step costs max(w, |dy|).  Each fiber's
+    row block is mirrored into its column block, so the matrix is exactly
+    symmetric with a zero diagonal.
     """
     h = params.resolution
     n_fib = max(2, round(HALF_PI / h))
@@ -193,32 +205,20 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
             ys[sl] = -fiber_h[i] + (np.arange(k_i) + 0.5) * ext
         weight[sl] = np.cos(fx[i]) ** 2 * w / k_i
 
-    rows, cols, vals = [], [], []
+    dist = np.empty((n_cells, n_cells))
     for i in range(n_fib):
-        a = slice(fiber_start[i], fiber_start[i + 1])
-        k_i = fiber_count[i]
-        if k_i > 1:
-            idx = np.arange(fiber_start[i], fiber_start[i + 1])
-            step = ys[idx[1]] - ys[idx[0]]
-            rows.append(idx[:-1])
-            cols.append(idx[1:])
-            vals.append(np.full(k_i - 1, step))
-        if i + 1 < n_fib:
-            b = slice(fiber_start[i + 1], fiber_start[i + 2])
-            ia = np.arange(a.start, a.stop)
-            ib = np.arange(b.start, b.stop)
-            pi, pj = np.meshgrid(ia, ib, indexing="ij")
-            dy = np.abs(ys[pi] - ys[pj])
-            rows.append(pi.ravel())
-            cols.append(pj.ravel())
-            vals.append(np.maximum(w, dy).ravel())
-    graph = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_cells, n_cells),
-    )
-    dist = dijkstra(graph, directed=False)
-    dist = (dist + dist.T) / 2
-    np.fill_diagonal(dist, 0.0)
+        a, b = fiber_start[i], fiber_start[i + 1]
+        y = ys[a:b]
+        dist[a:b, a:b] = np.abs(y[:, None] - y[None, :])
+        if i == 0:
+            continue
+        p = fiber_start[i - 1]
+        step = np.maximum(w, np.abs(ys[p:a, None] - y[None, :]))
+        left = dist[a:b, :a]
+        np.add(dist[p, :a], step[0][:, None], out=left)
+        for r in range(1, a - p):    # only a bead fiber holds more cells
+            np.minimum(left, dist[p + r, :a] + step[r][:, None], out=left)
+        dist[:a, a:b] = left.T
 
     meta = {
         "generator": "necklace",

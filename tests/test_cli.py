@@ -445,6 +445,15 @@ def test_unknown_recipe_kind_emits_error_object(tmp_path, capsys):
                      "message": "unknown generator kind 'torus'"}
 
 
+@pytest.mark.parametrize("verb", [["space", "validate"], ["iso", "enum"]])
+def test_zero_cell_space_file_emits_error_object(tmp_path, capsys, verb):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dist": [], "meta": {}, "points": [],
+                                "weights": []}))
+    error = run_error(capsys, *verb, "--space", path)
+    assert error["type"] == "ValueError"
+
+
 def test_unwritable_report_exits_one_naming_the_path(tmp_path, capsys):
     report = tmp_path / "missing" / "x.json"
     rc, cap = run(capsys, "mcp", "scalar-bound", "--samples", 20,

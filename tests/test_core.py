@@ -55,6 +55,13 @@ def test_two_point_space_is_valid():
     assert rep.exhaustive
 
 
+def test_a_space_without_cells_is_rejected():
+    # enumerate_isometries indexed past the end of an empty space, and
+    # save_space wrote it to a file that load_space refused
+    with pytest.raises(ValueError, match="at least one cell"):
+        FiniteMMS(dist=np.zeros((0, 0)), weight=np.zeros(0))
+
+
 def test_triangle_violation_is_reported_with_defect():
     dist = np.array([
         [0.0, 1.0, 5.0],

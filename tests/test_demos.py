@@ -1,5 +1,5 @@
-"""Smoke tests of the capability tour: the spaces, transport, contraction and
-symmetry demos run as scripts and print their verdicts."""
+"""Smoke tests of the capability tour: the spaces, transport, contraction,
+symmetry and regularity demos run as scripts and print their verdicts."""
 
 import os
 import subprocess
@@ -29,6 +29,7 @@ def test_spaces_demo_runs_and_round_trips_exactly():
     ("02_transport.py", "competitor ok? True"),
     ("03_contraction.py", "density bound ok=True heights ok=True"),
     ("04_symmetry.py", "enumeration complete=True: 64 maps (11599 search nodes)"),
+    ("05_regularity.py", "necklace vertex, eps=0.02: verdict 'out'"),
 ])
 def test_demo_runs_and_prints_its_verdict(script, verdict):
     assert verdict in run_demo(script)

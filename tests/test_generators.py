@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from mmslab import (
     NecklaceParams,
@@ -16,6 +18,7 @@ from mmslab import (
     segment_space,
     validate_space,
 )
+from mmslab.generators import DIAMOND_SLOPE
 
 HALF_PI = math.pi / 2
 
@@ -208,6 +211,136 @@ def test_necklace_bead_mass_matches_segment_quadrature():
     lo, hi = xk - rk / 4, xk + rk / 4
     exact = (hi - lo) / 2 + (math.sin(2 * hi) - math.sin(2 * lo)) / 4
     assert mass == pytest.approx(exact, abs=2 * h)
+
+
+def necklace_by_dijkstra(params):
+    """The necklace as first built: the same cells, masses and meta, with
+    the metric from all-pairs Dijkstra on the cell-adjacency graph
+    (consecutive cells of one fiber at cost |dy|, all cell pairs of
+    adjacent fibers at cost max(pitch, |dy|)), symmetrized as
+    (dist + dist.T) / 2.  Oracle for the fiber sweep of ``necklace``."""
+    h = params.resolution
+    n_fib = max(2, round(HALF_PI / h))
+    w = HALF_PI / n_fib
+    fx = (np.arange(n_fib) + 0.5) * w
+
+    bead_of_fiber = np.full(n_fib, -1)
+    fiber_h = np.zeros(n_fib)
+    for k, (xk, rk) in enumerate(params.beads):
+        inside = np.abs(fx - xk) < rk / 4
+        bead_of_fiber[inside] = k
+        fiber_h[inside] = DIAMOND_SLOPE * (rk / 4 - np.abs(fx[inside] - xk))
+
+    fiber_count = np.where(fiber_h > 0,
+                           2 * np.ceil(fiber_h / w - 1e-12).astype(int), 1)
+    fiber_start = np.concatenate([[0], np.cumsum(fiber_count)])
+    n_cells = int(fiber_start[-1])
+
+    xs = np.empty(n_cells)
+    ys = np.empty(n_cells)
+    weight = np.empty(n_cells)
+    for i in range(n_fib):
+        k_i = fiber_count[i]
+        sl = slice(fiber_start[i], fiber_start[i] + k_i)
+        xs[sl] = fx[i]
+        if k_i == 1:
+            ys[sl] = 0.0
+        else:
+            ext = 2 * fiber_h[i] / k_i
+            ys[sl] = -fiber_h[i] + (np.arange(k_i) + 0.5) * ext
+        weight[sl] = np.cos(fx[i]) ** 2 * w / k_i
+
+    rows, cols, vals = [], [], []
+    for i in range(n_fib):
+        a = slice(fiber_start[i], fiber_start[i + 1])
+        k_i = fiber_count[i]
+        if k_i > 1:
+            idx = np.arange(fiber_start[i], fiber_start[i + 1])
+            step = ys[idx[1]] - ys[idx[0]]
+            rows.append(idx[:-1])
+            cols.append(idx[1:])
+            vals.append(np.full(k_i - 1, step))
+        if i + 1 < n_fib:
+            b = slice(fiber_start[i + 1], fiber_start[i + 2])
+            ia = np.arange(a.start, a.stop)
+            ib = np.arange(b.start, b.stop)
+            pi, pj = np.meshgrid(ia, ib, indexing="ij")
+            dy = np.abs(ys[pi] - ys[pj])
+            rows.append(pi.ravel())
+            cols.append(pj.ravel())
+            vals.append(np.maximum(w, dy).ravel())
+    graph = csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_cells, n_cells),
+    )
+    dist = dijkstra(graph, directed=False)
+    dist = (dist + dist.T) / 2
+    np.fill_diagonal(dist, 0.0)
+
+    meta = {
+        "generator": "necklace",
+        "params": {"beads": [[x, r] for x, r in params.beads],
+                   "resolution": h},
+        "pitch": w,
+        "beads": [[x, r] for x, r in params.beads],
+        "width_factor": DIAMOND_SLOPE,
+        "necklace": {
+            "fiber_x": [float(v) for v in fx],
+            "fiber_h": [float(v) for v in fiber_h],
+            "fiber_count": [int(v) for v in fiber_count],
+            "fiber_start": [int(v) for v in fiber_start[:-1]],
+            "bead_of_fiber": [int(v) for v in bead_of_fiber],
+        },
+    }
+    return dist, weight, np.column_stack([xs, ys]), meta
+
+
+THREE_BEADS = ((0.3, 0.4), (0.8, 0.6), (1.3, 0.4))
+
+
+@pytest.mark.parametrize("beads, fibers", [
+    ((), 120),
+    ((), 700),
+    (((0.8, 0.4),), 160),
+    (((0.7, 0.3),), 400),
+    (((0.5, 1.0),), 300),
+    (((0.4, 0.3), (1.1, 0.3)), 500),
+    (THREE_BEADS, 240),
+    (((0.3, 0.2), (0.8, 0.3), (1.3, 0.2)), 700),
+])
+def test_necklace_sweep_matches_the_dijkstra_oracle(beads, fibers):
+    params = NecklaceParams(beads=beads, resolution=HALF_PI / fibers)
+    space = necklace(params)
+    dist, weight, coords, meta = necklace_by_dijkstra(params)
+    # sums of the same edge costs in another order: 1e-15 is a few ulps
+    # of the diameter; the largest difference seen here is 3.5e-17
+    assert np.max(np.abs(space.dist - dist)) <= 1e-15
+    assert np.array_equal(space.weight, weight)
+    assert np.array_equal(space.coords, coords)
+    assert space.meta == meta
+    assert np.array_equal(space.dist, space.dist.T)
+    assert not np.any(np.diag(space.dist))
+
+
+def test_two_bead_necklace_is_bit_identical_to_the_oracle():
+    params = NecklaceParams(beads=((0.4, 0.3), (1.1, 0.3)),
+                            resolution=HALF_PI / 120)
+    assert np.array_equal(necklace(params).dist,
+                          necklace_by_dijkstra(params)[0])
+
+
+def test_necklace_builds_its_matrix_without_a_second_copy():
+    # 933 cells: the sweep fills one matrix in place, fiber by fiber; the
+    # Dijkstra graph and (dist + dist.T) / 2 peaked at 2.1x
+    params = NecklaceParams(beads=((0.8, 0.4),), resolution=HALF_PI / 600)
+    tracemalloc.start()
+    try:
+        space = necklace(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.n == 933
+    assert peak < 1.5 * space.dist.nbytes, peak
 
 
 # === Euclidean ball grids ===
