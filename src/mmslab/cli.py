@@ -11,6 +11,7 @@ requested.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import platform
@@ -405,6 +406,7 @@ def _cmd_gh_regular_mass(args):
 
 # === parser construction ===
 
+@functools.cache  # one tree per process; parse_args keeps no state
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--report", metavar="FILE",

@@ -447,14 +447,25 @@ def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None
             points.append(rec)
         doc = {
             "points": points,
-            "dist": [[float(v) for v in row] for row in space.dist],
             "weights": [float(w) for w in space.weight],
             "meta": _jsonable(space.meta),
         }
     else:
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        if dist_mode == "explicit":
+            # the bytes of json.dump(indent=1, sort_keys=True) with "dist"
+            # in it, which sorts first: the matrix streams one row at a
+            # time through the C encoder, not the pure-Python indenting one
+            fh.write('{\n "dist": [\n')
+            sep = ""
+            for row in space.dist:
+                body = json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
+                fh.write(f"{sep}  [\n   {body}\n  ]")
+                sep = ",\n"
+            fh.write("\n ],\n" + json.dumps(doc, indent=1, sort_keys=True)[2:])
+        else:
+            json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,8 +1,9 @@
 """Gromov-Hausdorff comparisons and regular-point classification.
 
 The exact distance is a branch-and-bound search over correspondences,
-priced for spaces of at most eight points.  Larger balls are subsampled
-by farthest-point sampling and compared with equally subsampled
+whose cost grows exponentially with the point count, so balls are
+subsampled to ``subsample`` points (8 by default, 10 in the necklace
+scans) by farthest-point sampling and compared with equally subsampled
 Euclidean model balls; verdicts are three-valued because discretization
 cannot decide points arbitrarily close to the threshold.
 """
@@ -52,7 +53,10 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
     are visited in order of their incremental distortion, so once one of
     them reaches the best complete candidate the rest of the row is
     pruned with it; a greedy pass seeds that bound before the search
-    starts.
+    starts.  A node that keeps any child scores all of them in one
+    step: the grown pair matrix of every candidate partner, stacked,
+    and each one's bottleneck relaxation, which prunes the child before
+    the search descends into it.
     """
     nx, ny = x.n, y.n
     if nx > size_limit or ny > size_limit:
@@ -66,29 +70,26 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
     f = np.full(nx, -1)
     g = np.full(ny, -1)
 
-    # pair[i, j] accumulates max over assigned pairs (p, q) of
-    # |dx(i, p) - dy(j, q)|: both the incremental cost of adding the
-    # pair (i, j) and the bottleneck relaxation used for pruning, since
-    # every point still needs some partner with pair value below the
-    # final distortion.
-    def extend(pair, i, j):
-        return np.maximum(pair, np.abs(dx[:, i][:, None] - dy[:, j][None, :]))
-
-    def relax(pair):
-        return max(float(np.max(np.min(pair, axis=0))),
-                   float(np.max(np.min(pair, axis=1))))
+    # pair[p, q] accumulates max over assigned pairs (i, j) of
+    # lone[i, j, p, q] = |dx(p, i) - dy(q, j)|: both the incremental
+    # cost of adding the pair (p, q) and the bottleneck relaxation used
+    # for pruning, since every point still needs some partner with pair
+    # value below the final distortion.
+    lone = dx.T[:, None, :, None] - dy.T[None, :, None, :]
+    np.abs(lone, out=lone)
 
     # one step per point: the forward map's rows, then the backward
-    # map's columns; a step fixes the partner of point k on its side
-    steps = ([(f, int(i), True) for i in order_x]
-             + [(g, int(j), False) for j in order_y])
+    # map's columns; a step fixes the partner m of point k on its side
+    # and raises pair to gap[m], lone of the pair (k, m) or (m, k)
+    steps = ([(f, int(i), True, lone[i]) for i in order_x]
+             + [(g, int(j), False, lone[:, j]) for j in order_y])
 
     # greedy warm start for the pruning bound
     pair0 = np.zeros((nx, ny))
-    for assign, k, row in steps:
+    for assign, k, row, gap in steps:
         m = int(np.argmin(pair0[k] if row else pair0[:, k]))
         assign[k] = m
-        pair0 = extend(pair0, k, m) if row else extend(pair0, m, k)
+        pair0 = np.maximum(pair0, gap[m])
     seed = sorted({(int(i), int(f[i])) for i in range(nx)}
                   | {(int(g[j]), int(j)) for j in range(ny)})
     best = correspondence_distortion(x, y, seed)
@@ -108,18 +109,28 @@ def gh_exact(x: FiniteMMS, y: FiniteMMS, size_limit: int = GH_SIZE_LIMIT):
             best_pair = (f.copy(), g.copy())
             done = best <= floor + 1e-15
             return
-        assign, k, row = steps[depth]
+        assign, k, row, gap = steps[depth]
         cost = pair[k] if row else pair[:, k]
-        for m in np.argsort(cost, kind="stable"):
+        order, cost = cost.argsort(kind="stable").tolist(), cost.tolist()
+        grown = None
+        for m in order:
             if done:
                 return
-            v = max(cur, float(cost[m]))
+            v = max(cur, cost[m])
             if v >= best:
                 break
-            grown = extend(pair, k, m) if row else extend(pair, m, k)
-            if max(v, relax(grown)) < best:
+            if grown is None:
+                # every child at once, and the two halves of each one's
+                # relaxation: the worst best partner of a point of Y,
+                # then of a point of X (bare ufunc reductions, since the
+                # array methods add a Python call per reduction)
+                grown = np.maximum(pair, gap)
+                lo_y = np.maximum.reduce(np.minimum.reduce(grown, 1), 1)
+                lo_x = np.maximum.reduce(np.minimum.reduce(grown, 2), 1)
+                lo_y, lo_x = lo_y.tolist(), lo_x.tolist()
+            if max(v, max(lo_y[m], lo_x[m])) < best:
                 assign[k] = m
-                walk(depth + 1, v, grown)
+                walk(depth + 1, v, grown[m])
         assign[k] = -1
 
     if not done:

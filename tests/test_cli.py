@@ -496,6 +496,27 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     jsonschema.validate(json.loads(first), SCHEMA)
 
 
+def test_parser_is_reused_across_calls_after_a_usage_error(tmp_path, capsys):
+    """The argparse tree is built once per process: a usage error leaves
+    nothing behind, and two later runs give the same report bytes."""
+    assert cli._build_parser() is cli._build_parser()
+    path = circle_file(tmp_path, capsys, resolution=12)
+    rc, cap = run(capsys, "iso", "enum", "--space", path, "--budget", "many")
+    assert rc == 1 and "usage" in cap.err
+    argv = ["iso", "displacement", "--space", path, "--x", 0, "--r", 1.0,
+            "--perm", "[1,2,3,4,5,6,7,8,9,10,11,0]",
+            "--perm", "[11,10,9,8,7,6,5,4,3,2,1,0]"]
+    report = tmp_path / "report.json"
+    reports = []
+    for _ in range(2):
+        assert run(capsys, *argv, "--report", report)[0] == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["inputs"]["perm"] == [list(range(1, 12)) + [0],
+                                     list(range(11, -1, -1))]
+
+
 def test_numbers_carry_twelve_significant_digits(capsys):
     rc, doc = run_json(capsys, "mcp", "scalar-bound", "--samples", 50)
     text = json.dumps(doc["results"])

@@ -22,7 +22,8 @@ from mmslab import (
     segment_space,
     validate_space,
 )
-from mmslab.core import TRIANGLE_BLOCK, TRIANGLE_TOL, ValidationReport
+from mmslab.core import (TRIANGLE_BLOCK, TRIANGLE_TOL, ValidationReport,
+                         _jsonable)
 from mmslab.generators import (NecklaceParams, circle_space,
                                euclidean_ball_grid, hawaiian_truncation,
                                necklace)
@@ -494,6 +495,54 @@ def test_recipe_refuses_a_space_its_recipe_does_not_generate(tmp_path):
         with pytest.raises(ValueError, match="recipe generates"):
             save_space(space, path, dist_mode="recipe")
     assert not path.exists()
+
+
+def dump_space_oracle(space, path):
+    """The writer ``save_space`` replaced for explicit files, kept as an
+    oracle: the whole document through ``json.dump(indent=1)``."""
+    points = []
+    for i in range(space.n):
+        rec = {"id": i}
+        if space.coords is not None:
+            rec["coords"] = [float(c) for c in space.coords[i]]
+        points.append(rec)
+    doc = {"points": points,
+           "dist": [[float(v) for v in row] for row in space.dist],
+           "weights": [float(w) for w in space.weight],
+           "meta": _jsonable(space.meta)}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def odd_spaces():
+    inf = math.inf
+    return {
+        "nonfinite": FiniteMMS(
+            dist=np.array([[0.0, math.nan, inf], [math.nan, 0.0, -inf],
+                           [inf, -inf, 0.0]]),
+            weight=np.array([1.0, 0.5, 1e-300])),
+        "one-cell": FiniteMMS(dist=np.zeros((1, 1)), weight=np.ones(1)),
+        "nested-meta": FiniteMMS(
+            dist=np.array([[0.0, 0.1], [0.1, 0.0]]),
+            weight=np.array([1.0 / 3.0, 2.0 / 3.0]),
+            coords=np.array([[0.0, -0.0], [1e-17, 123456789.125]]),
+            meta={"pitch": 0.1, "params": {"beads": [[0.8, 0.3]],
+                                           "deep": {"b": [1, 2.5], "a": None}},
+                  "tag": "x, y"}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["necklace", "earring", "segment", "ball",
+                                  "nonfinite", "one-cell", "nested-meta"])
+def test_explicit_file_bytes_match_the_json_dump_oracle(tmp_path, kind):
+    space = GENERATED[kind]() if kind in GENERATED else odd_spaces()[kind]
+    if kind == "ball":
+        assert space.coords is not None
+    save_space(space, tmp_path / "space.json")
+    dump_space_oracle(space, tmp_path / "oracle.json")
+    got = (tmp_path / "space.json").read_bytes()
+    assert got == (tmp_path / "oracle.json").read_bytes()
 
 
 def test_load_rejects_a_computed_dist(tmp_path):

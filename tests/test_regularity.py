@@ -7,6 +7,7 @@ import pytest
 from mmslab import (
     FiniteMMS,
     NecklaceParams,
+    ball_indices,
     circle_space,
     correspondence_distortion,
     epsilon_regular_scan,
@@ -214,6 +215,56 @@ def test_gh_single_walk_matches_the_two_walk_oracle():
         assert value == want
         assert witness.relation == want_witness.relation
         assert witness.distortion == want_witness.distortion
+
+
+def fps_ball(space, x, r, count):
+    """The scan's reduction of the ball B(x, r): ``count`` points by
+    farthest-point sampling from the center."""
+    bidx = ball_indices(space, x, r)
+    dsub = space.dist[np.ix_(bidx, bidx)]
+    start = int(np.flatnonzero(bidx == x)[0])
+    sel, _ = _fps(lambda i: dsub[i], len(bidx), start, count)
+    return FiniteMMS(dist=dsub[np.ix_(sel, sel)], weight=np.ones(len(sel)))
+
+
+def fps_model(k, r, pitch, count):
+    pts, origin, _ = _model_ball(k, r, pitch)
+    sel, _ = _fps(lambda i: np.linalg.norm(pts - pts[i], axis=1), len(pts),
+                  origin, count)
+    return cloud_space(pts[sel])
+
+
+def test_gh_matches_the_two_walk_oracle_on_tied_inputs():
+    """Lattice samples repeat distances, so the stable sort of a node's
+    children meets ties: there a batched children step could pick
+    another witness of the same value without the random pairs noticing."""
+    seg = segment_space(HALF_PI / 400)
+    neck = necklace(NecklaceParams(beads=((0.8, 0.3),),
+                                   resolution=HALF_PI / 120))
+    tip = necklace_tip_cell(neck, 0.8, 0.3)
+    bead = int(np.argmin(np.abs(neck.coords[:, 0] - 0.8)
+                         + np.abs(neck.coords[:, 1])))
+    balls = [(seg, segment_interior_cell(seg), 0.1), (seg, 0, 0.1),
+             (neck, tip, 0.1), (neck, bead, 0.2)]
+    pairs = []
+    for count in (6, 7, 8):
+        # 3-D models past six points take seconds for the oracle
+        dims = (1, 2, 3) if count == 6 else (1, 2)
+        for space, x, r in balls:
+            sx = fps_ball(space, x, r, count)
+            for k in dims:
+                pairs.append((sx, fps_model(k, r, space.pitch(), count)))
+        pairs.append((fps_model(2, 0.1, 0.0, count),
+                      fps_model(3, 0.1, 0.0, count)))
+    tied = 0
+    for x, y in pairs:
+        tied += len(np.unique(x.dist)) < x.n * (x.n - 1) // 2 + 1
+        value, witness = gh_exact(x, y)
+        want, want_witness = gh_two_walk_oracle(x, y)
+        assert value == want
+        assert witness.relation == want_witness.relation
+        assert witness.distortion == want_witness.distortion
+    assert tied == len(pairs)
 
 
 def test_gh_scaling_equivariance():
