@@ -45,7 +45,8 @@ print("coupling atoms:", [(i, j, round(m, 4))
 
 # a generic instance has a unique optimal plan
 probe = uniqueness_probe(sp, mu0, mu1)
-print(f"uniqueplan?    {probe.unique} (deviation {probe.deviation:.2e})")
+print(f"uniqueplan?    {probe.unique} (certificate {probe.certificate}, "
+      f"deviation {probe.deviation:.2e})")
 
 # === non-uniqueness from a symmetry ===
 #
@@ -78,4 +79,4 @@ print(f"  same marginals ({report.marginal_defect:.1e}), "
 
 probe = uniqueness_probe(ear, mu0, mu1)
 print(f"probe agrees:  unique={probe.unique} "
-      f"(deviation {probe.deviation:.2e})")
+      f"(certificate {probe.certificate}, deviation {probe.deviation:.2e})")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmslab.core import (DiscreteGeodesic, FiniteMMS, constant_speed_defect,
-                         geodesic_tolerance)
+from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
+                         constant_speed_defect, geodesic_tolerance)
 from mmslab.generators import necklace_fibers
 from mmslab.transport import GeodesicPlan, plan_evaluator, plan_marginals
 
@@ -180,7 +180,7 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     beads = space.meta["beads"]
     ys = space.coords[:, 1]     # cell heights, as ``necklace`` placed them
 
-    f_src = int(fiber_of_cell[source])
+    f_src = int(fiber_of_cell[cell_id(space, source)])
     b_src = int(bead_of_fiber[f_src])
     b_tgt = int(bead_of_fiber[target_fiber])
     if b_src < 0 or b_tgt < 0:

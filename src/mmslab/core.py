@@ -209,6 +209,15 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     return replace(space, dist=space.dist / factor, meta=meta)
 
 
+def cell_id(space: FiniteMMS, i) -> int:
+    """``i`` as a cell index of the space; ids outside ``[0, n)`` raise
+    rather than wrap around."""
+    i = int(i)
+    if not 0 <= i < space.n:
+        raise ValueError(f"cell id {i} outside [0, {space.n})")
+    return i
+
+
 def ball_indices(space: FiniteMMS, center: int, radius: float,
                  closed: bool = True) -> np.ndarray:
     row = space.dist[center]

@@ -16,13 +16,17 @@ from itertools import chain
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
+from scipy.sparse.csgraph import connected_components
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
-                         trivial_geodesic)
+                         cell_id, trivial_geodesic)
 from mmslab.symmetry import invert, isometry_from_perm, isometry_tolerance
 
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
+# an edge is tight when its reduced cost is at most TIGHT_REL * max cost
+TIGHT_REL = 1e-9
 
 
 # === measures ===
@@ -31,19 +35,17 @@ def as_measure(space: FiniteMMS, spec) -> np.ndarray:
     """Coerce a measure description to a dense nonnegative mass vector.
 
     Accepts a dense vector, a ``{point: mass}`` mapping, or an iterable of
-    ``(point, mass)`` pairs.
+    ``(point, mass)`` pairs; a point outside ``[0, n)`` raises.
     """
     out = np.zeros(space.n)
     if isinstance(spec, np.ndarray):
         if spec.shape != (space.n,):
             raise ValueError(f"expected a vector of {space.n} masses")
         out[:] = spec
-    elif isinstance(spec, dict):
-        for i, m in spec.items():
-            out[int(i)] += float(m)
     else:
-        for i, m in spec:
-            out[int(i)] += float(m)
+        pairs = spec.items() if isinstance(spec, dict) else spec
+        for i, m in pairs:
+            out[cell_id(space, i)] += float(m)
     if np.any(out < 0):
         raise ValueError("negative mass")
     if out.sum() <= 0:
@@ -57,7 +59,7 @@ def delta(space: FiniteMMS, point: int) -> np.ndarray:
 
 def uniform_on(space: FiniteMMS, indices) -> np.ndarray:
     """Normalized restriction of the reference measure to a cell set."""
-    idx = np.asarray(list(indices), dtype=int)
+    idx = np.array([cell_id(space, i) for i in indices], dtype=int)
     out = np.zeros(space.n)
     out[idx] = space.weight[idx]
     return out / out.sum()
@@ -133,22 +135,38 @@ def _repair_marginals(matrix, row, col, tol):
 
 def _marginal_constraints(sm, tm):
     """(A_eq, b_eq) fixing the row sums ``sm`` and the column sums ``tm``
-    of the row-major flattened coupling."""
+    of the row-major flattened coupling.  A_eq is sparse (CSC): column
+    a * n1 + b holds a one in row a and a one in row n0 + b."""
     n0, n1 = len(sm), len(tm)
-    a_eq = np.vstack([np.repeat(np.eye(n0), n1, axis=1),
-                      np.tile(np.eye(n1), n0)])
+    k = np.arange(n0 * n1)
+    rows = np.column_stack([k // n1, n0 + k % n1]).ravel()
+    a_eq = csc_array((np.ones(2 * n0 * n1), rows,
+                      np.arange(0, 2 * n0 * n1 + 1, 2)),
+                     shape=(n0 + n1, n0 * n1))
     return a_eq, np.concatenate([sm, tm])
 
 
-def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
-    """LP solve of the squared W2 problem on the marginal supports; solver
-    residuals above ``MASS_TOL`` in a marginal raise."""
+@dataclass(frozen=True)
+class _Solve:
+    """One LP solve with what the uniqueness probe reads off it: the
+    support cost matrix, the marginal constraints and HiGHS's equality
+    duals (all but ``d2`` are None on a one-point support)."""
+
+    result: TransportResult
+    d2: np.ndarray
+    a_eq: csc_array | None = None
+    b_eq: np.ndarray | None = None
+    duals: np.ndarray | None = None
+
+
+def _solve(space: FiniteMMS, mu0, mu1) -> _Solve:
     mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
     si, sm = _support(mu0)
     ti, tm = _support(mu1)
     n0, n1 = len(si), len(ti)
     d2 = space.dist[np.ix_(si, ti)] ** 2
 
+    a_eq = b_eq = duals = None
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
     else:
@@ -158,9 +176,18 @@ def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
         if not res.success:
             raise RuntimeError(f"transport LP failed: {res.message}")
         sigma = res.x.reshape(n0, n1)
+        duals = res.eqlin.marginals
     sigma = _repair_marginals(sigma, sm, tm, MASS_TOL)
     coupling = Coupling(source_idx=si, target_idx=ti, matrix=sigma)
-    return TransportResult(coupling=coupling, cost=float((sigma * d2).sum()))
+    result = TransportResult(coupling=coupling,
+                             cost=float((sigma * d2).sum()))
+    return _Solve(result=result, d2=d2, a_eq=a_eq, b_eq=b_eq, duals=duals)
+
+
+def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
+    """LP solve of the squared W2 problem on the marginal supports; solver
+    residuals above ``MASS_TOL`` in a marginal raise."""
+    return _solve(space, mu0, mu1).result
 
 
 def brute_force_w2(space: FiniteMMS, mu0, mu1) -> float:
@@ -229,42 +256,98 @@ class ProbeResult:
     deviation: float
     base: TransportResult
     witness: Coupling | None = None
+    certificate: str = "forest"      # "forest", "witness" or "search"
+
+
+def _is_forest(tight: np.ndarray) -> bool:
+    """True when the bipartite graph with biadjacency ``tight`` has no
+    cycle: edges = nodes - components."""
+    n0, n1 = tight.shape
+    rows, cols = np.nonzero(tight)
+    graph = csc_array((np.ones(len(rows)), (rows, n0 + cols)),
+                      shape=(n0 + n1, n0 + n1))
+    ncomp, _ = connected_components(graph, directed=False)
+    return len(rows) == n0 + n1 - ncomp
 
 
 def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
                      seed: int = 0, draws: int = 3) -> ProbeResult:
-    """Look for a second optimal coupling by re-solving on the optimal face
-    with random secondary objectives (both signs of each draw)."""
-    mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
-    base = solve_w2(space, mu0, mu1)
-    si, sm = _support(mu0)
-    ti, tm = _support(mu1)
-    n0, n1 = len(si), len(ti)
-    if n0 == 1 or n1 == 1:
-        return ProbeResult(unique=True, deviation=0.0, base=base)
-    d2 = (space.dist[np.ix_(si, ti)] ** 2).ravel()
-    a_eq, b_eq = _marginal_constraints(sm, tm)
-    face = base.cost + 1e-9 * max(1.0, abs(base.cost))
+    """Decide whether the optimal coupling is unique, on the exact
+    optimal face, from the duals of one LP solve.
 
+    The base solve returns HiGHS's equality duals phi and psi.  An edge
+    (i, j) is tight when its reduced cost c_ij - phi_i - psi_j is at most
+    tau = ``TIGHT_REL`` * max c, and every edge the base coupling uses
+    counts as tight.  Let gap = |base cost - (mu0.phi + mu1.psi)| and
+    neg = the largest negative reduced cost (0 for feasible duals).  By
+    complementary slackness every optimal coupling puts at most
+    (gap + neg) / tau of its mass off the tight edges.
+
+    - ``certificate="forest"``: the tight bipartite graph has no cycle,
+      so at most one coupling with these marginals lives on it; the
+      coupling is unique (up to that off-tight mass bound) and no further
+      LP runs.  One-point supports count as forests.
+    - ``certificate="witness"``: the graph has a cycle, and re-solving on
+      the tight edges only, with ``draws`` seeded random objectives (both
+      signs of each), found a coupling at the base cost within
+      gap + neg + a rounding allowance that differs from the base
+      coupling by more than ``tol`` in some entry.  ``unique`` is False.
+    - ``certificate="search"``: the graph has a cycle but no draw found
+      such a witness; ``unique`` is True on that search's evidence.
+
+    ``deviation`` is the largest entrywise difference from the base
+    coupling among the optimal couplings the draws found (0 for a
+    forest).  ``tol`` must be a nonnegative number and ``draws`` at
+    least 1.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, not {tol}")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, not {draws}")
+    lp = _solve(space, mu0, mu1)
+    base = lp.result
+    if lp.duals is None:
+        return ProbeResult(unique=True, deviation=0.0, base=base)
+    n0, n1 = lp.d2.shape
+    sm, tm = lp.b_eq[:n0], lp.b_eq[n0:]
+    phi, psi = lp.duals[:n0], lp.duals[n0:]
+    reduced = lp.d2 - phi[:, None] - psi[None, :]
+    tight = ((reduced <= TIGHT_REL * lp.d2.max())
+             | (base.coupling.matrix > MASS_TOL))
+    if _is_forest(tight):
+        return ProbeResult(unique=True, deviation=0.0, base=base)
+
+    gap = abs(base.cost - lp.b_eq @ lp.duals)
+    neg = max(0.0, -float(reduced.min()))
+    # the two costs compared are sums of n0 * n1 nonnegative terms, each
+    # off by at most n0 * n1 * eps times its value
+    slack = gap + neg + 2 * n0 * n1 * np.finfo(float).eps * base.cost
+    cols = np.flatnonzero(tight)
+    a_face = lp.a_eq[:, cols]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
-        q = rng.standard_normal(n0 * n1)
+        q = rng.standard_normal(n0 * n1)[cols]
         for sgn in (1.0, -1.0):
-            res = linprog(sgn * q, A_ub=d2[None, :], b_ub=[face],
-                          A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+            res = linprog(sgn * q, A_eq=a_face, b_eq=lp.b_eq, bounds=(0, None),
                           method="highs")
             if not res.success:
                 continue
-            other = res.x.reshape(n0, n1)
+            other = np.zeros(n0 * n1)
+            other[cols] = res.x
+            other = _repair_marginals(other.reshape(n0, n1), sm, tm, MASS_TOL)
+            if abs(float((other * lp.d2).sum()) - base.cost) > slack:
+                continue
             dev = float(np.max(np.abs(other - base.coupling.matrix)))
             worst = max(worst, dev)
             if dev > tol:
-                witness = Coupling(source_idx=si, target_idx=ti,
-                                   matrix=_repair_marginals(other, sm, tm, 1e-10))
+                witness = Coupling(source_idx=base.coupling.source_idx,
+                                   target_idx=base.coupling.target_idx,
+                                   matrix=other)
                 return ProbeResult(unique=False, deviation=dev, base=base,
-                                   witness=witness)
-    return ProbeResult(unique=True, deviation=worst, base=base)
+                                   witness=witness, certificate="witness")
+    return ProbeResult(unique=True, deviation=worst, base=base,
+                       certificate="search")
 
 
 def is_induced_by_map(coupling: Coupling) -> bool:

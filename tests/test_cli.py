@@ -146,6 +146,52 @@ def test_ot_probe_forced_instance_is_unique(tmp_path, capsys):
     assert doc["results"]["witness"] is None
 
 
+def segment_16_file(tmp_path, capsys):
+    path = tmp_path / "seg16.json"
+    rc, doc = run_json(capsys, "space", "gen", "--kind", "segment",
+                       "--params", '{"resolution": 0.1}', "--out", path)
+    assert rc == 0 and doc["results"]["cells"] == 16
+    return path
+
+
+UNIQUE_SEGMENT_PAIR = ("--mu0", '{"uniform": [0, 1]}',
+                       "--mu1", '{"uniform": [3, 4]}')
+
+
+def test_ot_probe_certifies_a_unique_segment_plan_by_a_forest(tmp_path,
+                                                             capsys):
+    path = segment_16_file(tmp_path, capsys)
+    rc, doc = run_json(capsys, "ot", "probe", "--space", path,
+                       *UNIQUE_SEGMENT_PAIR)
+    assert rc == 0
+    assert doc["results"]["unique"] is True
+    assert doc["results"]["certificate"] == "forest"
+    assert doc["results"]["witness"] is None
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--draws", "0")])
+def test_ot_probe_rejects_bad_search_options(tmp_path, capsys, option, value):
+    path = segment_16_file(tmp_path, capsys)
+    error = run_error(capsys, "ot", "probe", "--space", path,
+                      *UNIQUE_SEGMENT_PAIR, option, value)
+    assert error["type"] == "ValueError"
+    assert option[2:] in error["message"]
+
+
+@pytest.mark.parametrize("bad, argv", [
+    (-1, ["ot", "probe", "--mu0", '{"point": -1}', "--mu1", '{"point": 3}']),
+    (16, ["ot", "solve", "--mu0", '{"point": 0}',
+          "--mu1", '{"uniform": [3, 16]}']),
+    (-1, ["mcp", "verify", "--x", "-1", "--A", "3,4"])])
+def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
+                                                       argv):
+    path = segment_16_file(tmp_path, capsys)
+    error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
+    assert error == {"type": "ValueError",
+                     "message": f"cell id {bad} outside [0, 16)"}
+
+
 def test_ot_competitor_on_a_reflected_earring(tmp_path, capsys):
     sp = hawaiian_truncation(3, 24)
     path = tmp_path / "earring.json"

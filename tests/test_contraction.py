@@ -224,6 +224,13 @@ def test_schedule_rejects_bad_requests():
         necklace_schedule(sp, far, fiber_near(sp, 0.38), 2)  # leftward
 
 
+def test_schedule_rejects_a_source_outside_the_cells():
+    sp = bead_pair(HALF_PI / 320)
+    for source in (-1, sp.n):
+        with pytest.raises(ValueError, match=f"cell id {source} "):
+            necklace_schedule(sp, source, fiber_near(sp, 1.06), 2)
+
+
 def test_schedule_survives_the_pointwise_check():
     sp = bead_pair(HALF_PI / 320)
     z = cell_on_fiber(sp, fiber_near(sp, 0.38))

@@ -4,6 +4,7 @@ symmetry and regularity demos run as scripts and print their verdicts."""
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@lru_cache(maxsize=None)
 def run_demo(script):
+    """Standard output of a demo; each script runs once per session."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -33,3 +36,11 @@ def test_spaces_demo_runs_and_round_trips_exactly():
 ])
 def test_demo_runs_and_prints_its_verdict(script, verdict):
     assert verdict in run_demo(script)
+
+
+def test_transport_demo_pins_both_probe_verdicts():
+    """The generic instance has one optimal plan; the earring instance has
+    the reflected second plan, and the probe must find it too."""
+    out = run_demo("02_transport.py")
+    assert "uniqueplan?    True" in out
+    assert "probe agrees:  unique=False" in out

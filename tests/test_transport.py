@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from mmslab import transport
 from mmslab import (
     FiniteMMS,
     GeodesicPlan,
@@ -47,6 +50,23 @@ def random_instance(rng, n0, n1):
     return sp, mu0 / mu0.sum(), mu1 / mu1.sum()
 
 
+def cloud(points):
+    """Planar point cloud with unit cell weights."""
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    return FiniteMMS(dist=np.sqrt((diff**2).sum(-1)),
+                     weight=np.ones(len(points)), coords=points, meta={})
+
+
+def dense_marginal_constraints(sm, tm):
+    """The dense (n0 + n1) x (n0 * n1) constraint matrix the LP was first
+    built with, kept as an oracle for the sparse one."""
+    n0, n1 = len(sm), len(tm)
+    a_eq = np.vstack([np.repeat(np.eye(n0), n1, axis=1),
+                      np.tile(np.eye(n1), n0)])
+    return a_eq, np.concatenate([sm, tm])
+
+
 def circle_reflection(space, k):
     """Permutation reflecting circle k of a truncated earring in place."""
     cnum = space.meta["circle_of_cell"]
@@ -78,6 +98,18 @@ def test_as_measure_rejects_bad_input():
         as_measure(sp, {})
     with pytest.raises(ValueError):
         as_measure(sp, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_cell_ids_outside_the_space_are_rejected(bad):
+    sp = line_space([0.0, 1.0, 2.0])
+    builders = (lambda: as_measure(sp, {0: 0.5, bad: 0.5}),
+                lambda: as_measure(sp, [(bad, 1.0)]),
+                lambda: delta(sp, bad),
+                lambda: uniform_on(sp, [0, bad]))
+    for build in builders:
+        with pytest.raises(ValueError, match=f"cell id {bad} outside"):
+            build()
 
 
 def test_uniform_on_follows_cell_weights():
@@ -160,6 +192,57 @@ def test_solver_is_deterministic():
     assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
 
 
+def overlapping_instance(rng, n):
+    """Random masses on cells [0, 2n/3) and [n/3, n) of a line."""
+    sp = line_space(np.sort(rng.uniform(0.0, 1.0, n)))
+    mu0 = np.zeros(n)
+    mu1 = np.zeros(n)
+    mu0[:2 * n // 3] = rng.uniform(0.1, 1.0, 2 * n // 3)
+    mu1[n // 3:] = rng.uniform(0.1, 1.0, n - n // 3)
+    return sp, mu0 / mu0.sum(), mu1 / mu1.sum()
+
+
+def test_sparse_constraints_equal_the_dense_oracle():
+    rng = np.random.default_rng(1)
+    for n0, n1 in ((2, 2), (3, 5), (6, 4)):
+        sm, tm = rng.random(n0), rng.random(n1)
+        a_eq, b_eq = transport._marginal_constraints(sm, tm)
+        want_a, want_b = dense_marginal_constraints(sm, tm)
+        assert np.array_equal(a_eq.toarray(), want_a)
+        assert np.array_equal(b_eq, want_b)
+
+
+@pytest.mark.parametrize("make, n0, n1", [
+    (random_instance, 2, 2), (random_instance, 3, 5),
+    (random_instance, 20, 30), (random_instance, 75, 75),
+    (random_instance, 200, 200), (overlapping_instance, 9, None),
+    (overlapping_instance, 90, None)])
+def test_solve_is_bit_identical_to_the_dense_oracle(monkeypatch, make, n0, n1):
+    rng = np.random.default_rng(n0 + 7 * (n1 or 0))
+    sp, mu0, mu1 = make(rng, n0) if n1 is None else make(rng, n0, n1)
+    sparse = solve_w2(sp, mu0, mu1)
+    monkeypatch.setattr(transport, "_marginal_constraints",
+                        dense_marginal_constraints)
+    dense = solve_w2(sp, mu0, mu1)
+    assert np.array_equal(sparse.coupling.source_idx, dense.coupling.source_idx)
+    assert np.array_equal(sparse.coupling.target_idx, dense.coupling.target_idx)
+    assert np.array_equal(sparse.coupling.matrix, dense.coupling.matrix)
+    assert sparse.cost == dense.cost
+
+
+def test_a_200_by_200_solve_allocates_far_less_than_the_dense_matrix():
+    """The dense constraint matrix alone took 400 * 40,000 * 8 B = 128 MB;
+    the sparse solve peaks near 13 MB, nearly all of it inside linprog."""
+    sp, mu0, mu1 = random_instance(np.random.default_rng(200), 200, 200)
+    tracemalloc.start()
+    try:
+        solve_w2(sp, mu0, mu1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 # === the enumeration route ===
 
 def test_both_routes_agree_on_random_instances():
@@ -206,6 +289,7 @@ def test_probe_confirms_a_unique_monotone_plan():
     mu1 = uniform_on(sp, [2, 3])
     probe = uniqueness_probe(sp, mu0, mu1, seed=2)
     assert probe.unique
+    assert probe.certificate == "forest"
     assert probe.witness is None
     assert probe.deviation <= 1e-8
     assert is_induced_by_map(probe.base.coupling)
@@ -219,8 +303,97 @@ def test_probe_detects_the_square_degeneracy():
     mu1 = uniform_on(sp, [2, 3])
     probe = uniqueness_probe(sp, mu0, mu1, seed=2)
     assert not probe.unique
+    assert probe.certificate == "witness"
     assert probe.deviation > 1e-3
     assert np.max(np.abs(probe.witness.matrix - probe.base.coupling.matrix)) > 1e-3
+
+
+def test_a_one_point_support_counts_as_a_forest():
+    sp = line_space([0.0, 1.0, 3.0])
+    probe = uniqueness_probe(sp, delta(sp, 0), uniform_on(sp, [1, 2]))
+    assert probe.unique and probe.certificate == "forest"
+    assert probe.deviation == 0.0
+
+
+def test_probe_decides_the_eight_planar_draws():
+    """Unit masses on n sources and n targets in the unit square; the odd
+    draws sit on a 1/3 lattice, where ties make many plans optimal."""
+    rng = np.random.default_rng(2)
+    for k in range(8):
+        n = int(rng.integers(3, 9))
+        p = rng.random((2 * n, 2))
+        if k % 2:
+            p = np.round(3 * p) / 3
+        sp = cloud(p)
+        probe = uniqueness_probe(sp, uniform_on(sp, range(n)),
+                                 uniform_on(sp, range(n, 2 * n)))
+        if k % 2 == 0:
+            assert probe.unique and probe.certificate == "forest", k
+            continue
+        assert probe.certificate in ("forest", "witness"), k
+        if probe.witness is not None:
+            w = probe.witness
+            d2 = sp.dist[np.ix_(w.source_idx, w.target_idx)] ** 2
+            assert abs((w.matrix * d2).sum() - probe.base.cost) <= 1e-15, k
+            assert np.max(np.abs(w.row_marginal() - 1 / n)) <= 1e-12
+            assert np.max(np.abs(w.col_marginal() - 1 / n)) <= 1e-12
+
+
+def optimal_vertex_count(space, mu0, mu1):
+    """Number of distinct optimal vertices of the transport polytope.
+
+    Every vertex is the one solution of the marginal equations on some
+    spanning tree of the complete bipartite graph, so solving on every
+    (n0 + n1 - 1)-edge subset of full rank and keeping the nonnegative
+    solutions lists them all."""
+    si, ti = np.flatnonzero(mu0), np.flatnonzero(mu1)
+    n0, n1 = len(si), len(ti)
+    c = (space.dist[np.ix_(si, ti)] ** 2).ravel()
+    a_eq, b_eq = dense_marginal_constraints(mu0[si], mu1[ti])
+    vertices = {}
+    for cols in combinations(range(n0 * n1), n0 + n1 - 1):
+        x, _, rank, _ = np.linalg.lstsq(a_eq[:, cols], b_eq, rcond=None)
+        if rank < n0 + n1 - 1 or x.min() < -1e-12:
+            continue
+        full = np.zeros(n0 * n1)
+        full[list(cols)] = np.maximum(x, 0.0)
+        vertices[tuple(np.round(full, 9))] = float(full @ c)
+    best = min(vertices.values())
+    return sum(v <= best + 1e-12 for v in vertices.values())
+
+
+def small_instances():
+    """Supports up to 3 x 4 on continuous and 1/3-lattice clouds, with
+    equal and unequal masses, and the square of four points."""
+    rng = np.random.default_rng(17)
+    out = []
+    for k in range(24):
+        n0, n1 = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        p = rng.random((n0 + n1, 2))
+        if k % 2:
+            p = np.round(3 * p) / 3
+        sp = cloud(p)
+        w0, w1 = np.ones(n0), np.ones(n1)
+        if k % 4 == 3:
+            w0, w1 = rng.integers(1, 3, n0), rng.integers(1, 3, n1)
+        mu0, mu1 = np.zeros(sp.n), np.zeros(sp.n)
+        mu0[:n0] = w0 / w0.sum()
+        mu1[n0:] = w1 / w1.sum()
+        out.append((sp, mu0, mu1))
+    sq = cloud([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    out.append((sq, uniform_on(sq, [0, 1]), uniform_on(sq, [2, 3])))
+    return out
+
+
+def test_probe_verdicts_match_the_vertex_enumeration():
+    verdicts = []
+    for sp, mu0, mu1 in small_instances():
+        probe = uniqueness_probe(sp, mu0, mu1)
+        count = optimal_vertex_count(sp, mu0, mu1)
+        assert probe.unique == (count == 1), (count, probe)
+        verdicts.append(probe.certificate)
+    # both outcomes occur, or the enumeration checks nothing
+    assert "forest" in verdicts and "witness" in verdicts
 
 
 def test_split_target_is_not_a_map():
