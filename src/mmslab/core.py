@@ -220,7 +220,7 @@ def cell_id(space: FiniteMMS, i) -> int:
 
 def ball_indices(space: FiniteMMS, center: int, radius: float,
                  closed: bool = True) -> np.ndarray:
-    row = space.dist[center]
+    row = space.dist[cell_id(space, center)]
     mask = (row <= radius) if closed else (row < radius)
     return np.flatnonzero(mask)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmslab.core import FiniteMMS, ball_indices
+from mmslab.core import FiniteMMS, ball_indices, cell_id
 
 GH_SIZE_LIMIT = 8
 
@@ -274,6 +274,7 @@ def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
+    x = cell_id(space, x)
     subsample = int(subsample)
     levels = radius_levels(delta, r_samples)
     pitch_x = space.pitch()

@@ -23,6 +23,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
+CHAIN_DEPTHS = 1 << 8          # depths per chain step: a 512 KB pick check
 
 
 # === maps and groups ===
@@ -167,37 +168,140 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     the permutations found as sorted rows, whether the search finished,
     and its node count.
 
-    Entering depth d checks every candidate of source ``order[d]``
-    against the assigned prefix in one step: the matrix is held in
-    search order, so the source side is the row ``ordered[d, :d]`` and
-    the target side the gather ``dist[cand, target[:d]]``, where
-    ``target[d]`` is the cell assigned at depth d.  The candidates are
-    then walked one at a time in list order: each unused one is a node,
-    counted before the budget test and before the prune."""
+    The matrix is held in search order, so depth d checks a candidate c
+    of source ``order[d]`` against the assigned prefix as the row
+    ``ordered[d, :d]`` against the gather ``dist[c, target[:d]]``, where
+    ``target[e]`` is the cell assigned at depth e; a NaN deviation does
+    not prune.  A node is an unused candidate tried at a depth, counted
+    in list order before the budget test and before the prune.
+
+    Each descent to depth d takes a chain step first.  It checks the
+    unused candidates of depths d, d + 1, ... against ``target[:d]`` in
+    one blocked gather: first on the last prefix column alone, then the
+    survivors on all of them.  Along the longest run of depths where
+    exactly one candidate survives, the survivors are the only possible
+    picks; the lower triangle of ``ordered[d:e, d:e]`` against
+    ``dist[picks][:, picks]`` checks them against each other, and the
+    run is cut at the first pick that fails or repeats.  With every
+    deviation finite, a maximum over some columns that exceeds
+    ``iso_tol`` also exceeds it over all of them, so the picks are
+    exactly the cells that the one-depth walk keeps.  A NaN deviation
+    would break that, so on a matrix with a non-finite entry every step
+    covers one depth and checks all of its columns at once.
+
+    The nodes of a forced depth are counted in bulk: those up to and
+    including its pick at once, those after it as an integer on the
+    level stack, added when the walk pops that depth, which is when the
+    one-depth walk counts them.  Both additions take the budget test;
+    one that overshoots stops at ``budget + 1`` nodes with no new map,
+    since no leaf lies among the nodes it skips.  The first depth
+    without a forced pick is walked one candidate at a time.
+
+    With ``cap = min(CANDIDATE_BLOCK, n * n)``, a step takes at most
+    ``CHAIN_DEPTHS`` depths and ``cap // 2`` candidates, and cuts its
+    block short at the depth where the full check of its survivors would
+    gather more than ``cap`` entries (never short of depth d itself), so
+    its temporaries stay near the n * n entries that one depth's check
+    may gather."""
     n = len(dist)
+    budget = max(budget, 0)      # a negative budget stops at the first node
     order = np.argsort([len(c) for c in cand], kind="stable")
     ordered = dist[np.ix_(order, order)]
-    cand_col = [cand[i][:, None] for i in order]
-    cand_list = [cand[i].tolist() for i in order]
+    flat = np.concatenate([cand[i] for i in order] + [np.empty(0, np.intp)])
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(cand[i]) for i in order], out=starts[1:])
+    finite = bool(n) and math.isfinite(dist.min()) and math.isfinite(dist.max())
+    span = CHAIN_DEPTHS if finite else 1      # depths per chain step
+    cap = min(CANDIDATE_BLOCK, n * n)
+    below = np.tri(min(n, span), k=-1, dtype=bool)
     target = np.empty(n, dtype=np.intp)
     used = [False] * n
-
-    def level(d):
-        """Candidates of depth d, each with whether the prefix prunes it.
-        A NaN deviation does not prune; at the root the empty prefix
-        deviates by 0."""
-        dev = np.abs(ordered[d, :d] - dist[cand_col[d], target[:d]])
-        far = dev.max(axis=1, initial=0.0) > iso_tol
-        return zip(cand_list[d], far.tolist())
-
     found = []
     nodes = 0
-    complete = True
-    levels = [level(0)]          # levels[d] walks the candidates of order[d]
-    while levels:
+    levels = []      # per depth: the walk of its candidates, or the nodes left
+
+    def record():
+        perm = np.empty(n, dtype=np.intp)
+        perm[order] = target
+        found.append(perm)
+
+    def descend(d):
+        """Place the forced picks from depth d on and push the walk of the
+        first depth without one; False once the budget is spent."""
+        nonlocal nodes
+        while True:
+            a = starts[d]
+            stop = max(d + 1, min(n, d + span, int(np.searchsorted(
+                starts, a + cap // 2, side="right")) - 1))
+            cells = flat[a:starts[stop]]
+            rows = np.repeat(np.arange(d, stop),
+                             starts[d + 1:stop + 1] - starts[d:stop])
+            mark = np.full(n, n)         # -1 on the prefix, later pick depths
+            mark[target[:d]] = -1
+            live = np.flatnonzero(mark[cells] >= 0)
+            if span > 1 and d > 1:       # thin on the last column first
+                dev = ordered[rows[live], d - 1]
+                dev -= dist[cells[live], target[d - 1]]
+                live = live[~(np.abs(dev, out=dev) > iso_tol)]
+                if len(live) * d > cap:
+                    stop = max(d + 1, rows[live[cap // d]])
+                    live = live[rows[live] < stop]
+            dev = ordered[rows[live], :d]
+            dev -= dist[cells[live, None], target[:d]]
+            far = np.abs(dev, out=dev).max(axis=1, initial=0.0) > iso_tol
+            live = live[~far]
+            forced = np.bincount(rows[live], minlength=stop)[d:] == 1
+            run = stop - d if forced.all() else int(forced.argmin())
+            if not run:
+                head = starts[d + 1] - a
+                far = np.ones(head, dtype=bool)
+                far[live[live < head]] = False
+                levels.append(zip(cells[:head].tolist(), far.tolist()))
+                return True
+            pos = live[:run]
+            picks = cells[pos]
+            depths = np.arange(d, d + run)
+            dev = ordered[d:d + run, d:d + run] - dist[picks[:, None], picks]
+            bad = ((np.abs(dev, out=dev) > iso_tol)
+                   & below[:run, :run]).any(axis=1)
+            np.minimum.at(mark, picks, depths)
+            bad |= mark[picks] < depths
+            if bad.any():
+                run = int(bad.argmax())
+                pos, picks = pos[:run], picks[:run]
+            end = starts[d + run] - a
+            seen = np.add.accumulate(mark[cells[:end]] >= rows[:end],
+                                     dtype=np.intp)
+            upto = seen[pos]
+            total = seen[starts[d + 1:d + run + 1] - a - 1]
+            nodes += int(upto.sum() - total[:-1].sum())
+            if nodes > budget:
+                nodes = budget + 1
+                return False
+            target[d:d + run] = picks
+            for j in picks.tolist():
+                used[j] = True
+            levels.extend((total - upto).tolist())
+            d += run
+            if d == n:
+                used[target[-1]] = False
+                record()
+                return True
+
+    complete = descend(0)
+    while complete and levels:
         depth = len(levels) - 1
-        step = next(levels[-1], None)
+        top = levels[-1]
+        if type(top) is int:     # the nodes after a forced pick, now due
+            nodes += top
+            step = None
+        else:
+            step = next(top, None)
         if step is None:
+            if nodes > budget:
+                nodes = budget + 1
+                complete = False
+                break
             levels.pop()
             if depth:
                 used[target[depth - 1]] = False
@@ -213,12 +317,10 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
             continue
         target[depth] = j
         if depth == n - 1:
-            perm = np.empty(n, dtype=np.intp)
-            perm[order] = target
-            found.append(perm)
+            record()
             continue
         used[j] = True
-        levels.append(level(depth + 1))
+        complete = descend(depth + 1)
     rows = np.unique(np.array(found, dtype=np.intp).reshape(-1, n), axis=0)
     return rows, complete, nodes
 
@@ -243,6 +345,17 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
     source, whether or not the distance check keeps it.  Past ``budget``
     nodes the search stops and flags the result incomplete rather than
     failing.
+
+    Once two or three cells are placed, most depths are forced: one
+    unused candidate survives.  A chain step finds such a run of depths
+    in one gather against the cells placed so far, checks the picks
+    against each other, and places them together.  Checking fewer
+    columns first is exact, since with finite deviations one column
+    over ``iso_tol`` rules a candidate out; a matrix with a non-finite
+    entry keeps the one-depth walk.  The forced depths' other candidates
+    are counted in bulk where the one-depth walk would count them, so
+    the maps, ``nodes``, ``complete`` and every budget cut stay those of
+    that walk.
     """
     if iso_tol is None:
         iso_tol = isometry_tolerance(space)

@@ -183,13 +183,22 @@ def test_ot_probe_rejects_bad_search_options(tmp_path, capsys, option, value):
     (-1, ["ot", "probe", "--mu0", '{"point": -1}', "--mu1", '{"point": 3}']),
     (16, ["ot", "solve", "--mu0", '{"point": 0}',
           "--mu1", '{"uniform": [3, 16]}']),
-    (-1, ["mcp", "verify", "--x", "-1", "--A", "3,4"])])
+    (-1, ["mcp", "verify", "--x", "-1", "--A", "3,4"]),
+    (-1, ["gh", "scan", "--x", "-1", "--eps", "0.1", "--delta", "0.5",
+          "--k", "1", "--r-samples", "2", "--subsample", "4"]),
+    (-1, ["iso", "displacement", "--x", "-1", "--r", "1.0"]),
+    (-1, ["iso", "condition-a", "--x", "-1", "--s", "1.0"]),
+    (12, ["iso", "condition-a", "--x", "12", "--s", "1.0"])])
 def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
                                                        argv):
-    path = segment_16_file(tmp_path, capsys)
+    # the iso verbs run on a 12-cell circle, the others on the 16-cell segment
+    if argv[0] == "iso":
+        cells, path = 12, circle_file(tmp_path, capsys, resolution=12)
+    else:
+        cells, path = 16, segment_16_file(tmp_path, capsys)
     error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
     assert error == {"type": "ValueError",
-                     "message": f"cell id {bad} outside [0, 16)"}
+                     "message": f"cell id {bad} outside [0, {cells})"}
 
 
 def test_ot_competitor_on_a_reflected_earring(tmp_path, capsys):

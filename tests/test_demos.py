@@ -1,5 +1,6 @@
 """Smoke tests of the capability tour: the spaces, transport, contraction,
-symmetry and regularity demos run as scripts and print their verdicts."""
+symmetry, regularity and CLI demos run as scripts and print their
+verdicts."""
 
 import os
 import subprocess
@@ -33,6 +34,7 @@ def test_spaces_demo_runs_and_round_trips_exactly():
     ("03_contraction.py", "density bound ok=True heights ok=True"),
     ("04_symmetry.py", "enumeration complete=True: 64 maps (11599 search nodes)"),
     ("05_regularity.py", "necklace vertex, eps=0.02: verdict 'out'"),
+    ("06_cli.py", "isometries: 8 complete: True"),
 ])
 def test_demo_runs_and_prints_its_verdict(script, verdict):
     assert verdict in run_demo(script)

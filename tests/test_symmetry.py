@@ -30,7 +30,7 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
-from mmslab.symmetry import DEFAULT_NODE_BUDGET, profile_candidates
+from mmslab.symmetry import DEFAULT_NODE_BUDGET, _search, profile_candidates
 
 TAU = 2 * math.pi
 
@@ -232,17 +232,20 @@ def candidate_oracle(dist, iso_tol):
                            <= iso_tol) for i in range(len(dist))]
 
 
-def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET):
+def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET,
+                       cand=None):
     """The enumeration as it stood before the level-batched search: the
-    per-row prefilter, one distance check per search node, and each
-    map's distortion from the full ``np.ix_`` gather."""
+    per-row prefilter (unless candidate lists are given), one distance
+    check per search node, and each map's distortion from the full
+    ``np.ix_`` gather."""
     if iso_tol is None:
         iso_tol = 2.0 * space.pitch()
     n = space.n
     dist = space.dist
-    profiles = np.sort(dist, axis=1)
-    cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
-                           <= iso_tol) for i in range(n)]
+    if cand is None:
+        profiles = np.sort(dist, axis=1)
+        cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
+                               <= iso_tol) for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cand[i]), i))
     src_so_far = np.asarray(order)
 
@@ -394,6 +397,84 @@ def test_enumeration_peak_memory_stays_within_the_oracle():
     assert_same_enumeration(res, ref)
     assert len(res.maps) == 256
     assert new_peak <= old_peak
+
+
+# === chain steps: forced depths placed in one step ===
+
+CHAIN_SPACES = {
+    "circle-24": lambda: relabelled(circle_space(1.0, 24), 6),
+    "earring-5-24": lambda: relabelled(hawaiian_truncation(5, 24), 7),
+    "ball-3-3": ORACLE_SPACES["ball-3-3"],
+    "nan-entry": ORACLE_SPACES["nan-entry"],
+    "inf-entry": ORACLE_SPACES["inf-entry"],
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_SPACES)
+def test_chain_steps_match_the_oracle_under_every_budget(name):
+    # past two or three placed cells these searches are mostly forced
+    # depths, so budget cuts land inside chains and in deferred counts
+    sp = CHAIN_SPACES[name]()
+    full = enumeration_oracle(sp, 1e-9).nodes
+    rng = np.random.default_rng(sorted(CHAIN_SPACES).index(name))
+    budgets = {-1, 0, 1, full - 1, full, full + 1,
+               *rng.integers(1, full + 2, 20).tolist()}
+    for budget in sorted(budgets):
+        assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
+                                enumeration_oracle(sp, 1e-9, budget))
+
+
+def torus(k, seed):
+    """A relabelled k x k grid on the flat torus, with the sum metric."""
+    c = circle_space(1.0, k).dist
+    dist = (c[:, None, :, None] + c[None, :, None, :]).reshape(k * k, k * k)
+    return relabelled(FiniteMMS(dist=dist, weight=np.ones(k * k),
+                                meta={"pitch": TAU / k}), seed)
+
+
+def test_chain_steps_that_cut_their_block_match_the_oracle():
+    # the last placed cell leaves several of a torus cell's 64 candidates
+    # per depth, so a deep chain step has more survivors than its full
+    # check may gather and cuts its block short
+    sp = torus(8, 3)
+    rng = np.random.default_rng(9)
+    for budget in sorted({1, 5000, *rng.integers(1, 40_000, 6).tolist()}):
+        assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
+                                enumeration_oracle(sp, 1e-9, budget))
+
+
+def test_chain_steps_keep_the_one_depth_walk_where_deviations_are_nan():
+    # the profile filter leaves a row with a NaN entry no candidates, so
+    # hand every cell to every cell: a NaN deviation does not prune, and
+    # a maximum over part of the prefix would miss it and prune
+    sp = ORACLE_SPACES["nan-entry"]()
+    cand = [np.arange(sp.n)] * sp.n
+    full = enumeration_oracle(sp, 1e-9, cand=cand).nodes
+    rng = np.random.default_rng(8)
+    for budget in sorted({1, full - 1, full, full + 1,
+                          *rng.integers(1, full + 2, 20).tolist()}):
+        rows, complete, nodes = _search(sp.dist, cand, 1e-9, budget)
+        ref = enumeration_oracle(sp, 1e-9, budget, cand=cand)
+        assert rows.tolist() == ref.perms().tolist()
+        assert (complete, nodes) == (ref.complete, ref.nodes)
+
+
+def test_chain_step_peak_memory_stays_within_the_level_walk():
+    # every cell of a circle is a candidate of every cell, so a chain
+    # step sees the most candidates per depth; the budget keeps the maps
+    # found few, so the peak is the search's own working set.  The walk
+    # of one depth per step peaked at 6.64x dist.nbytes on this run.
+    sp = relabelled(circle_space(1.0, 96), 7)
+    cand = profile_candidates(sp.dist, 1e-9)
+    assert all(len(c) == sp.n for c in cand)
+    tracemalloc.start()
+    try:
+        rows, complete, nodes = _search(sp.dist, cand, 1e-9, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not complete and nodes == 20_001 and len(rows) == 4
+    assert peak <= 6.6 * sp.dist.nbytes
 
 
 # === fixed sets ===
