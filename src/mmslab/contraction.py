@@ -29,14 +29,12 @@ DEGENERATE_LENGTH = 1e-12
 def _coefficient(t: float, length: float) -> float:
     """t sin^2(t l)/sin^2(l) on plain floats, t^3 for degenerate lengths.
 
-    The powers are rounded as the reports have always rounded them:
-    ``** 2`` by libm's ``pow`` on a scalar (numpy's array power squares
-    instead, which differs in about one case in a thousand), and the
-    cube by numpy's power loop (libm's ``pow`` differs from the SIMD
-    loop in about one case in twenty).
+    The square is libm's ``pow`` on a scalar, as the reports have always
+    rounded it, and the cube is two float products, so neither depends
+    on the SIMD kernels numpy picks at run time.
     """
     if length < DEGENERATE_LENGTH:
-        return float(np.power(t, 3))
+        return t * t * t
     return t * math.sin(t * length) ** 2 / math.sin(length) ** 2
 
 

@@ -32,6 +32,9 @@ def _as_float_array(a, name, ndim):
     arr = np.asarray(a, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    # NaN or inf reaches min or max; no elementwise temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -49,6 +52,9 @@ class FiniteMMS:
         Optional ambient coordinates, used by generators and serialization.
     meta : dict
         Provenance tag: generator name, parameters, grid pitch.
+
+    The three arrays must be finite: a NaN or infinite entry raises
+    ``ValueError`` here, so no later stage has to allow for one.
     """
 
     dist: np.ndarray
@@ -178,12 +184,10 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
                 i, j, k = rng.integers(0, n, size=(c, 3)).T
                 row = i * n
                 defect = flat.take(row + j) - flat.take(row + k) - flat.take(k * n + j)
-                worst = float(np.maximum(worst, defect.max()))  # keeps a NaN
+                worst = max(worst, float(defect.max()))
                 if len(violations) < 32:
                     for b in np.flatnonzero(defect > tol)[:32 - len(violations)]:
                         violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
-            if not worst > tol:  # as when exhaustive, a NaN defect lists none
-                violations = []
     return ValidationReport(
         n=n,
         symmetry_defect=sym,

@@ -81,18 +81,15 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
     if m < 3:
         raise ValueError("need at least 3 cells per circle")
     lengths = [2 * math.pi / k**2 for k in range(1, n + 1)]
+    per_circle = np.asarray(lengths)[:, None]
+    step = np.arange(1, m)          # an m past the array limit raises here
 
-    circle_of_cell = [-1]          # base cell first
-    arc_of_cell = [0.0]            # arc position along the own circle
-    weights = [sum(L / m for L in lengths)]
-    for k, L in enumerate(lengths):
-        for j in range(1, m):
-            circle_of_cell.append(k)
-            arc_of_cell.append(L * j / m)
-            weights.append(L / m)
-
-    cnum = np.asarray(circle_of_cell)
-    arc = np.asarray(arc_of_cell)
+    # the base cell first, then circle by circle; arc is the position
+    # along the own circle
+    cnum = np.concatenate([[-1], np.repeat(np.arange(n), m - 1)])
+    arc = np.concatenate([[0.0], (per_circle * step / m).ravel()])
+    weights = np.concatenate([[sum(L / m for L in lengths)],
+                              np.repeat(per_circle[:, 0] / m, m - 1)])
     length_of_cell = np.where(cnum >= 0, np.asarray(lengths + [1.0])[cnum], 1.0)
     # distance to the base along the own circle (0 for the base itself)
     d_base = np.minimum(arc, length_of_cell - arc)
@@ -114,7 +111,7 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
         "circle_of_cell": [int(v) for v in cnum],
         "arc_of_cell": [float(v) for v in arc],
     }
-    return FiniteMMS(dist=dist, weight=np.asarray(weights), meta=meta)
+    return FiniteMMS(dist=dist, weight=weights, meta=meta)
 
 
 # === necklace spaces ===

@@ -125,15 +125,11 @@ def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
     by_key = np.argsort(key, kind="stable")
     sorted_key = key[by_key]
     eps = np.finfo(float).eps
-    finite = np.abs(key[np.isfinite(key)]).max(initial=0.0)
     # a margin of a few ulps covers the rounding of |a - b| and of key ± reach
-    reach = abs(iso_tol) * (1 + 4 * eps) + 4 * eps * finite
-    with np.errstate(invalid="ignore"):       # inf - inf: open the window
-        below, above = key - reach, key + reach
-    lo = np.searchsorted(sorted_key, np.where(np.isnan(below), -np.inf, below))
-    hi = np.searchsorted(sorted_key, np.where(np.isnan(above), np.inf, above),
-                         side="right")
-    width = np.maximum(hi - lo, 0)
+    reach = abs(iso_tol) * (1 + 4 * eps) + 4 * eps * np.abs(key).max()
+    lo = np.searchsorted(sorted_key, key - reach)
+    hi = np.searchsorted(sorted_key, key + reach, side="right")
+    width = hi - lo
     ends = np.cumsum(width)
     cols = np.unique([n // 4, n // 2, 3 * n // 4, n - 1])
     group = max(1, CANDIDATE_BLOCK // len(cols))    # window pairs per group
@@ -171,9 +167,9 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     The matrix is held in search order, so depth d checks a candidate c
     of source ``order[d]`` against the assigned prefix as the row
     ``ordered[d, :d]`` against the gather ``dist[c, target[:d]]``, where
-    ``target[e]`` is the cell assigned at depth e; a NaN deviation does
-    not prune.  A node is an unused candidate tried at a depth, counted
-    in list order before the budget test and before the prune.
+    ``target[e]`` is the cell assigned at depth e.  A node is an unused
+    candidate tried at a depth, counted in list order before the budget
+    test and before the prune.
 
     Each descent to depth d takes a chain step first.  It checks the
     unused candidates of depths d, d + 1, ... against ``target[:d]`` in
@@ -185,9 +181,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     run is cut at the first pick that fails or repeats.  With every
     deviation finite, a maximum over some columns that exceeds
     ``iso_tol`` also exceeds it over all of them, so the picks are
-    exactly the cells that the one-depth walk keeps.  A NaN deviation
-    would break that, so on a matrix with a non-finite entry every step
-    covers one depth and checks all of its columns at once.
+    exactly the cells that the one-depth walk keeps.
 
     The nodes of a forced depth are counted in bulk: those up to and
     including its pick at once, those after it as an integer on the
@@ -210,10 +204,8 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     flat = np.concatenate([cand[i] for i in order] + [np.empty(0, np.intp)])
     starts = np.zeros(n + 1, dtype=np.intp)
     np.cumsum([len(cand[i]) for i in order], out=starts[1:])
-    finite = bool(n) and math.isfinite(dist.min()) and math.isfinite(dist.max())
-    span = CHAIN_DEPTHS if finite else 1      # depths per chain step
     cap = min(CANDIDATE_BLOCK, n * n)
-    below = np.tri(min(n, span), k=-1, dtype=bool)
+    below = np.tri(min(n, CHAIN_DEPTHS), k=-1, dtype=bool)
     target = np.empty(n, dtype=np.intp)
     used = [False] * n
     found = []
@@ -231,7 +223,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
         nonlocal nodes
         while True:
             a = starts[d]
-            stop = max(d + 1, min(n, d + span, int(np.searchsorted(
+            stop = max(d + 1, min(n, d + CHAIN_DEPTHS, int(np.searchsorted(
                 starts, a + cap // 2, side="right")) - 1))
             cells = flat[a:starts[stop]]
             rows = np.repeat(np.arange(d, stop),
@@ -239,7 +231,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
             mark = np.full(n, n)         # -1 on the prefix, later pick depths
             mark[target[:d]] = -1
             live = np.flatnonzero(mark[cells] >= 0)
-            if span > 1 and d > 1:       # thin on the last column first
+            if d > 1:                    # thin on the last column first
                 dev = ordered[rows[live], d - 1]
                 dev -= dist[cells[live], target[d - 1]]
                 live = live[~(np.abs(dev, out=dev) > iso_tol)]
@@ -351,14 +343,16 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
     in one gather against the cells placed so far, checks the picks
     against each other, and places them together.  Checking fewer
     columns first is exact, since with finite deviations one column
-    over ``iso_tol`` rules a candidate out; a matrix with a non-finite
-    entry keeps the one-depth walk.  The forced depths' other candidates
-    are counted in bulk where the one-depth walk would count them, so
-    the maps, ``nodes``, ``complete`` and every budget cut stay those of
-    that walk.
+    over ``iso_tol`` rules a candidate out.  The forced depths' other
+    candidates are counted in bulk where the one-depth walk would count
+    them, so the maps, ``nodes``, ``complete`` and every budget cut stay
+    those of that walk.  A NaN or negative ``iso_tol`` raises
+    ``ValueError``.
     """
     if iso_tol is None:
         iso_tol = isometry_tolerance(space)
+    if not iso_tol >= 0:
+        raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
     rows, complete, nodes = _search(
         space.dist, profile_candidates(space.dist, iso_tol), iso_tol, budget)
     maps = tuple(isometry_from_perm(space, p) for p in rows)
@@ -685,9 +679,9 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
     nontrivial isometries the supremum is vacuous and reported as zero,
     the strongest possible verdict.
     """
+    ball_mass = float(space.weight[ball_indices(space, x, s)].sum())
     if maps is None:
         maps = enumerate_isometries(space, iso_tol=iso_tol)
-    ball_mass = float(space.weight[ball_indices(space, x, s)].sum())
     fix_sup = 0.0
     count = 0
     for m in maps.maps:

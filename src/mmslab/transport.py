@@ -35,7 +35,8 @@ def as_measure(space: FiniteMMS, spec) -> np.ndarray:
     """Coerce a measure description to a dense nonnegative mass vector.
 
     Accepts a dense vector, a ``{point: mass}`` mapping, or an iterable of
-    ``(point, mass)`` pairs; a point outside ``[0, n)`` raises.
+    ``(point, mass)`` pairs; a point outside ``[0, n)``, a negative mass
+    and masses without a finite positive sum raise.
     """
     out = np.zeros(space.n)
     if isinstance(spec, np.ndarray):
@@ -46,9 +47,12 @@ def as_measure(space: FiniteMMS, spec) -> np.ndarray:
         pairs = spec.items() if isinstance(spec, dict) else spec
         for i, m in pairs:
             out[cell_id(space, i)] += float(m)
+    total = out.sum()
+    if not np.isfinite(total):          # a NaN or inf mass, or an overflow
+        raise ValueError("measure masses and their sum must be finite")
     if np.any(out < 0):
         raise ValueError("negative mass")
-    if out.sum() <= 0:
+    if total <= 0:
         raise ValueError("measure has no mass")
     return out
 
@@ -58,8 +62,11 @@ def delta(space: FiniteMMS, point: int) -> np.ndarray:
 
 
 def uniform_on(space: FiniteMMS, indices) -> np.ndarray:
-    """Normalized restriction of the reference measure to a cell set."""
+    """Normalized restriction of the reference measure to a nonempty
+    cell set."""
     idx = np.array([cell_id(space, i) for i in indices], dtype=int)
+    if not idx.size:
+        raise ValueError("uniform measure needs at least one cell")
     out = np.zeros(space.n)
     out[idx] = space.weight[idx]
     return out / out.sum()

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -177,6 +179,43 @@ def test_ot_probe_rejects_bad_search_options(tmp_path, capsys, option, value):
                       *UNIQUE_SEGMENT_PAIR, option, value)
     assert error["type"] == "ValueError"
     assert option[2:] in error["message"]
+
+
+@pytest.mark.parametrize("measure, message", [
+    ('{"atoms": [{"point": 3, "mass": NaN}]}', "finite"),
+    ('{"atoms": [{"point": 3, "mass": Infinity}]}', "finite"),
+    ('{"atoms": [{"point": 3, "mass": 1e308}, {"point": 4, "mass": 1e308}]}',
+     "finite"),
+    ('{"uniform": []}', "at least one cell")],
+    ids=["nan-mass", "inf-mass", "overflowing-sum", "empty-uniform"])
+def test_measures_without_a_finite_mass_emit_error_objects(tmp_path, capsys,
+                                                           measure, message):
+    # these used to end in "attempt to get argmax of an empty sequence"
+    path = segment_16_file(tmp_path, capsys)
+    error = run_error(capsys, "ot", "solve", "--space", path,
+                      "--mu0", '{"point": 0}', "--mu1", measure)
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_iso_tol_nan_or_negative_emits_error_object(tmp_path, capsys, value):
+    # both used to report a complete enumeration with no maps
+    path = circle_file(tmp_path, capsys, resolution=8)
+    error = run_error(capsys, "iso", "enum", "--space", path,
+                      f"--iso-tol={value}")
+    assert error["type"] == "ValueError"
+    assert "iso_tol" in error["message"]
+
+
+def test_space_gen_past_the_float_range_emits_error_object(tmp_path, capsys):
+    # the circumference overflows, and the space used to be written with
+    # a NaN diameter and an empty isometry group
+    out = tmp_path / "c.json"
+    error = run_error(capsys, "space", "gen", "--kind", "circle", "--params",
+                      '{"radius": 1e308, "resolution": 8}', "--out", out)
+    assert error == {"type": "ValueError", "message": "dist must be finite"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad, argv", [
@@ -649,6 +688,10 @@ def _golden_cases():
                            "--x", str(x)], False),
         ("mcp-verify", ["mcp", "verify", "--space", "seg.json", "--x", "0",
                         "--A", "60,61,62,63", "--t-samples", "9"], True),
+        # the source lies inside its target set: a zero-length atom
+        ("mcp-verify-inside", ["mcp", "verify", "--space", "seg.json",
+                               "--x", "61", "--A", "60,61,62,63",
+                               "--t-samples", "9"], True),
         ("mcp-verify-schedule", ["mcp", "verify", "--space", "neck.json",
                                  "--x", str(src), "--plan", "schedule",
                                  "--target-fiber", str(tgt_f),
@@ -729,6 +772,25 @@ def test_golden_reports(tmp_path, monkeypatch):
     assert runs["iso-probe"]["results"]["subgroup"] is not None
     assert runs["iso-probe-none"]["results"]["subgroup"] is None
     assert runs["error"]["exit"] == 1
+
+
+def test_golden_reports_without_the_avx512_kernels(tmp_path):
+    """numpy picks SIMD kernels when it starts, and some of them round
+    differently (its cube, for one); a child process with the AVX-512
+    kernels switched off must still give the committed reports."""
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(
+                   [str(GOLDEN.parents[2] / "src"),
+                    os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_cli import _golden_runs; "
+            "print(json.dumps(_golden_runs(), sort_keys=True))")
+    child = subprocess.run([sys.executable, "-c", code,
+                            str(GOLDEN.parents[1])], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

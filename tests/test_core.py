@@ -63,6 +63,23 @@ def test_a_space_without_cells_is_rejected():
         FiniteMMS(dist=np.zeros((0, 0)), weight=np.zeros(0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dist", "weight", "coords"])
+def test_a_nonfinite_entry_is_rejected(name, value):
+    # a NaN distance once certified an empty isometry group, and a NaN
+    # triangle defect hid the violations next to it
+    arrays = {"dist": np.array([[0.0, 1.0], [1.0, 0.0]]),
+              "weight": np.ones(2), "coords": np.zeros((2, 2))}
+    arrays[name].flat[-1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FiniteMMS(**arrays)
+
+
+def test_scaling_past_the_float_range_is_rejected():
+    with pytest.raises(ValueError, match="dist must be finite"):
+        scale(two_point(), 1e-320)
+
+
 def test_triangle_violation_is_reported_with_defect():
     dist = np.array([
         [0.0, 1.0, 5.0],
@@ -204,32 +221,14 @@ def test_streamed_sample_lists_the_first_32_violations_in_draw_order():
         assert defect == d[i, j] - d[i, k] - d[k, j]
 
 
-def test_streamed_sample_keeps_a_nan_defect_like_the_oracle():
-    dist = cloud_space(320, 1).dist.copy()
-    dist[:, 5] = dist[5, :] = np.nan
-    dist[3, 7] = dist[7, 3] = 10.0
-    space = FiniteMMS(dist=dist, weight=np.ones(320))
-    rep = validate_space(space)
-    oracle = sampled_validation_oracle(space)
-    assert math.isnan(rep.worst_triangle_defect)
-    assert rep.triangle_violations == oracle.triangle_violations == ()
-    assert rep.triples_checked == oracle.triples_checked
-
-
 @pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 1100])
 def test_symmetry_defect_matches_the_full_difference(n):
     """The blocked check over the upper triangle reports the same value
-    as |d - d^T| on the whole matrix, across block edges; a NaN entry
-    still makes it NaN."""
+    as |d - d^T| on the whole matrix, across block edges."""
     space = random_asymmetric_space(n, n)
     full = float(np.abs(space.dist - space.dist.T).max())
     rep = validate_space(space, max_triples=1)
     assert rep.symmetry_defect == full
-    dist = space.dist.copy()
-    dist[n - 1, 0] = np.nan
-    rep = validate_space(FiniteMMS(dist=dist, weight=space.weight),
-                         max_triples=1)
-    assert math.isnan(rep.symmetry_defect)
 
 
 def test_sampled_validation_memory_stays_near_the_matrix():
@@ -516,12 +515,7 @@ def dump_space_oracle(space, path):
 
 
 def odd_spaces():
-    inf = math.inf
     return {
-        "nonfinite": FiniteMMS(
-            dist=np.array([[0.0, math.nan, inf], [math.nan, 0.0, -inf],
-                           [inf, -inf, 0.0]]),
-            weight=np.array([1.0, 0.5, 1e-300])),
         "one-cell": FiniteMMS(dist=np.zeros((1, 1)), weight=np.ones(1)),
         "nested-meta": FiniteMMS(
             dist=np.array([[0.0, 0.1], [0.1, 0.0]]),
@@ -534,7 +528,7 @@ def odd_spaces():
 
 
 @pytest.mark.parametrize("kind", ["necklace", "earring", "segment", "ball",
-                                  "nonfinite", "one-cell", "nested-meta"])
+                                  "one-cell", "nested-meta"])
 def test_explicit_file_bytes_match_the_json_dump_oracle(tmp_path, kind):
     space = GENERATED[kind]() if kind in GENERATED else odd_spaces()[kind]
     if kind == "ball":

@@ -113,6 +113,37 @@ def test_earring_validates():
     assert validate_space(hawaiian_truncation(3, 24)).ok
 
 
+def earring_cells_oracle(n, m):
+    """The per-cell loop that laid out the earring's cells before they
+    were built as arrays: circle, arc position and weight of each cell,
+    the base cell first."""
+    lengths = [2 * math.pi / k**2 for k in range(1, n + 1)]
+    circle_of_cell, arc_of_cell = [-1], [0.0]
+    weights = [sum(L / m for L in lengths)]
+    for k, L in enumerate(lengths):
+        for j in range(1, m):
+            circle_of_cell.append(k)
+            arc_of_cell.append(L * j / m)
+            weights.append(L / m)
+    return circle_of_cell, arc_of_cell, weights
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 12), (4, 7), (10, 64)])
+def test_earring_cells_match_the_loop_oracle(n, m):
+    space = hawaiian_truncation(n, m)
+    cnum, arc, weights = earring_cells_oracle(n, m)
+    assert space.meta["circle_of_cell"] == cnum
+    assert space.meta["arc_of_cell"] == arc
+    assert space.weight.tolist() == weights
+
+
+def test_earring_with_too_many_cells_fails_before_filling_memory():
+    # the loop oracle would append 1e308 cells one at a time; numpy
+    # refuses an array that size at once
+    with pytest.raises((ValueError, OverflowError)):
+        hawaiian_truncation(2, 1e308)
+
+
 # === necklace ===
 
 def test_zero_bead_necklace_is_the_segment():

@@ -105,7 +105,7 @@ def coefficient_oracle(t, length):
     small = length < DEGENERATE_LENGTH
     safe = np.where(small, 1.0, length)
     out = t * np.sin(t * safe) ** 2 / np.sin(safe) ** 2
-    return np.where(small, t**3, out)
+    return np.where(small, t * t * t, out)
 
 
 def mcp_oracle(space, plan, t_samples=None, allowance=None):
@@ -199,9 +199,9 @@ def test_segment_set_to_set_plan_matches_the_oracle():
 
 
 def test_a_source_inside_its_target_set_matches_the_oracle():
-    """An atom of length zero takes the cubic branch of the coefficient,
-    whose rounding differs between numpy's power loop and libm's pow for
-    about one t in twenty, hence the many samples."""
+    """An atom of length zero takes the cubic branch of the coefficient;
+    numpy's SIMD power loop would round about one t in twenty of these
+    samples differently from the two products both sides take."""
     sp = segment_space(HALF_PI / 60)
     res = solve_w2(sp, delta(sp, 30), uniform_on(sp, range(25, 36)))
     plan = assert_plan_matches(sp, res.coupling, np.linspace(0.0, 1.0, 401))

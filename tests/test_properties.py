@@ -1,6 +1,6 @@
-"""Properties of the isometry machinery under relabelling, and the
-subgroup closure against the tuple-based breadth-first closure it
-replaced.
+"""Properties of the isometry machinery under relabelling, the subgroup
+closure against the tuple-based breadth-first closure it replaced, and
+the input contract of ``space gen``.
 
 Relabelling a space by a permutation L (cell a of the new space is cell
 L[a] of the old one) conjugates its isometry group: g becomes
@@ -8,8 +8,13 @@ L^-1 o g o L, the rows ``invert(L)[g[L]]``.  Group order, the sorted
 fixed masses and the condition-(a) gap do not depend on the labels.
 """
 
+import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,11 @@ from mmslab import (
     generate_subgroup,
     hawaiian_truncation,
     invert,
+    load_space,
+    save_space,
+    segment_space,
 )
+from mmslab.cli import main
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=24,
                     deadline=None)
@@ -153,3 +162,100 @@ def test_closure_matches_the_tuple_oracle(spec, budget):
         assert np.array_equal(np.asarray(sub.generators).reshape(-1, space.n),
                               np.asarray(generators).reshape(-1, space.n))
         assert sub.closed == closed
+
+
+# === the input contract of space gen ===
+
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "src" / "mmslab" / "schemas"
+     / "report.schema.json").read_text())
+
+EXTREMES = st.sampled_from([0, 0.0, -1, -0.5, 1e308, -1e308, math.nan,
+                            math.inf, -math.inf])
+WRONG_TYPES = st.sampled_from(["x", "12", None, [1], {}, True])
+
+
+def run_report(argv, work):
+    """Run the CLI with its report in ``work``; returns the exit code and
+    the schema-valid report, an error object exactly when it exits 1."""
+    path = os.path.join(work, "report.json")
+    rc = main(argv + ["--report", path])
+    with open(path) as fh:
+        report = json.load(fh)
+    jsonschema.validate(report, SCHEMA)
+    assert rc in (0, 1)
+    assert ("error" in report) == (rc == 1)
+    return rc, report
+
+
+def value(finite):
+    """A parameter: a sane value from ``finite``, small enough that a
+    space builds in milliseconds, an extreme, or one of the wrong
+    type."""
+    return st.one_of(finite, EXTREMES, WRONG_TYPES)
+
+
+GEN_DOCS = st.one_of(
+    st.tuples(st.just("segment"), st.fixed_dictionaries(
+        {"resolution": value(st.floats(0.05, 1.5))})),
+    st.tuples(st.just("circle"), st.fixed_dictionaries(
+        {"radius": value(st.floats(0.1, 10.0)),
+         "resolution": value(st.integers(3, 40))})),
+    st.tuples(st.just("earring"), st.fixed_dictionaries(
+        {"n": value(st.integers(1, 4)),
+         "resolution": value(st.integers(3, 16))})),
+    st.tuples(st.just("necklace"), st.fixed_dictionaries(
+        {"beads": st.one_of(st.lists(st.lists(value(st.floats(0.05, 1.5)),
+                                              min_size=2, max_size=2),
+                                     max_size=2), EXTREMES, WRONG_TYPES),
+         "resolution": value(st.floats(0.05, 0.5))})),
+    st.tuples(st.just("ball"), st.fixed_dictionaries(
+        {"k": value(st.integers(1, 3)), "r": value(st.floats(0.1, 1.0)),
+         "resolution": value(st.floats(0.3, 1.0))})),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=GEN_DOCS, mode=st.sampled_from(["explicit", "recipe"]))
+def test_space_gen_ends_in_a_report_or_an_error_object(doc, mode):
+    """Any ``--params`` document ends in a report with a finite diameter
+    and exit 0, whose space file loads back, or in an error object with
+    exit 1; never in a traceback."""
+    kind, params = doc
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "space.json")
+        rc, report = run_report(["space", "gen", "--kind", kind, "--params",
+                                 json.dumps(params), "--out", out,
+                                 "--dist-mode", mode], work)
+        if rc == 0:
+            diameter = report["results"]["diameter"]
+            assert isinstance(diameter, float) and math.isfinite(diameter)
+            assert load_space(out).n == report["results"]["cells"]
+
+
+POINTS = value(st.integers(0, 15))
+MEASURE_DOCS = st.one_of(
+    st.fixed_dictionaries({"point": POINTS}),
+    st.fixed_dictionaries({"uniform": st.one_of(
+        st.lists(POINTS, max_size=4), EXTREMES, WRONG_TYPES)}),
+    st.fixed_dictionaries({"atoms": st.lists(st.fixed_dictionaries(
+        {"point": POINTS, "mass": value(st.floats(0.0, 1.0))}), max_size=3)}),
+    WRONG_TYPES,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(mu0=MEASURE_DOCS, mu1=MEASURE_DOCS)
+def test_ot_solve_ends_in_a_report_or_an_error_object(mu0, mu1):
+    """Any pair of measure documents on the 16-cell segment ends in a
+    report with a finite cost and exit 0, or in an error object with
+    exit 1."""
+    with tempfile.TemporaryDirectory() as work:
+        space = os.path.join(work, "space.json")
+        save_space(segment_space(0.1), space)
+        rc, report = run_report(["ot", "solve", "--space", space,
+                                 "--mu0", json.dumps(mu0),
+                                 "--mu1", json.dumps(mu1)], work)
+        if rc == 0:
+            cost = report["results"]["cost"]
+            assert isinstance(cost, float) and math.isfinite(cost)

@@ -30,6 +30,7 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
+from mmslab import symmetry
 from mmslab.symmetry import DEFAULT_NODE_BUDGET, _search, profile_candidates
 
 TAU = 2 * math.pi
@@ -121,6 +122,13 @@ def test_circle_enumeration_matches_brute_force():
     for m in res.maps:
         assert m.distortion <= 1e-9
         assert m.is_measure_preserving()
+
+
+@pytest.mark.parametrize("iso_tol", [math.nan, -1.0, -1e-300])
+def test_enumeration_rejects_a_nan_or_negative_tolerance(iso_tol):
+    # each used to report a complete enumeration with no maps at all
+    with pytest.raises(ValueError, match="iso_tol"):
+        enumerate_isometries(circle_space(1.0, 8), iso_tol=iso_tol)
 
 
 def test_enumeration_output_is_a_sorted_group():
@@ -232,20 +240,17 @@ def candidate_oracle(dist, iso_tol):
                            <= iso_tol) for i in range(len(dist))]
 
 
-def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET,
-                       cand=None):
+def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET):
     """The enumeration as it stood before the level-batched search: the
-    per-row prefilter (unless candidate lists are given), one distance
-    check per search node, and each map's distortion from the full
-    ``np.ix_`` gather."""
+    per-row prefilter, one distance check per search node, and each
+    map's distortion from the full ``np.ix_`` gather."""
     if iso_tol is None:
         iso_tol = 2.0 * space.pitch()
     n = space.n
     dist = space.dist
-    if cand is None:
-        profiles = np.sort(dist, axis=1)
-        cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
-                               <= iso_tol) for i in range(n)]
+    profiles = np.sort(dist, axis=1)
+    cand = [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
+                           <= iso_tol) for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cand[i]), i))
     src_so_far = np.asarray(order)
 
@@ -301,13 +306,6 @@ def relabelled(space, seed):
                      meta={"pitch": space.pitch()})
 
 
-def circle_with_entry(value):
-    """A 10-cell circle whose matrix holds one bad entry."""
-    dist = circle_space(1.0, 10).dist.copy()
-    dist[2, 5] = value
-    return FiniteMMS(dist=dist, weight=np.ones(10), meta={"pitch": TAU / 10})
-
-
 ORACLE_SPACES = {
     "circle-16": lambda: relabelled(circle_space(1.0, 16), 1),
     "earring-3-16": lambda: relabelled(hawaiian_truncation(3, 16), 2),
@@ -317,8 +315,6 @@ ORACLE_SPACES = {
     "cloud": lambda: cloud_space(np.random.default_rng(3).standard_normal((9, 3))),
     "necklace": lambda: necklace(NecklaceParams(beads=((0.6, 0.5),),
                                                 resolution=0.05)),
-    "nan-entry": lambda: circle_with_entry(np.nan),
-    "inf-entry": lambda: circle_with_entry(np.inf),
 }
 BOUNDED = 3000      # node budget of the searches at two pitches
 
@@ -405,8 +401,6 @@ CHAIN_SPACES = {
     "circle-24": lambda: relabelled(circle_space(1.0, 24), 6),
     "earring-5-24": lambda: relabelled(hawaiian_truncation(5, 24), 7),
     "ball-3-3": ORACLE_SPACES["ball-3-3"],
-    "nan-entry": ORACLE_SPACES["nan-entry"],
-    "inf-entry": ORACLE_SPACES["inf-entry"],
 }
 
 
@@ -441,22 +435,6 @@ def test_chain_steps_that_cut_their_block_match_the_oracle():
     for budget in sorted({1, 5000, *rng.integers(1, 40_000, 6).tolist()}):
         assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
                                 enumeration_oracle(sp, 1e-9, budget))
-
-
-def test_chain_steps_keep_the_one_depth_walk_where_deviations_are_nan():
-    # the profile filter leaves a row with a NaN entry no candidates, so
-    # hand every cell to every cell: a NaN deviation does not prune, and
-    # a maximum over part of the prefix would miss it and prune
-    sp = ORACLE_SPACES["nan-entry"]()
-    cand = [np.arange(sp.n)] * sp.n
-    full = enumeration_oracle(sp, 1e-9, cand=cand).nodes
-    rng = np.random.default_rng(8)
-    for budget in sorted({1, full - 1, full, full + 1,
-                          *rng.integers(1, full + 2, 20).tolist()}):
-        rows, complete, nodes = _search(sp.dist, cand, 1e-9, budget)
-        ref = enumeration_oracle(sp, 1e-9, budget, cand=cand)
-        assert rows.tolist() == ref.perms().tolist()
-        assert (complete, nodes) == (ref.complete, ref.nodes)
 
 
 def test_chain_step_peak_memory_stays_within_the_level_walk():
@@ -715,6 +693,16 @@ def test_condition_a_is_vacuous_without_symmetry():
     assert rep.vacuous and rep.holds
     assert rep.nontrivial == 0
     assert rep.fix_sup == 0.0
+
+
+def test_condition_a_checks_the_cell_before_enumerating(monkeypatch):
+    # a bad id used to be found only after a whole enumeration
+    def no_search(*args, **kwargs):
+        raise AssertionError("enumerated before checking x")
+
+    monkeypatch.setattr(symmetry, "enumerate_isometries", no_search)
+    with pytest.raises(ValueError, match="cell id 12 outside"):
+        condition_a_scan(circle_space(1.0, 12), x=12, s=1.0)
 
 
 def test_large_fix_implication_is_exercised_on_the_small_circle():

@@ -100,6 +100,21 @@ def test_as_measure_rejects_bad_input():
         as_measure(sp, np.ones(3))
 
 
+@pytest.mark.parametrize("spec", [
+    {0: math.nan}, {0: math.inf}, [(0, 1.0), (1, math.nan)],
+    {0: 1e308, 1: 1e308}, np.array([1.0, math.inf])])
+def test_as_measure_rejects_masses_without_a_finite_sum(spec):
+    sp = line_space([0.0, 1.0])
+    with pytest.raises(ValueError, match="sum must be finite"):
+        as_measure(sp, spec)
+
+
+def test_uniform_on_rejects_an_empty_cell_set():
+    sp = line_space([0.0, 1.0])
+    with pytest.raises(ValueError, match="at least one cell"):
+        uniform_on(sp, [])
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_cell_ids_outside_the_space_are_rejected(bad):
     sp = line_space([0.0, 1.0, 2.0])
