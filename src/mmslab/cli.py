@@ -37,31 +37,6 @@ from mmslab.transport import (as_measure, delta, lift_to_geodesic_plan,
                               solve_w2, symmetrized_competitor, uniform_on,
                               uniqueness_probe, verify_competitor)
 
-_ANCHORS = {
-    ("space", "gen", "segment"): "Example 5.2",
-    ("space", "gen", "circle"): "Example 5.1",
-    ("space", "gen", "earring"): "Example 5.1",
-    ("space", "gen", "necklace"): "Example 5.2",
-    ("space", "gen", "ball"): "§2.1",
-    ("space", "validate"): "§2.1",
-    ("ot", "solve"): "Eq. eq:w-d",
-    ("ot", "probe"): "Thm 1.4",
-    ("ot", "competitor"): "Lemma lm:02",
-    ("mcp", "verify"): "Def. def:MCP",
-    ("mcp", "schedule"): "Lemma lm:mcp",
-    ("mcp", "scalar-bound"): "Lemma 5.3",
-    ("iso", "enum"): "§2.1",
-    ("iso", "fix"): "Thm 1.1",
-    ("iso", "displacement"): "§3",
-    ("iso", "condition-a"): "Thm 1.1",
-    ("iso", "probe"): "Prop 3.1",
-    ("iso", "escape"): "Prop 3.1",
-    ("iso", "critical-scale"): "Prop 3.1",
-    ("gh", "exact"): "§2.1",
-    ("gh", "scan"): "§2.1",
-    ("gh", "regular-mass"): "§2.1",
-}
-
 
 # === argument plumbing ===
 
@@ -178,8 +153,10 @@ def _fields(obj, *drop, **extra):
 
 
 # === verb handlers ===
-# Each handler returns (anchor, results, inconclusive, table); table is
-# (header, rows) for the verbs with a tabular section, else None.
+# Each handler returns (anchor, results, inconclusive, table): anchor
+# names the statement of the paper that the verb's check traces back to,
+# and table is (header, rows) for the verbs with a tabular section, else
+# None.
 
 def _cmd_space_gen(args):
     sp = generate(args.kind, args.params)
@@ -192,15 +169,17 @@ def _cmd_space_gen(args):
         "pitch": sp.pitch(),
         "path": args.out,
     }
-    return _ANCHORS[("space", "gen", args.kind)], results, False, None
+    anchor = {"segment": "Example 5.2", "circle": "Example 5.1",
+              "earring": "Example 5.1", "necklace": "Example 5.2",
+              "ball": "§2.1"}[args.kind]
+    return anchor, results, False, None
 
 
 def _cmd_space_validate(args):
     sp = load_space(args.space)
     rep = validate_space(sp, tol=args.tol, seed=args.seed)
     inconclusive = rep.ok and not rep.exhaustive
-    return (_ANCHORS[("space", "validate")], _fields(rep, ok=rep.ok),
-            inconclusive, None)
+    return "§2.1", _fields(rep, ok=rep.ok), inconclusive, None
 
 
 def _cmd_ot_solve(args):
@@ -208,7 +187,7 @@ def _cmd_ot_solve(args):
     res = solve_w2(sp, _measure(sp, args.mu0), _measure(sp, args.mu1))
     results = _fields(res, coupling=_coupling_rows(res.coupling),
                       w2=math.sqrt(res.cost))
-    return _ANCHORS[("ot", "solve")], results, False, None
+    return "Eq. eq:w-d", results, False, None
 
 
 def _cmd_ot_probe(args):
@@ -219,7 +198,7 @@ def _cmd_ot_probe(args):
         res, "base", cost=res.base.cost,
         coupling=_coupling_rows(res.base.coupling),
         witness=None if res.witness is None else _coupling_rows(res.witness))
-    return _ANCHORS[("ot", "probe")], results, False, None
+    return "Thm 1.4", results, False, None
 
 
 def _cmd_ot_competitor(args):
@@ -230,7 +209,7 @@ def _cmd_ot_competitor(args):
                                   targets=args.targets)
     rep = verify_competitor(sp, plan, comp)
     results = _fields(rep, ok=rep.ok, cost=res.cost)
-    return _ANCHORS[("ot", "competitor")], results, False, None
+    return "Lemma lm:02", results, False, None
 
 
 def _cmd_mcp_verify(args):
@@ -249,7 +228,7 @@ def _cmd_mcp_verify(args):
                                  args.target_count).plan
     rep = mcp_check(sp, plan, t_samples=t_samples, allowance=args.allowance)
     table = (["t", "cell", "lhs", "rhs", "slack"], rep.rows)
-    return _ANCHORS[("mcp", "verify")], _fields(rep), False, table
+    return "Def. def:MCP", _fields(rep), False, table
 
 
 def _cmd_mcp_schedule(args):
@@ -261,13 +240,13 @@ def _cmd_mcp_schedule(args):
                       "fiber_count_spread", "fiber_count_target",
                       ok=dens.all_ok, density=_fields(dens))
     table = (["t", "support_mass", "lhs", "rhs", "slack"], dens.rows)
-    return _ANCHORS[("mcp", "schedule")], results, False, table
+    return "Lemma lm:mcp", results, False, table
 
 
 def _cmd_mcp_scalar_bound(args):
     rep = scalar_bound(t_max=args.t_max, d_max=args.d_max,
                        samples=args.samples, cushion=args.cushion)
-    return _ANCHORS[("mcp", "scalar-bound")], _fields(rep), False, None
+    return "Lemma 5.3", _fields(rep), False, None
 
 
 def _cmd_iso_enum(args):
@@ -279,7 +258,7 @@ def _cmd_iso_enum(args):
     table = (["iso", "distortion", "measure_defect"],
              [[i, m.distortion, m.measure_defect]
               for i, m in enumerate(res.maps)])
-    return _ANCHORS[("iso", "enum")], results, not res.complete, table
+    return "§2.1", results, not res.complete, table
 
 
 def _cmd_iso_fix(args):
@@ -297,7 +276,7 @@ def _cmd_iso_fix(args):
         for perm, fs in zip(perms, sets)]}
     header = ["iso", "mass"] + [f"ball{i}" for i in range(len(balls))]
     rows = [[i, fs.mass, *fs.ball_masses] for i, fs in enumerate(sets)]
-    return _ANCHORS[("iso", "fix")], results, not complete, (header, rows)
+    return "Thm 1.1", results, not complete, (header, rows)
 
 
 def _cmd_iso_displacement(args):
@@ -315,15 +294,14 @@ def _cmd_iso_displacement(args):
         "elements": len(group),
         "r_over_20": args.r / 20.0,
     }
-    return _ANCHORS[("iso", "displacement")], results, not complete, None
+    return "§3", results, not complete, None
 
 
 def _cmd_iso_condition_a(args):
     sp = load_space(args.space)
     rep = condition_a_scan(sp, args.x, args.s, iso_tol=args.iso_tol,
                            fix_tol=args.fix_tol)
-    return (_ANCHORS[("iso", "condition-a")], _fields(rep), not rep.complete,
-            None)
+    return "Thm 1.1", _fields(rep), not rep.complete, None
 
 
 def _cmd_iso_probe(args):
@@ -333,7 +311,7 @@ def _cmd_iso_probe(args):
     sub = res.subgroup
     results = _fields(res, subgroup=None if sub is None else
                       _fields(sub, "generators", "closed", order=len(sub)))
-    return _ANCHORS[("iso", "probe")], results, res.inconclusive, None
+    return "Prop 3.1", results, res.inconclusive, None
 
 
 def _random_small_motion(k, seed, scale):
@@ -355,7 +333,7 @@ def _cmd_iso_escape(args):
     res = euclidean_power_escape(iso, threshold=args.threshold,
                                  max_pow=args.max_pow)
     results = _fields(res, k=iso.k)
-    return _ANCHORS[("iso", "escape")], results, not res.found, None
+    return "Prop 3.1", results, not res.found, None
 
 
 def _cmd_iso_critical_scale(args):
@@ -364,7 +342,7 @@ def _cmd_iso_critical_scale(args):
     cs = critical_scale(sp, res.perms(), args.x, args.lo, args.hi,
                         tol=args.tol)
     results = _fields(cs, elements=len(res.maps))
-    return _ANCHORS[("iso", "critical-scale")], results, not res.complete, None
+    return "Prop 3.1", results, not res.complete, None
 
 
 def _cmd_gh_exact(args):
@@ -372,7 +350,7 @@ def _cmd_gh_exact(args):
     y = load_space(args.space2)
     value, witness = gh_exact(x, y, size_limit=args.size_limit)
     results = _fields(witness, value=value, lower_bound=gh_lower_bound(x, y))
-    return _ANCHORS[("gh", "exact")], results, False, None
+    return "§2.1", results, False, None
 
 
 def _cmd_gh_scan(args):
@@ -387,7 +365,7 @@ def _cmd_gh_scan(args):
               "verdict"],
              [[r.k, r.r, r.estimate, r.ratio, r.err_verdict, r.err_sound,
                r.verdict] for r in rep.rows])
-    return _ANCHORS[("gh", "scan")], results, inconclusive, table
+    return "§2.1", results, inconclusive, table
 
 
 def _cmd_gh_regular_mass(args):
@@ -401,7 +379,7 @@ def _cmd_gh_regular_mass(args):
         per_k={k: _fields(ms) for k, ms in rep.per_k.items()},
         overall=_fields(rep.overall))
     inconclusive = rep.overall.inconclusive_mass > 0.0
-    return _ANCHORS[("gh", "regular-mass")], results, inconclusive, None
+    return "§2.1", results, inconclusive, None
 
 
 # === parser construction ===
@@ -421,24 +399,27 @@ def _build_parser():
     groups = top.add_subparsers(dest="group", required=True,
                                 metavar="{space,ot,mcp,iso,gh}")
 
-    def leaf(sub, name, handler, command, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler, command=command)
+    # the verbs that read a space file; the others take common alone
+    spaced = _Parser(add_help=False, parents=[common])
+    spaced.add_argument("--space", required=True)
+
+    def leaf(sub, name, handler, parent=spaced, **kwargs):
+        p = sub.add_parser(name, parents=[parent], **kwargs)
+        p.set_defaults(handler=handler)
         return p
 
     # space
     space = groups.add_parser("space").add_subparsers(dest="verb",
                                                       required=True)
-    p = leaf(space, "gen", _cmd_space_gen, "space gen",
+    p = leaf(space, "gen", _cmd_space_gen, common,
              help="write a generated space to a JSON file")
     p.add_argument("--kind", required=True, choices=GENERATORS)
     p.add_argument("--params", required=True, type=json.loads,
                    help='generator parameters, e.g. {"resolution": 0.01}')
     p.add_argument("--out", required=True)
     p.add_argument("--dist-mode", default="explicit", choices=DIST_MODES)
-    p = leaf(space, "validate", _cmd_space_validate, "space validate",
+    p = leaf(space, "validate", _cmd_space_validate,
              help="check the metric axioms of a space file")
-    p.add_argument("--space", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
 
@@ -447,8 +428,7 @@ def _build_parser():
     for name, handler in (("solve", _cmd_ot_solve),
                           ("probe", _cmd_ot_probe),
                           ("competitor", _cmd_ot_competitor)):
-        p = leaf(ot, name, handler, f"ot {name}")
-        p.add_argument("--space", required=True)
+        p = leaf(ot, name, handler)
         p.add_argument("--mu0", required=True, type=json.loads)
         p.add_argument("--mu1", required=True, type=json.loads)
         if name == "probe":
@@ -462,9 +442,8 @@ def _build_parser():
 
     # mcp
     mcp = groups.add_parser("mcp").add_subparsers(dest="verb", required=True)
-    p = leaf(mcp, "verify", _cmd_mcp_verify, "mcp verify",
+    p = leaf(mcp, "verify", _cmd_mcp_verify,
              help="cell-by-cell contraction inequality for one plan")
-    p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--A", type=_ids)
     p.add_argument("--plan", default="auto", choices=["auto", "schedule"])
@@ -472,14 +451,13 @@ def _build_parser():
     p.add_argument("--target-count", type=int)
     p.add_argument("--t-samples", type=int, default=33)
     p.add_argument("--allowance", type=float)
-    p = leaf(mcp, "schedule", _cmd_mcp_schedule, "mcp schedule",
+    p = leaf(mcp, "schedule", _cmd_mcp_schedule,
              help="bead-chain spreading plan with its density profile")
-    p.add_argument("--space", required=True)
     p.add_argument("--source", required=True, type=int)
     p.add_argument("--target-fiber", required=True, type=int)
     p.add_argument("--target-count", required=True, type=int)
     p.add_argument("--allowance", type=float)
-    p = leaf(mcp, "scalar-bound", _cmd_mcp_scalar_bound, "mcp scalar-bound",
+    p = leaf(mcp, "scalar-bound", _cmd_mcp_scalar_bound, common,
              help="grid check of the scalar contraction estimate")
     p.add_argument("--t-max", type=float, default=0.2)
     p.add_argument("--d-max", type=float, default=math.pi / 2.0 + 0.25)
@@ -488,41 +466,36 @@ def _build_parser():
 
     # iso
     iso = groups.add_parser("iso").add_subparsers(dest="verb", required=True)
-    p = leaf(iso, "enum", _cmd_iso_enum, "iso enum",
+    p = leaf(iso, "enum", _cmd_iso_enum,
              help="enumerate distance-preserving cell permutations")
-    p.add_argument("--space", required=True)
     p.add_argument("--iso-tol", type=float)
     p.add_argument("--budget", type=int, default=2_000_000)
-    p = leaf(iso, "fix", _cmd_iso_fix, "iso fix",
+    p = leaf(iso, "fix", _cmd_iso_fix,
              help="fixed sets of one or all isometries")
-    p.add_argument("--space", required=True)
     p.add_argument("--perm", type=_perm)
     p.add_argument("--iso-tol", type=float)
     p.add_argument("--fix-tol", type=float)
     p.add_argument("--ball", action="append", type=_ball_spec,
                    metavar="CENTER:RADIUS")
-    p = leaf(iso, "displacement", _cmd_iso_displacement, "iso displacement",
+    p = leaf(iso, "displacement", _cmd_iso_displacement,
              help="largest move on the half-radius ball")
-    p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--r", required=True, type=float)
     p.add_argument("--perm", action="append", type=_perm)
     p.add_argument("--iso-tol", type=float)
-    p = leaf(iso, "condition-a", _cmd_iso_condition_a, "iso condition-a",
+    p = leaf(iso, "condition-a", _cmd_iso_condition_a,
              help="fixed mass of nontrivial isometries against ball mass")
-    p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--s", required=True, type=float)
     p.add_argument("--iso-tol", type=float)
     p.add_argument("--fix-tol", type=float)
-    p = leaf(iso, "probe", _cmd_iso_probe, "iso probe",
+    p = leaf(iso, "probe", _cmd_iso_probe,
              help="search for a nontrivial small-displacement subgroup")
-    p.add_argument("--space", required=True)
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--compact", type=_ids)
     p.add_argument("--budget", type=int, default=4096)
     p.add_argument("--iso-tol", type=float)
-    p = leaf(iso, "escape", _cmd_iso_escape, "iso escape",
+    p = leaf(iso, "escape", _cmd_iso_escape, common,
              help="first power of a rigid motion past the threshold")
     p.add_argument("--q", type=json.loads, help="orthogonal matrix, JSON")
     p.add_argument("--v", type=json.loads, help="translation vector, JSON")
@@ -534,9 +507,7 @@ def _build_parser():
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--max-pow", type=int, default=1_000_000)
     p = leaf(iso, "critical-scale", _cmd_iso_critical_scale,
-             "iso critical-scale",
              help="radius where the displacement crosses r/20")
-    p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--lo", required=True, type=float)
     p.add_argument("--hi", required=True, type=float)
@@ -545,23 +516,20 @@ def _build_parser():
 
     # gh
     gh = groups.add_parser("gh").add_subparsers(dest="verb", required=True)
-    p = leaf(gh, "exact", _cmd_gh_exact, "gh exact",
+    p = leaf(gh, "exact", _cmd_gh_exact,
              help="exact distance between two small spaces")
-    p.add_argument("--space", required=True)
     p.add_argument("--space2", required=True)
     p.add_argument("--size-limit", type=int, default=8)
-    p = leaf(gh, "scan", _cmd_gh_scan, "gh scan",
+    p = leaf(gh, "scan", _cmd_gh_scan,
              help="regular-point verdict for one cell")
-    p.add_argument("--space", required=True)
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--k", type=_k_set, default=(1, 2, 3))
     p.add_argument("--r-samples", type=int, default=12)
     p.add_argument("--subsample", type=int, default=8)
-    p = leaf(gh, "regular-mass", _cmd_gh_regular_mass, "gh regular-mass",
+    p = leaf(gh, "regular-mass", _cmd_gh_regular_mass,
              help="mass split of a budgeted cell scan")
-    p.add_argument("--space", required=True)
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--k", type=_k_set, default=(1, 2, 3))
@@ -574,35 +542,25 @@ def _build_parser():
 
 # === driver ===
 
-def _inputs_echo(args):
-    skip = {"handler", "command"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
 
+    command = f"{args.group} {args.verb}"
     try:
         anchor, results, inconclusive, table = args.handler(args)
     except Exception as exc:
         sys.stderr.write(f"mms-lab: {type(exc).__name__}: {exc}\n")
-        doc = {"command": args.command,
+        doc = {"command": command,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         code, table = 1, None
     else:
         doc = {
-            "command": args.command,
-            "inputs": _inputs_echo(args),
+            "command": command,
+            "inputs": {k: v for k, v in vars(args).items()
+                       if k != "handler"},
             "paper_anchor": anchor,
             "results": results,
             "versions": {

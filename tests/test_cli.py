@@ -742,15 +742,17 @@ def _golden_cases():
 
 def _golden_runs():
     """Run the golden cases in the current directory.  Each report must
-    match the schema; returns {name: {"exit", "results" or "error",
-    "csv"}}."""
+    match the schema; returns {name: {"exit", "command", "inputs",
+    "paper_anchor", "results" or "error", "csv"}}.  ``versions`` is left
+    out, since it names the installed numpy and scipy."""
     runs = {}
     for name, argv, has_table in _golden_cases():
         rc = main(argv + ["--report", name + ".report"])
         doc = json.loads(Path(name + ".report").read_text())
         jsonschema.validate(doc, SCHEMA)
         entry = {"exit": rc}
-        entry.update((k, doc[k]) for k in ("results", "error") if k in doc)
+        entry.update((k, doc[k]) for k in ("command", "inputs", "paper_anchor",
+                                           "results", "error") if k in doc)
         if has_table:
             assert main(argv + ["--csv", "--report", name + ".csv"]) == rc
             entry["csv"] = Path(name + ".csv").read_text()
