@@ -154,9 +154,8 @@ def _fields(obj, *drop, **extra):
 
 # === verb handlers ===
 # Each handler returns (anchor, results, inconclusive, table): anchor
-# names the statement of the paper that the verb's check traces back to,
-# and table is (header, rows) for the verbs with a tabular section, else
-# None.
+# names the paper's statement behind the check; table is (header, rows)
+# for the verbs with a tabular section, else None.
 
 def _cmd_space_gen(args):
     sp = generate(args.kind, args.params)
@@ -177,7 +176,7 @@ def _cmd_space_gen(args):
 
 def _cmd_space_validate(args):
     sp = load_space(args.space)
-    rep = validate_space(sp, tol=args.tol, seed=args.seed)
+    rep = validate_space(sp, seed=args.seed)
     inconclusive = rep.ok and not rep.exhaustive
     return "§2.1", _fields(rep, ok=rep.ok), inconclusive, None
 
@@ -420,7 +419,6 @@ def _build_parser():
     p.add_argument("--dist-mode", default="explicit", choices=DIST_MODES)
     p = leaf(space, "validate", _cmd_space_validate,
              help="check the metric axioms of a space file")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
 
     # ot

@@ -130,7 +130,7 @@ class ValidationReport:
         )
 
 
-def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
+def validate_space(space: FiniteMMS, seed: int = 0,
                    max_triples: int = 20_000_000) -> ValidationReport:
     """Check metric axioms and report defects; never raises on violations.
 
@@ -142,8 +142,9 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
     checked in blocks of ``TRIANGLE_BLOCK`` triples from one generator, so
     it needs no memory beyond the matrix and a constant, and the report
     is the same as if the whole sample were drawn at once.  Up to 32
-    violations are listed, in draw order.  Raises ``ValueError`` when
-    ``max_triples`` is below 1.
+    violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
+    threshold of ``ok``), are listed in draw order.  Raises
+    ``ValueError`` when ``max_triples`` is below 1.
     """
     if max_triples < 1:
         raise ValueError("max_triples must be positive")
@@ -169,8 +170,8 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
                 checked += n * n
             defect = d - best
             worst = float(defect.max())
-            if worst > tol:
-                bad = np.argwhere(defect > tol)
+            if worst > TRIANGLE_TOL:
+                bad = np.argwhere(defect > TRIANGLE_TOL)
                 for i, j in bad[:32]:
                     k = int(np.argmin(d[i, :] + d[:, j]))
                     violations.append((int(i), int(j), k, float(defect[i, j])))
@@ -186,7 +187,7 @@ def validate_space(space: FiniteMMS, tol: float = TRIANGLE_TOL, seed: int = 0,
                 defect = flat.take(row + j) - flat.take(row + k) - flat.take(k * n + j)
                 worst = max(worst, float(defect.max()))
                 if len(violations) < 32:
-                    for b in np.flatnonzero(defect > tol)[:32 - len(violations)]:
+                    for b in np.flatnonzero(defect > TRIANGLE_TOL)[:32 - len(violations)]:
                         violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
     return ValidationReport(
         n=n,

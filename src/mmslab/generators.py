@@ -5,6 +5,8 @@ truncations, necklace spaces (segments with diamond-shaped 2D beads under the
 intrinsic L-infinity metric), and Euclidean ball grids.  Every constructor
 records its grid pitch in ``meta`` so downstream tolerances can scale with
 resolution, and its arguments in ``meta["params"]`` for ``generate``.
+Each works out its cell count before it allocates anything that size and
+refuses more than ``MAX_CELLS``; its errors name the parameter at fault.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ HALF_PI = math.pi / 2.0
 # Diamond boundary slope: beads are {|y| <= (1/4 r - |x - x_k|)/9}.
 DIAMOND_SLOPE = 1.0 / 9.0
 
+# Most cells a generator builds: a 2 GiB distance matrix.
+MAX_CELLS = 16_384
+
+
+def _check_cells(name, cells):
+    """Raise ``ValueError`` naming the parameter ``name`` unless
+    ``cells``, a cell count or the float it is rounded from, stays within
+    ``MAX_CELLS``; an infinite or NaN count fails too."""
+    if not cells < MAX_CELLS + 0.5:
+        raise ValueError(f"{name} gives {cells:.4g} cells;"
+                         f" at most {MAX_CELLS} are allowed")
+
 
 # === 1D segment ===
 
@@ -33,6 +47,7 @@ def segment_space(resolution: float) -> FiniteMMS:
     """
     if not 0 < resolution < HALF_PI:
         raise ValueError("resolution must lie in (0, pi/2)")
+    _check_cells("resolution", HALF_PI / resolution)
     n = max(2, round(HALF_PI / resolution))
     w = HALF_PI / n
     x = (np.arange(n) + 0.5) * w
@@ -52,9 +67,10 @@ def circle_space(radius: float, resolution: int) -> FiniteMMS:
     uniform 1D Hausdorff weights; ``resolution`` counts cells."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    m = int(resolution)
-    if m < 3:
+    if not resolution >= 3:
         raise ValueError("need at least 3 cells")
+    _check_cells("resolution", resolution)
+    m = int(resolution)
     circumference = 2 * math.pi * radius
     arc = circumference * np.arange(m) / m
     gap = np.abs(arc[:, None] - arc[None, :])
@@ -75,14 +91,16 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
     length from every incident circle, so the total mass is exactly the sum
     of the circumferences.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("need at least one circle")
-    m = int(resolution)
-    if m < 3:
+    if not resolution >= 3:
         raise ValueError("need at least 3 cells per circle")
+    _check_cells("resolution", resolution)
+    m = int(resolution)
+    _check_cells("n", 1 + n * (m - 1))
     lengths = [2 * math.pi / k**2 for k in range(1, n + 1)]
     per_circle = np.asarray(lengths)[:, None]
-    step = np.arange(1, m)          # an m past the array limit raises here
+    step = np.arange(1, m)
 
     # the base cell first, then circle by circle; arc is the position
     # along the own circle
@@ -172,6 +190,7 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
     symmetric with a zero diagonal.
     """
     h = params.resolution
+    _check_cells("resolution", HALF_PI / h)     # one cell per fiber at least
     n_fib = max(2, round(HALF_PI / h))
     w = HALF_PI / n_fib
     fx = (np.arange(n_fib) + 0.5) * w
@@ -187,6 +206,7 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
                            2 * np.ceil(fiber_h / w - 1e-12).astype(int), 1)
     fiber_start = np.concatenate([[0], np.cumsum(fiber_count)])
     n_cells = int(fiber_start[-1])
+    _check_cells("resolution", n_cells)
 
     xs = np.empty(n_cells)
     ys = np.empty(n_cells)
@@ -265,10 +285,19 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     """Grid discretization of the closed Euclidean ball of radius r in R^k."""
     if k not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
-    if r <= 0 or resolution <= 0:
+    if not (r > 0 and resolution > 0):
         raise ValueError("radius and resolution must be positive")
     pitch = float(resolution)
+    try:
+        volume = pitch**k
+    except OverflowError:
+        raise ValueError(f"resolution {resolution!r} gives a cell volume"
+                         " past the float range") from None
+    # the grid before the ball filter holds (2m + 1)^k points; one axis
+    # is bounded first, so that m is a small integer
+    _check_cells("r/resolution", 2 * r / pitch + 1)
     m = int(math.floor(r / pitch + 1e-12))
+    _check_cells("r/resolution", (2 * m + 1) ** k)
     axis = pitch * np.arange(-m, m + 1)
     grids = np.meshgrid(*([axis] * k), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
@@ -278,7 +307,7 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     meta = {"generator": "ball", "pitch": pitch,
             "params": {"k": k, "r": r, "resolution": resolution}}
-    return FiniteMMS(dist=dist, weight=np.full(len(pts), pitch**k),
+    return FiniteMMS(dist=dist, weight=np.full(len(pts), volume),
                      coords=pts, meta=meta)
 
 

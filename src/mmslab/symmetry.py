@@ -773,8 +773,12 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     Requires displacement at ``lo`` to sit at or above lo/20 and at
     ``hi`` strictly below hi/20; the functional is a step function of r,
     so the result is a bracket of width ``tol`` and the defect achieved
-    at its left end.
+    at its left end.  ``tol`` must be positive; a ``tol`` below the
+    spacing of floats near the crossing ends at a bracket of two adjacent
+    floats.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     perms = _perm_rows(space, group)
     d_lo = displacement(space, perms, lo, x)
     d_hi = displacement(space, perms, hi, x)
@@ -784,6 +788,8 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     a, b = lo, hi
     while b - a > tol:
         mid = (a + b) / 2.0
+        if not a < mid < b:     # adjacent floats: the midpoint stalls
+            break
         if _displacement(space, perms, mid, x) >= mid / 20.0:
             a = mid
         else:

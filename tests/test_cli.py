@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -81,6 +83,17 @@ def test_space_gen_writes_a_loadable_space(tmp_path, capsys):
     assert sp.meta["pitch"] == pytest.approx(2 * math.pi / 16)
     assert doc["results"]["ok"] and doc["results"]["exhaustive"]
     assert set(doc) == ENVELOPE_KEYS
+
+
+def test_space_validate_has_no_tol_option(tmp_path, capsys):
+    # the listed violations now use the threshold of ok, so --tol, which
+    # only filtered that list, is gone
+    path = circle_file(tmp_path, capsys, resolution=8)
+    rc, cap = run(capsys, "space", "validate", "--space", path,
+                  "--tol", "1e-6")
+    assert rc == 1
+    assert "unrecognized arguments: --tol" in cap.err
+    assert cap.out == ""
 
 
 def test_space_gen_rejects_unknown_kind(tmp_path, capsys):
@@ -215,6 +228,39 @@ def test_space_gen_past_the_float_range_emits_error_object(tmp_path, capsys):
     error = run_error(capsys, "space", "gen", "--kind", "circle", "--params",
                       '{"radius": 1e308, "resolution": 8}', "--out", out)
     assert error == {"type": "ValueError", "message": "dist must be finite"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("circle", {"radius": 1, "resolution": 1e308}, "resolution"),
+    ("segment", {"resolution": 5e-324}, "resolution"),
+    ("ball", {"k": 2, "r": 1e308, "resolution": 1e308}, "resolution"),
+    ("earring", {"n": 1e308, "resolution": 64}, "n"),
+    ("earring", {"n": 2, "resolution": 1e9}, "resolution"),
+    ("earring", {"n": 300, "resolution": 64}, "n"),
+    ("necklace", {"beads": [[0.8, 0.3]], "resolution": 1e-5}, "resolution"),
+    ("necklace", {"beads": [[0.8, 0.3]], "resolution": 1.2e-4},
+     "resolution"),
+    ("ball", {"k": 1, "r": 1e308, "resolution": 1}, "r/resolution"),
+    ("ball", {"k": 3, "r": 1, "resolution": 0.05}, "r/resolution")])
+def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
+                                                       kind, params, name):
+    # each of these used to end in a numpy or Python error that named no
+    # parameter, or to ask for gigabytes; 1.2e-4 gives fewer fibers than
+    # the cap but more cells.  The parser is built before the peak is
+    # taken, since it is cached for the process.
+    cli._build_parser()
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        error = run_error(capsys, "space", "gen", "--kind", kind, "--params",
+                          json.dumps(params), "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(name + " ")
+    assert peak < 10e6
     assert not out.exists()
 
 
@@ -442,6 +488,27 @@ def test_iso_critical_scale_brackets_the_crossing(tmp_path, capsys):
     assert res["bracket"][1] - res["bracket"][0] <= 1e-4
 
 
+def test_iso_critical_scale_tol_zero_emits_error_object(tmp_path):
+    # a zero tol used to make the bisection spin for ever, so the call
+    # runs in a child process that the timeout can stop
+    path = tmp_path / "earring.json"
+    save_space(hawaiian_truncation(3, 12), str(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "mmslab.cli", "iso", "critical-scale",
+         "--space", str(path), "--x", "0", "--lo", "0.8", "--hi", "63.0",
+         "--tol", "0", "--iso-tol", "1e-9"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    doc = json.loads(child.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc == {"command": "iso critical-scale",
+                   "error": {"type": "ValueError",
+                             "message": "tol must be positive, got 0.0"}}
+
+
 # === distance verbs ===
 
 def test_gh_exact_between_two_point_files(tmp_path, capsys):
@@ -609,6 +676,36 @@ def test_parser_is_reused_across_calls_after_a_usage_error(tmp_path, capsys):
     doc = json.loads(reports[0])
     assert doc["inputs"]["perm"] == [list(range(1, 12)) + [0],
                                      list(range(11, -1, -1))]
+
+
+def _readme_verbs():
+    """(group, verb) pairs of README's ``mms-lab <group> <verbs>`` block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("every capability as a verb:\n\n```\n")[1]
+    pairs = set()
+    for line in block.split("```")[0].splitlines():
+        _, group, verbs = line.split()
+        pairs.update((group, verb) for verb in verbs.split("|"))
+    return pairs
+
+
+def _parser_verbs():
+    def subparsers(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    return {(group, verb)
+            for group, sub in subparsers(cli._build_parser()).items()
+            for verb in subparsers(sub)}
+
+
+def test_readme_lists_the_verbs_of_the_parser(capsys):
+    listed = _readme_verbs()
+    for group, verb in sorted(listed):
+        rc, cap = run(capsys, group, verb, "--help")
+        assert rc == 0, (group, verb)
+        assert cap.out.startswith(f"usage: mms-lab {group} {verb} ")
+    assert _parser_verbs() == listed
 
 
 def test_numbers_carry_twelve_significant_digits(capsys):

@@ -91,6 +91,20 @@ def test_triangle_violation_is_reported_with_defect():
     assert rep.worst_triangle_defect == pytest.approx(3.0, abs=1e-12)
 
 
+def test_a_defect_that_fails_ok_is_listed():
+    # a 1e-7 defect failed ok while the violation list, filtered by a
+    # separate tol, could come back empty
+    circle = circle_space(1.0, 12)
+    dist = circle.dist.copy()
+    dist[0, 6] = dist[6, 0] = dist[0, 6] + 1e-7
+    rep = validate_space(FiniteMMS(dist=dist, weight=circle.weight))
+    assert not rep.ok
+    assert rep.triangle_violations
+    assert {(i, j) for i, j, _, _ in rep.triangle_violations} == {(0, 6),
+                                                                  (6, 0)}
+    assert all(v[3] > TRIANGLE_TOL for v in rep.triangle_violations)
+
+
 def test_validator_flags_asymmetry_and_diagonal():
     space = FiniteMMS.__new__(FiniteMMS)
     object.__setattr__(space, "dist", np.array([[0.1, 1.0], [2.0, 0.0]]))
@@ -151,8 +165,7 @@ def stretched_space(n, seed, pairs):
     return FiniteMMS(dist=dist, weight=np.ones(n))
 
 
-def sampled_validation_oracle(space, tol=TRIANGLE_TOL, seed=0,
-                              max_triples=20_000_000):
+def sampled_validation_oracle(space, seed=0, max_triples=20_000_000):
     """The sampled triangle check drawing and gathering every triple at
     once, as validate_space did before it streamed blocks."""
     d = space.dist
@@ -163,8 +176,8 @@ def sampled_validation_oracle(space, tol=TRIANGLE_TOL, seed=0,
     defect = d[idx[:, 0], idx[:, 1]] - d[idx[:, 0], idx[:, 2]] - d[idx[:, 2], idx[:, 1]]
     worst = float(defect.max())
     violations = []
-    if worst > tol:
-        bad = np.argwhere(defect > tol).ravel()
+    if worst > TRIANGLE_TOL:
+        bad = np.argwhere(defect > TRIANGLE_TOL).ravel()
         for b in bad[:32]:
             i, j, k = (int(v) for v in idx[b])
             violations.append((i, j, k, float(defect[b])))

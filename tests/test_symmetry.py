@@ -757,3 +757,23 @@ def test_critical_scale_requires_a_true_bracket():
         critical_scale(sp, group, x=0, lo=1e-6, hi=63.0)
     with pytest.raises(ValueError):
         critical_scale(sp, group, x=0, lo=0.8, hi=40.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_critical_scale_rejects_a_tol_that_is_not_positive(tol):
+    sp = hawaiian_truncation(3, 12)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
+    with pytest.raises(ValueError, match="tol must be positive"):
+        critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=tol)
+
+
+def test_critical_scale_below_the_float_spacing_stops_at_adjacent_floats():
+    # the midpoint of two adjacent floats is one of them, so the
+    # bisection used to loop there for ever
+    sp = hawaiian_truncation(3, 12)
+    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
+    res = critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=1e-300)
+    a, b = res.bracket
+    assert b == np.nextafter(a, np.inf)
+    assert displacement(sp, group, a, 0) >= a / 20
+    assert displacement(sp, group, b, 0) < b / 20
