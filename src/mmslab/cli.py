@@ -25,12 +25,14 @@ from scipy.linalg import expm
 from mmslab import __version__
 from mmslab.contraction import (chebyshev_times, mcp_check, necklace_schedule,
                                 scalar_bound, schedule_density_check)
-from mmslab.core import DIST_MODES, load_space, save_space, validate_space
+from mmslab.core import (DIST_MODES, cell_id, load_space, save_space,
+                         validate_space)
 from mmslab.generators import GENERATORS, generate
 from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
-from mmslab.symmetry import (EuclideanIsometry, condition_a_scan,
-                             critical_scale, displacement,
+from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
+                             DEFAULT_NODE_BUDGET, EuclideanIsometry,
+                             condition_a_scan, critical_scale, displacement,
                              enumerate_isometries, euclidean_power_escape,
                              fixed_set, small_subgroup_probe)
 from mmslab.transport import (as_measure, delta, lift_to_geodesic_plan,
@@ -280,6 +282,7 @@ def _cmd_iso_fix(args):
 
 def _cmd_iso_displacement(args):
     sp = load_space(args.space)
+    cell_id(sp, args.x)                 # a bad id fails before the search
     if args.perm:
         group, complete = args.perm, True
     else:
@@ -337,6 +340,7 @@ def _cmd_iso_escape(args):
 
 def _cmd_iso_critical_scale(args):
     sp = load_space(args.space)
+    cell_id(sp, args.x)                 # a bad id fails before the search
     res = enumerate_isometries(sp, iso_tol=args.iso_tol)
     cs = critical_scale(sp, res.perms(), args.x, args.lo, args.hi,
                         tol=args.tol)
@@ -401,6 +405,9 @@ def _build_parser():
     # the verbs that read a space file; the others take common alone
     spaced = _Parser(add_help=False, parents=[common])
     spaced.add_argument("--space", required=True)
+    # the verbs that enumerate isometries of that space
+    searched = _Parser(add_help=False, parents=[spaced])
+    searched.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
 
     def leaf(sub, name, handler, parent=spaced, **kwargs):
         p = sub.add_parser(name, parents=[parent], **kwargs)
@@ -464,35 +471,30 @@ def _build_parser():
 
     # iso
     iso = groups.add_parser("iso").add_subparsers(dest="verb", required=True)
-    p = leaf(iso, "enum", _cmd_iso_enum,
+    p = leaf(iso, "enum", _cmd_iso_enum, searched,
              help="enumerate distance-preserving cell permutations")
-    p.add_argument("--iso-tol", type=float)
-    p.add_argument("--budget", type=int, default=2_000_000)
-    p = leaf(iso, "fix", _cmd_iso_fix,
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p = leaf(iso, "fix", _cmd_iso_fix, searched,
              help="fixed sets of one or all isometries")
     p.add_argument("--perm", type=_perm)
-    p.add_argument("--iso-tol", type=float)
     p.add_argument("--fix-tol", type=float)
     p.add_argument("--ball", action="append", type=_ball_spec,
                    metavar="CENTER:RADIUS")
-    p = leaf(iso, "displacement", _cmd_iso_displacement,
+    p = leaf(iso, "displacement", _cmd_iso_displacement, searched,
              help="largest move on the half-radius ball")
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--r", required=True, type=float)
     p.add_argument("--perm", action="append", type=_perm)
-    p.add_argument("--iso-tol", type=float)
-    p = leaf(iso, "condition-a", _cmd_iso_condition_a,
+    p = leaf(iso, "condition-a", _cmd_iso_condition_a, searched,
              help="fixed mass of nontrivial isometries against ball mass")
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--s", required=True, type=float)
-    p.add_argument("--iso-tol", type=float)
     p.add_argument("--fix-tol", type=float)
-    p = leaf(iso, "probe", _cmd_iso_probe,
+    p = leaf(iso, "probe", _cmd_iso_probe, searched,
              help="search for a nontrivial small-displacement subgroup")
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--compact", type=_ids)
-    p.add_argument("--budget", type=int, default=4096)
-    p.add_argument("--iso-tol", type=float)
+    p.add_argument("--budget", type=int, default=DEFAULT_GROUP_BUDGET)
     p = leaf(iso, "escape", _cmd_iso_escape, common,
              help="first power of a rigid motion past the threshold")
     p.add_argument("--q", type=json.loads, help="orthogonal matrix, JSON")
@@ -504,13 +506,12 @@ def _build_parser():
     p.add_argument("--scale", type=float, default=1e-3)
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--max-pow", type=int, default=1_000_000)
-    p = leaf(iso, "critical-scale", _cmd_iso_critical_scale,
+    p = leaf(iso, "critical-scale", _cmd_iso_critical_scale, searched,
              help="radius where the displacement crosses r/20")
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--lo", required=True, type=float)
     p.add_argument("--hi", required=True, type=float)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--iso-tol", type=float)
 
     # gh
     gh = groups.add_parser("gh").add_subparsers(dest="verb", required=True)

@@ -36,6 +36,14 @@ def _check_cells(name, cells):
                          f" at most {MAX_CELLS} are allowed")
 
 
+def _count(name, value) -> int:
+    """``value`` as an int after ``_check_cells``; 12.0 passes, 12.7 raises."""
+    _check_cells(name, value)
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 # === 1D segment ===
 
 def segment_space(resolution: float) -> FiniteMMS:
@@ -69,8 +77,7 @@ def circle_space(radius: float, resolution: int) -> FiniteMMS:
         raise ValueError("radius must be positive")
     if not resolution >= 3:
         raise ValueError("need at least 3 cells")
-    _check_cells("resolution", resolution)
-    m = int(resolution)
+    m = _count("resolution", resolution)
     circumference = 2 * math.pi * radius
     arc = circumference * np.arange(m) / m
     gap = np.abs(arc[:, None] - arc[None, :])
@@ -95,8 +102,8 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
         raise ValueError("need at least one circle")
     if not resolution >= 3:
         raise ValueError("need at least 3 cells per circle")
-    _check_cells("resolution", resolution)
-    m = int(resolution)
+    m = _count("resolution", resolution)
+    n = _count("n", n)
     _check_cells("n", 1 + n * (m - 1))
     lengths = [2 * math.pi / k**2 for k in range(1, n + 1)]
     per_circle = np.asarray(lengths)[:, None]
@@ -299,7 +306,7 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     m = int(math.floor(r / pitch + 1e-12))
     _check_cells("r/resolution", (2 * m + 1) ** k)
     axis = pitch * np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * k), indexing="ij")
+    grids = np.meshgrid(*([axis] * int(k)), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     keep = np.einsum("ij,ij->i", pts, pts) <= r * r + 1e-12
     pts = pts[keep]

@@ -1,7 +1,7 @@
 """Isometry groups of finite metric measure spaces.
 
 Isometries are permutations of the cells whose worst distance distortion
-stays below a tolerance (two grid pitches by default); each carries its
+stays within a tolerance (``DEFAULT_ISO_TOL`` by default); each carries its
 measured distortion and weight defect.  On top of the enumeration sit
 fixed sets, the displacement functional over half-radius balls, subgroup
 closures, the small-subgroup probe, a closed-form power-escape check for
@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 
 from mmslab.core import FiniteMMS, ball_indices
 
-DEFAULT_NODE_BUDGET = 5_000_000
+DEFAULT_ISO_TOL = 1e-9
+DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
@@ -98,12 +99,6 @@ class EnumerationResult:
 
 
 # === enumeration ===
-
-def isometry_tolerance(space: FiniteMMS) -> float:
-    """How far an isometry may distort distances by default: two grid
-    pitches."""
-    return 2.0 * space.pitch()
-
 
 def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
     """For each cell i, the cells j (ascending) whose sorted distance
@@ -317,10 +312,10 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     return rows, complete, nodes
 
 
-def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
+def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
                          budget: int = DEFAULT_NODE_BUDGET) -> EnumerationResult:
-    """All cell permutations with distance distortion at most ``iso_tol``
-    (``isometry_tolerance`` by default).
+    """All cell permutations with distance distortion at most ``iso_tol``,
+    by default the rounding scale ``DEFAULT_ISO_TOL``.
 
     A map of distortion at most ``iso_tol`` sends each cell i to a cell
     j whose sorted distance row p_j satisfies max_c |p_i[c] - p_j[c]| <=
@@ -349,8 +344,6 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float | None = None,
     those of that walk.  A NaN or negative ``iso_tol`` raises
     ``ValueError``.
     """
-    if iso_tol is None:
-        iso_tol = isometry_tolerance(space)
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
     rows, complete, nodes = _search(
@@ -447,7 +440,7 @@ class SubgroupProbe:
 
 def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
                          budget: int = DEFAULT_GROUP_BUDGET,
-                         iso_tol: float | None = None,
+                         iso_tol: float = DEFAULT_ISO_TOL,
                          maps: EnumerationResult | None = None) -> SubgroupProbe:
     """Look for a nontrivial subgroup whose elements all move the compact
     set ``compact`` (every cell by default) by less than ``epsilon``.
@@ -669,7 +662,7 @@ class ConditionAReport:
 
 
 def condition_a_scan(space: FiniteMMS, x: int, s: float,
-                     iso_tol: float | None = None,
+                     iso_tol: float = DEFAULT_ISO_TOL,
                      fix_tol: float | None = None,
                      maps: EnumerationResult | None = None) -> ConditionAReport:
     """Largest fixed mass any nontrivial isometry keeps inside the ball

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
                          cell_id, trivial_geodesic)
-from mmslab.symmetry import invert, isometry_from_perm, isometry_tolerance
+from mmslab.symmetry import DEFAULT_ISO_TOL, invert, isometry_from_perm
 
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
@@ -474,12 +474,12 @@ def _apply_perm(perm: np.ndarray, g: DiscreteGeodesic) -> DiscreteGeodesic:
 
 def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
                            x=None, targets=None,
-                           iso_tol: float | None = None) -> GeodesicPlan:
+                           iso_tol: float = DEFAULT_ISO_TOL) -> GeodesicPlan:
     """Swap the two target branches of a plan through an isometry.
 
-    The permutation may distort distances by ``iso_tol`` (default two
-    grid pitches).  The plan must start on its fixed set (cells moved by
-    at most one grid pitch) and end either in ``{x, perm[x]}`` or, when
+    The permutation may distort distances by ``iso_tol``, a rounding
+    scale by default.  The plan must start on its fixed set (cells moved
+    by at most one grid pitch) and end either in ``{x, perm[x]}`` or, when
     ``targets`` is given, in that cell set and its disjoint image.  Atoms
     landing on the first branch are pushed through the permutation, atoms
     landing on the image branch through its inverse; marginals and cost
@@ -487,8 +487,6 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     """
     iso = isometry_from_perm(space, perm)
     perm, inv = iso.perm, invert(iso.perm)
-    if iso_tol is None:
-        iso_tol = isometry_tolerance(space)
     fix_tol = space.pitch()
     if iso.distortion > iso_tol:
         raise ValueError(f"permutation distorts distances by {iso.distortion:g}")

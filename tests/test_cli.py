@@ -24,6 +24,8 @@ from mmslab import (
 from mmslab import cli
 from mmslab.cli import main
 from mmslab.generators import NecklaceParams, necklace, necklace_fibers
+from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
+                             DEFAULT_NODE_BUDGET)
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "mmslab" / "schemas"
@@ -242,13 +244,18 @@ def test_space_gen_past_the_float_range_emits_error_object(tmp_path, capsys):
     ("necklace", {"beads": [[0.8, 0.3]], "resolution": 1.2e-4},
      "resolution"),
     ("ball", {"k": 1, "r": 1e308, "resolution": 1}, "r/resolution"),
-    ("ball", {"k": 3, "r": 1, "resolution": 0.05}, "r/resolution")])
+    ("ball", {"k": 3, "r": 1, "resolution": 0.05}, "r/resolution"),
+    ("earring", {"n": 2.5, "resolution": 64}, "n"),
+    ("earring", {"n": 2, "resolution": 24.5}, "resolution"),
+    ("circle", {"radius": 1, "resolution": 12.7}, "resolution")])
 def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
                                                        kind, params, name):
     # each of these used to end in a numpy or Python error that named no
     # parameter, or to ask for gigabytes; 1.2e-4 gives fewer fibers than
-    # the cap but more cells.  The parser is built before the peak is
-    # taken, since it is cached for the process.
+    # the cap but more cells.  A count that is not a whole number fails
+    # too: the earring's n = 2.5 ended in a TypeError from range, and the
+    # circle built 12 cells for 12.7.  The parser is built before the
+    # peak is taken, since it is cached for the process.
     cli._build_parser()
     out = tmp_path / "big.json"
     tracemalloc.start()
@@ -284,6 +291,22 @@ def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
     error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
     assert error == {"type": "ValueError",
                      "message": f"cell id {bad} outside [0, {cells})"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "displacement", "--x", "12", "--r", "1.0"],
+    ["iso", "critical-scale", "--x", "12", "--lo", "0.1", "--hi", "1.0"]])
+def test_cell_ids_are_checked_before_the_search(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    path = circle_file(tmp_path, capsys, resolution=12)
+
+    def search(*args, **kwargs):
+        raise AssertionError("enumerated before checking --x")
+
+    monkeypatch.setattr(cli, "enumerate_isometries", search)
+    error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
+    assert error == {"type": "ValueError",
+                     "message": "cell id 12 outside [0, 12)"}
 
 
 def test_ot_competitor_on_a_reflected_earring(tmp_path, capsys):
@@ -697,6 +720,21 @@ def _parser_verbs():
     return {(group, verb)
             for group, sub in subparsers(cli._build_parser()).items()
             for verb in subparsers(sub)}
+
+
+def test_iso_defaults_come_from_the_library():
+    parse = cli._build_parser().parse_args
+    space = ["--space", "s.json"]
+    assert parse(["iso", "enum", *space]).budget == DEFAULT_NODE_BUDGET
+    assert parse(["iso", "probe", *space, "--eps", "0.1"]).budget == (
+        DEFAULT_GROUP_BUDGET)
+    for verb, rest in [("enum", []), ("fix", []),
+                       ("displacement", ["--x", "0", "--r", "1"]),
+                       ("condition-a", ["--x", "0", "--s", "1"]),
+                       ("probe", ["--eps", "0.1"]),
+                       ("critical-scale", ["--x", "0", "--lo", "0.1",
+                                           "--hi", "1"])]:
+        assert parse(["iso", verb, *space, *rest]).iso_tol == DEFAULT_ISO_TOL
 
 
 def test_readme_lists_the_verbs_of_the_parser(capsys):

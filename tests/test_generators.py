@@ -404,3 +404,13 @@ def test_ball_grid_contains_center_and_is_symmetric():
 def test_ball_grid_rejects_bad_dimension():
     with pytest.raises(ValueError):
         euclidean_ball_grid(4, 1.0, 0.1)
+
+
+def test_whole_number_float_counts_build_the_integer_space():
+    for built, ref in [(circle_space(1.0, 12.0), circle_space(1.0, 12)),
+                       (hawaiian_truncation(4.0, 24.0),
+                        hawaiian_truncation(4, 24)),
+                       (euclidean_ball_grid(2.0, 1.0, 0.25),
+                        euclidean_ball_grid(2, 1.0, 0.25))]:
+        assert np.array_equal(built.dist, ref.dist)
+        assert np.array_equal(built.weight, ref.weight)

@@ -124,6 +124,16 @@ def test_circle_enumeration_matches_brute_force():
         assert m.is_measure_preserving()
 
 
+def test_default_tolerance_finds_the_dihedral_group():
+    # two pitches, the old default, admitted 19,335 maps here
+    sp = circle_space(1.0, 24)
+    res = enumerate_isometries(sp)
+    ref = enumerate_isometries(sp, iso_tol=1e-9)
+    assert np.array_equal(res.perms(), ref.perms())
+    assert (res.nodes, res.complete) == (ref.nodes, ref.complete)
+    assert res.complete and len(res.maps) == 48
+
+
 @pytest.mark.parametrize("iso_tol", [math.nan, -1.0, -1e-300])
 def test_enumeration_rejects_a_nan_or_negative_tolerance(iso_tol):
     # each used to report a complete enumeration with no maps at all
@@ -240,12 +250,10 @@ def candidate_oracle(dist, iso_tol):
                            <= iso_tol) for i in range(len(dist))]
 
 
-def enumeration_oracle(space, iso_tol=None, budget=DEFAULT_NODE_BUDGET):
+def enumeration_oracle(space, iso_tol, budget=DEFAULT_NODE_BUDGET):
     """The enumeration as it stood before the level-batched search: the
     per-row prefilter, one distance check per search node, and each
     map's distortion from the full ``np.ix_`` gather."""
-    if iso_tol is None:
-        iso_tol = 2.0 * space.pitch()
     n = space.n
     dist = space.dist
     profiles = np.sort(dist, axis=1)
