@@ -58,10 +58,7 @@ print(f"uniqueplan?    {probe.unique} (certificate {probe.certificate}, "
 ear = hawaiian_truncation(3, 24)
 m = ear.meta["cells_per_circle"]
 perm = np.arange(ear.n)
-for i, c in enumerate(ear.meta["circle_of_cell"]):
-    if c == 0:
-        p = i                              # arc position on circle 0
-        perm[i] = 1 + (m - p - 1)          # reflected arc position m - p
+perm[1:m] = perm[m - 1:0:-1]   # circle 0 holds cells 1..m-1: arc p goes to m - p
 
 source = [1 + (m - 1) + j for j in range(3, 7)]   # arc on circle 2
 x = 5                                             # a cell on circle 1

@@ -408,6 +408,13 @@ def _build_parser():
     # the verbs that enumerate isometries of that space
     searched = _Parser(add_help=False, parents=[spaced])
     searched.add_argument("--iso-tol", type=float, default=DEFAULT_ISO_TOL)
+    # the verbs that scan cells of that space for regular points
+    scanned = _Parser(add_help=False, parents=[spaced])
+    scanned.add_argument("--eps", required=True, type=float)
+    scanned.add_argument("--delta", required=True, type=float)
+    scanned.add_argument("--k", type=_k_set, default=(1, 2, 3))
+    scanned.add_argument("--r-samples", type=int, default=12)
+    scanned.add_argument("--subsample", type=int, default=8)
 
     def leaf(sub, name, handler, parent=spaced, **kwargs):
         p = sub.add_parser(name, parents=[parent], **kwargs)
@@ -519,22 +526,12 @@ def _build_parser():
              help="exact distance between two small spaces")
     p.add_argument("--space2", required=True)
     p.add_argument("--size-limit", type=int, default=8)
-    p = leaf(gh, "scan", _cmd_gh_scan,
+    p = leaf(gh, "scan", _cmd_gh_scan, scanned,
              help="regular-point verdict for one cell")
     p.add_argument("--x", required=True, type=int)
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--k", type=_k_set, default=(1, 2, 3))
-    p.add_argument("--r-samples", type=int, default=12)
-    p.add_argument("--subsample", type=int, default=8)
-    p = leaf(gh, "regular-mass", _cmd_gh_regular_mass,
+    p = leaf(gh, "regular-mass", _cmd_gh_regular_mass, scanned,
              help="mass split of a budgeted cell scan")
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--k", type=_k_set, default=(1, 2, 3))
     p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--r-samples", type=int, default=12)
-    p.add_argument("--subsample", type=int, default=8)
 
     return top
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
                          constant_speed_defect, geodesic_tolerance)
-from mmslab.generators import necklace_fibers
+from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
 from mmslab.transport import GeodesicPlan, plan_evaluator, plan_marginals
 
 HALF_PI = math.pi / 2.0
@@ -149,10 +149,6 @@ class Schedule:
     worst_speed_defect: float
 
 
-def _bead_height(x, bead_x, bead_r, width_factor):
-    return width_factor * max(bead_r / 4.0 - abs(x - bead_x), 0.0)
-
-
 def _path_y(breaks, x):
     xs = [p[0] for p in breaks]
     ys = [p[1] for p in breaks]
@@ -175,7 +171,7 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     constant speed within ``geodesic_tolerance``.
     """
     fiber_of_cell, fx, _, fcount, fstart, bead_of_fiber = necklace_fibers(space)
-    beads = space.meta["beads"]
+    beads = NecklaceParams(**space.meta["params"]).beads
     ys = space.coords[:, 1]     # cell heights, as ``necklace`` placed them
 
     f_src = int(fiber_of_cell[cell_id(space, source)])
@@ -313,9 +309,8 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
     """
     if allowance is None:
         allowance = 8.0 * space.pitch()
-    beads = space.meta["beads"]
-    width_factor = space.meta["width_factor"]
     _, fx, _, _, _, bead_of_fiber = necklace_fibers(space)
+    beads = NecklaceParams(**space.meta["params"]).beads
 
     plan = sched.plan
     e0, e1 = plan_marginals(space, plan)
@@ -351,16 +346,17 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
     ratio_defect = abs(rho_hat / rho_tgt - 1.0)
 
     # height-ratio law along the first leg, from the closed-form profile
+    # ``necklace`` lays the bead fibers out by
     b_src = int(bead_of_fiber[np.argmin(np.abs(fx - sched.x_spread))])
     bx, br = beads[b_src]
-    h_spread = _bead_height(sched.x_spread_exact, bx, br, width_factor)
+    h_spread = DIAMOND_SLOPE * (br / 4 - abs(sched.x_spread_exact - bx))
     height_rows = []
     heights_ok = True
     for t in times:
         if t > sched.t_spread + 1e-15:
             break
         x_t = sched.x_source + t * l
-        ratio = _bead_height(x_t, bx, br, width_factor) / h_spread
+        ratio = DIAMOND_SLOPE * (br / 4 - abs(x_t - bx)) / h_spread
         bound = 1.25 - t / 4.0
         ok = bool(ratio <= bound + 1e-9)
         heights_ok = heights_ok and ok

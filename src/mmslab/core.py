@@ -151,10 +151,10 @@ def validate_space(space: FiniteMMS, seed: int = 0,
     d = space.dist
     n = space.n
     # upper-triangle row blocks against column blocks: no n^2 temporaries
-    step = max(1, TRIANGLE_BLOCK // max(n, 1))
+    step = max(1, TRIANGLE_BLOCK // n)
     sym = float(np.max([np.abs(d[s:s + step, s:] - d[s:, s:s + step].T).max()
-                        for s in range(0, n, step)])) if n else 0.0
-    diag = float(np.abs(np.diag(d)).max()) if n else 0.0
+                        for s in range(0, n, step)]))
+    diag = float(np.abs(np.diag(d)).max())
     neg = int(np.sum(space.weight <= 0))
 
     worst = 0.0
@@ -203,7 +203,8 @@ def validate_space(space: FiniteMMS, seed: int = 0,
 
 def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     """Rescale the metric: distances are divided by ``factor``; weights
-    are untouched.  Blowing up (factor > 1) zooms in."""
+    are untouched.  Blowing up (factor > 1) zooms in.  The result drops
+    the recipe ``meta["params"]``, so it has no necklace layout."""
     if not factor > 0:
         raise ValueError("scale factor must be positive")
     meta = dict(space.meta)
@@ -234,7 +235,8 @@ def ball(space: FiniteMMS, center: int, radius: float, closed: bool = True) -> F
     """Restrict the space to the metric ball around ``center``.
 
     The returned space keeps the original indices in ``meta['subset']``,
-    drops the recipe, and raises on an empty ball (open, of radius 0).
+    drops the recipe ``meta["params"]`` (so it has no necklace layout),
+    and raises on an empty ball (open, of radius 0).
     """
     idx = ball_indices(space, center, radius, closed=closed)
     if idx.size == 0:

@@ -4,7 +4,8 @@ Five families: a cos^2-weighted segment, intrinsic circles, wedge-of-circles
 truncations, necklace spaces (segments with diamond-shaped 2D beads under the
 intrinsic L-infinity metric), and Euclidean ball grids.  Every constructor
 records its grid pitch in ``meta`` so downstream tolerances can scale with
-resolution, and its arguments in ``meta["params"]`` for ``generate``.
+resolution, and its arguments in ``meta["params"]`` for ``generate``, the
+only record of its layout: no generator stores a per-cell or per-fiber table.
 Each works out its cell count before it allocates anything that size and
 refuses more than ``MAX_CELLS``; its errors name the parameter at fault.
 """
@@ -12,6 +13,7 @@ refuses more than ``MAX_CELLS``; its errors name the parameter at fault.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,14 @@ DIAMOND_SLOPE = 1.0 / 9.0
 
 # Most cells a generator builds: a 2 GiB distance matrix.
 MAX_CELLS = 16_384
+
+
+def _real(name, value):
+    """``value`` itself if it is a real number; a string, a bool, None or
+    anything else raises ``ValueError`` naming the parameter ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _check_cells(name, cells):
@@ -53,7 +63,7 @@ def segment_space(resolution: float) -> FiniteMMS:
     cell is cos^2(midpoint) times the cell width, so the total mass is the
     midpoint-rule approximation of pi/4.
     """
-    if not 0 < resolution < HALF_PI:
+    if not 0 < _real("resolution", resolution) < HALF_PI:
         raise ValueError("resolution must lie in (0, pi/2)")
     _check_cells("resolution", HALF_PI / resolution)
     n = max(2, round(HALF_PI / resolution))
@@ -73,9 +83,9 @@ def segment_space(resolution: float) -> FiniteMMS:
 def circle_space(radius: float, resolution: int) -> FiniteMMS:
     """Circle of the given radius with intrinsic (arc-length) distance and
     uniform 1D Hausdorff weights; ``resolution`` counts cells."""
-    if radius <= 0:
+    if _real("radius", radius) <= 0:
         raise ValueError("radius must be positive")
-    if not resolution >= 3:
+    if not _real("resolution", resolution) >= 3:
         raise ValueError("need at least 3 cells")
     m = _count("resolution", resolution)
     circumference = 2 * math.pi * radius
@@ -98,9 +108,9 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
     length from every incident circle, so the total mass is exactly the sum
     of the circumferences.
     """
-    if not n >= 1:
+    if not _real("n", n) >= 1:
         raise ValueError("need at least one circle")
-    if not resolution >= 3:
+    if not _real("resolution", resolution) >= 3:
         raise ValueError("need at least 3 cells per circle")
     m = _count("resolution", resolution)
     n = _count("n", n)
@@ -127,15 +137,9 @@ def hawaiian_truncation(n: int, resolution: int) -> FiniteMMS:
     dist = np.where(same, np.minimum(own, through), through)
     np.fill_diagonal(dist, 0.0)
 
-    meta = {
-        "generator": "earring",
-        "params": {"n": n, "resolution": resolution},
-        "pitch": 2 * math.pi / m,
-        "circles": n,
-        "cells_per_circle": m,
-        "circle_of_cell": [int(v) for v in cnum],
-        "arc_of_cell": [float(v) for v in arc],
-    }
+    meta = {"generator": "earring", "pitch": 2 * math.pi / m,
+            "params": {"n": n, "resolution": resolution},
+            "circles": n, "cells_per_circle": m}
     return FiniteMMS(dist=dist, weight=weights, meta=meta)
 
 
@@ -155,7 +159,7 @@ class NecklaceParams:
 
     def __post_init__(self):
         beads = tuple((float(x), float(r)) for x, r in self.beads)
-        if not 0 < self.resolution < HALF_PI:
+        if not 0 < _real("resolution", self.resolution) < HALF_PI:
             raise ValueError("resolution must lie in (0, pi/2)")
         for x, r in beads:
             if not 0 < r <= 1:
@@ -167,6 +171,30 @@ class NecklaceParams:
             if lo < hi:
                 raise ValueError("bead intervals overlap")
         object.__setattr__(self, "beads", tuple(sorted(beads)))
+
+
+def _necklace_layout(params: NecklaceParams):
+    """Fiber layout of the necklace ``params``: the fiber pitch w and, per
+    fiber, its abscissa, bead half-height (0 off the beads), cell count,
+    first cell (one more entry: the cell count) and bead (-1 off the
+    beads).  Cells are stored fiber by fiber."""
+    _check_cells("resolution", HALF_PI / params.resolution)  # a cell a fiber
+    n_fib = max(2, round(HALF_PI / params.resolution))
+    w = HALF_PI / n_fib
+    fx = (np.arange(n_fib) + 0.5) * w
+
+    bead_of_fiber = np.full(n_fib, -1)
+    fiber_h = np.zeros(n_fib)
+    for k, (xk, rk) in enumerate(params.beads):
+        inside = np.abs(fx - xk) < rk / 4
+        bead_of_fiber[inside] = k
+        fiber_h[inside] = DIAMOND_SLOPE * (rk / 4 - np.abs(fx[inside] - xk))
+
+    fiber_count = np.where(fiber_h > 0,
+                           2 * np.ceil(fiber_h / w - 1e-12).astype(int), 1)
+    fiber_start = np.concatenate([[0], np.cumsum(fiber_count)])
+    _check_cells("resolution", fiber_start[-1])
+    return w, fx, fiber_h, fiber_count, fiber_start, bead_of_fiber
 
 
 def necklace(params: NecklaceParams) -> FiniteMMS:
@@ -196,29 +224,13 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
     row block is mirrored into its column block, so the matrix is exactly
     symmetric with a zero diagonal.
     """
-    h = params.resolution
-    _check_cells("resolution", HALF_PI / h)     # one cell per fiber at least
-    n_fib = max(2, round(HALF_PI / h))
-    w = HALF_PI / n_fib
-    fx = (np.arange(n_fib) + 0.5) * w
-
-    bead_of_fiber = np.full(n_fib, -1)
-    fiber_h = np.zeros(n_fib)
-    for k, (xk, rk) in enumerate(params.beads):
-        inside = np.abs(fx - xk) < rk / 4
-        bead_of_fiber[inside] = k
-        fiber_h[inside] = DIAMOND_SLOPE * (rk / 4 - np.abs(fx[inside] - xk))
-
-    fiber_count = np.where(fiber_h > 0,
-                           2 * np.ceil(fiber_h / w - 1e-12).astype(int), 1)
-    fiber_start = np.concatenate([[0], np.cumsum(fiber_count)])
+    w, fx, fiber_h, fiber_count, fiber_start, _ = _necklace_layout(params)
     n_cells = int(fiber_start[-1])
-    _check_cells("resolution", n_cells)
 
     xs = np.empty(n_cells)
     ys = np.empty(n_cells)
     weight = np.empty(n_cells)
-    for i in range(n_fib):
+    for i in range(fx.size):
         k_i = fiber_count[i]
         sl = slice(fiber_start[i], fiber_start[i] + k_i)
         xs[sl] = fx[i]
@@ -230,7 +242,7 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
         weight[sl] = np.cos(fx[i]) ** 2 * w / k_i
 
     dist = np.empty((n_cells, n_cells))
-    for i in range(n_fib):
+    for i in range(fx.size):
         a, b = fiber_start[i], fiber_start[i + 1]
         y = ys[a:b]
         dist[a:b, a:b] = np.abs(y[:, None] - y[None, :])
@@ -244,46 +256,32 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
             np.minimum(left, dist[p + r, :a] + step[r][:, None], out=left)
         dist[:a, a:b] = left.T
 
-    meta = {
-        "generator": "necklace",
-        "params": {"beads": [[x, r] for x, r in params.beads],
-                   "resolution": h},
-        "pitch": w,
-        "beads": [[x, r] for x, r in params.beads],
-        "width_factor": DIAMOND_SLOPE,
-        "necklace": {
-            "fiber_x": [float(v) for v in fx],
-            "fiber_h": [float(v) for v in fiber_h],
-            "fiber_count": [int(v) for v in fiber_count],
-            "fiber_start": [int(v) for v in fiber_start[:-1]],
-            "bead_of_fiber": [int(v) for v in bead_of_fiber],
-        },
-    }
+    meta = {"generator": "necklace", "pitch": w,
+            "params": {"beads": [[x, r] for x, r in params.beads],
+                       "resolution": params.resolution}}
     return FiniteMMS(dist=dist, weight=weight,
                      coords=np.column_stack([xs, ys]), meta=meta)
 
 
 def necklace_fibers(space: FiniteMMS):
-    """Per-fiber bookkeeping arrays of a necklace space.
+    """Per-fiber bookkeeping arrays of a necklace space, laid out again
+    from its recipe ``meta["params"]``.
 
     Returns (fiber_of_cell, fiber_x, fiber_h, fiber_count, fiber_start,
     bead_of_fiber) as numpy arrays.  Works on any space produced by
-    ``necklace`` (including zero beads).
+    ``necklace`` (including zero beads) and on its reloads.  ``ball``,
+    ``scale`` and hand-built spaces have no necklace recipe and raise
+    ``ValueError``, as does a recipe not laying out ``space.n`` cells.
     """
-    info = space.meta.get("necklace")
-    if info is None:
-        raise ValueError("space does not carry necklace fiber metadata")
-    start = np.asarray(info["fiber_start"], dtype=int)
-    count = np.asarray(info["fiber_count"], dtype=int)
-    fiber_of_cell = np.repeat(np.arange(start.size), count)
-    return (
-        fiber_of_cell,
-        np.asarray(info["fiber_x"], dtype=float),
-        np.asarray(info["fiber_h"], dtype=float),
-        count,
-        start,
-        np.asarray(info["bead_of_fiber"], dtype=int),
-    )
+    params = space.meta.get("params")
+    if space.meta.get("generator") == "necklace" and params is not None:
+        _, fx, fiber_h, count, start, bead = _necklace_layout(
+            NecklaceParams(**params))
+        if start[-1] == space.n:
+            return (np.repeat(np.arange(fx.size), count), fx, fiber_h,
+                    count, start[:-1], bead)
+    raise ValueError(f"space has no necklace recipe for its {space.n} cells;"
+                     " ball, scale and hand-built spaces have none")
 
 
 # === Euclidean ball grids ===
@@ -292,7 +290,7 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     """Grid discretization of the closed Euclidean ball of radius r in R^k."""
     if k not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2, or 3")
-    if not (r > 0 and resolution > 0):
+    if not (_real("r", r) > 0 and _real("resolution", resolution) > 0):
         raise ValueError("radius and resolution must be positive")
     pitch = float(resolution)
     try:

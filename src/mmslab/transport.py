@@ -484,7 +484,10 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     landing on the first branch are pushed through the permutation, atoms
     landing on the image branch through its inverse; marginals and cost
     survive because the sources are fixed and the map is an isometry.
+    A NaN or negative ``iso_tol`` raises ``ValueError``.
     """
+    if not iso_tol >= 0:
+        raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
     iso = isometry_from_perm(space, perm)
     perm, inv = iso.perm, invert(iso.perm)
     fix_tol = space.pitch()

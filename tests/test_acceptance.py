@@ -66,13 +66,11 @@ def cloud(rng, n, spread=1.0):
 
 
 def circle_reflection(space, k):
-    cnum = space.meta["circle_of_cell"]
+    """Reflection of circle k of a wedge space about the base axis."""
     m = space.meta["cells_per_circle"]
+    first = 1 + k * (m - 1)         # circle k holds m - 1 cells from here
     perm = np.arange(space.n)
-    for i, c in enumerate(cnum):
-        if c == k:
-            j = i - 1 - k * (m - 1) + 1
-            perm[i] = 1 + k * (m - 1) + (m - j - 1)
+    perm[first:first + m - 1] = perm[first + m - 2:first - 1:-1]
     return perm
 
 

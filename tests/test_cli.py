@@ -14,6 +14,7 @@ import pytest
 
 from mmslab import (
     FiniteMMS,
+    ball,
     condition_a_scan,
     displacement,
     enumerate_isometries,
@@ -64,13 +65,11 @@ def circle_file(tmp_path, capsys, resolution=16):
 
 
 def circle_reflection(space, k):
-    cnum = space.meta["circle_of_cell"]
+    """Reflection of circle k of a wedge space about the base axis."""
     m = space.meta["cells_per_circle"]
+    first = 1 + k * (m - 1)         # circle k holds m - 1 cells from here
     perm = np.arange(space.n)
-    for i, c in enumerate(cnum):
-        if c == k:
-            j = i - 1 - k * (m - 1) + 1
-            perm[i] = 1 + k * (m - 1) + (m - j - 1)
+    perm[first:first + m - 1] = perm[first + m - 2:first - 1:-1]
     return perm
 
 
@@ -247,15 +246,24 @@ def test_space_gen_past_the_float_range_emits_error_object(tmp_path, capsys):
     ("ball", {"k": 3, "r": 1, "resolution": 0.05}, "r/resolution"),
     ("earring", {"n": 2.5, "resolution": 64}, "n"),
     ("earring", {"n": 2, "resolution": 24.5}, "resolution"),
-    ("circle", {"radius": 1, "resolution": 12.7}, "resolution")])
+    ("circle", {"radius": 1, "resolution": 12.7}, "resolution"),
+    ("circle", {"radius": 1.0, "resolution": "12"}, "resolution"),
+    ("circle", {"radius": None, "resolution": 12}, "radius"),
+    ("earring", {"n": "3", "resolution": 8}, "n"),
+    ("earring", {"n": 3, "resolution": True}, "resolution"),
+    ("segment", {"resolution": "0.1"}, "resolution"),
+    ("ball", {"k": 2, "r": "1", "resolution": 0.25}, "r"),
+    ("necklace", {"beads": [], "resolution": "0.01"}, "resolution")])
 def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
                                                        kind, params, name):
     # each of these used to end in a numpy or Python error that named no
     # parameter, or to ask for gigabytes; 1.2e-4 gives fewer fibers than
     # the cap but more cells.  A count that is not a whole number fails
     # too: the earring's n = 2.5 ended in a TypeError from range, and the
-    # circle built 12 cells for 12.7.  The parser is built before the
-    # peak is taken, since it is cached for the process.
+    # circle built 12 cells for 12.7.  So does a parameter that is not a
+    # number, which ended in a TypeError from a comparison.  The parser
+    # is built before the peak is taken, since it is cached for the
+    # process.
     cli._build_parser()
     out = tmp_path / "big.json"
     tracemalloc.start()
@@ -371,6 +379,25 @@ def test_mcp_schedule_reports_landmarks(tmp_path, capsys):
     assert res["ok"] and res["density"]["ok"] and res["density"]["heights_ok"]
     assert res["t_spread"] <= 0.3 / 5 + 1e-9
     assert res["x_source"] < res["x_spread"] < res["x_target"]
+
+
+def test_mcp_schedule_on_a_necklace_ball_emits_error_object(tmp_path,
+                                                            capsys):
+    # a ball keeps no necklace recipe, so it has no fiber layout; a ball
+    # of the first cells used to pass on the stale fiber tables it copied
+    sp = necklace(NecklaceParams(beads=((0.4, 0.3), (1.1, 0.3)),
+                                 resolution=math.pi / 2 / 240))
+    _, fx, _, fcount, fstart, _ = necklace_fibers(sp)
+    src_f = int(np.argmin(np.abs(fx - 0.38)))
+    tgt_f = int(np.argmin(np.abs(fx - 1.06)))
+    src = int(fstart[src_f] + fcount[src_f] // 2)
+    path = tmp_path / "ball.json"
+    save_space(ball(sp, src, 1.0), str(path))
+    error = run_error(capsys, "mcp", "schedule", "--space", path,
+                      "--source", src, "--target-fiber", tgt_f,
+                      "--target-count", 2)
+    assert error["type"] == "ValueError"
+    assert "no necklace recipe" in error["message"]
 
 
 def test_mcp_scalar_bound_margin_positive(capsys):

@@ -1,5 +1,6 @@
 """Example-space constructors: masses, metrics, and fiber bookkeeping."""
 
+import json
 import math
 import tracemalloc
 
@@ -9,12 +10,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from mmslab import (
+    FiniteMMS,
     NecklaceParams,
+    ball,
     circle_space,
     euclidean_ball_grid,
     hawaiian_truncation,
+    load_space,
     necklace,
     necklace_fibers,
+    save_space,
+    scale,
     segment_space,
     validate_space,
 )
@@ -102,9 +108,10 @@ def test_earring_cell_count_and_base_weight():
 
 def test_earring_cross_circle_distance_goes_through_base():
     space = hawaiian_truncation(3, 16)
-    cnum = np.asarray(space.meta["circle_of_cell"])
-    i = int(np.flatnonzero(cnum == 0)[3])
-    j = int(np.flatnonzero(cnum == 2)[5])
+    m = space.meta["cells_per_circle"]
+    # circle k holds cells 1 + k(m - 1) .. (k + 1)(m - 1)
+    i = 1 + 0 * (m - 1) + 3
+    j = 1 + 2 * (m - 1) + 5
     assert space.dist[i, j] == pytest.approx(
         space.dist[i, 0] + space.dist[0, j])
 
@@ -130,11 +137,22 @@ def earring_cells_oracle(n, m):
 
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 12), (4, 7), (10, 64)])
 def test_earring_cells_match_the_loop_oracle(n, m):
+    # the oracle's circle and arc lists imply every distance: along the
+    # own circle, or through the base
     space = hawaiian_truncation(n, m)
     cnum, arc, weights = earring_cells_oracle(n, m)
-    assert space.meta["circle_of_cell"] == cnum
-    assert space.meta["arc_of_cell"] == arc
+    cnum, arc = np.asarray(cnum), np.asarray(arc)
+    lengths = [2 * math.pi / k**2 for k in range(1, n + 1)]
+    length = np.asarray([math.inf] + lengths)[cnum + 1]
+    to_base = np.minimum(arc, length - arc)
+    gap = np.abs(arc[:, None] - arc[None, :])
+    own = np.minimum(gap, length[:, None] - gap)
+    same = (cnum[:, None] == cnum[None, :]) & (cnum[:, None] >= 0)
+    want = np.where(same, own, to_base[:, None] + to_base[None, :])
+    assert np.max(np.abs(space.dist - want)) <= 1e-12
     assert space.weight.tolist() == weights
+    assert set(space.meta) == {"generator", "params", "pitch", "circles",
+                               "cells_per_circle"}
 
 
 def test_earring_with_too_many_cells_fails_before_filling_memory():
@@ -245,11 +263,12 @@ def test_necklace_bead_mass_matches_segment_quadrature():
 
 
 def necklace_by_dijkstra(params):
-    """The necklace as first built: the same cells, masses and meta, with
-    the metric from all-pairs Dijkstra on the cell-adjacency graph
-    (consecutive cells of one fiber at cost |dy|, all cell pairs of
-    adjacent fibers at cost max(pitch, |dy|)), symmetrized as
-    (dist + dist.T) / 2.  Oracle for the fiber sweep of ``necklace``."""
+    """The necklace as first built: the same cells, masses and fiber
+    tables (as ``necklace_fibers`` returns them), with the metric from
+    all-pairs Dijkstra on the cell-adjacency graph (consecutive cells of
+    one fiber at cost |dy|, all cell pairs of adjacent fibers at cost
+    max(pitch, |dy|)), symmetrized as (dist + dist.T) / 2.  Oracle for
+    the fiber sweep of ``necklace``."""
     h = params.resolution
     n_fib = max(2, round(HALF_PI / h))
     w = HALF_PI / n_fib
@@ -308,22 +327,9 @@ def necklace_by_dijkstra(params):
     dist = (dist + dist.T) / 2
     np.fill_diagonal(dist, 0.0)
 
-    meta = {
-        "generator": "necklace",
-        "params": {"beads": [[x, r] for x, r in params.beads],
-                   "resolution": h},
-        "pitch": w,
-        "beads": [[x, r] for x, r in params.beads],
-        "width_factor": DIAMOND_SLOPE,
-        "necklace": {
-            "fiber_x": [float(v) for v in fx],
-            "fiber_h": [float(v) for v in fiber_h],
-            "fiber_count": [int(v) for v in fiber_count],
-            "fiber_start": [int(v) for v in fiber_start[:-1]],
-            "bead_of_fiber": [int(v) for v in bead_of_fiber],
-        },
-    }
-    return dist, weight, np.column_stack([xs, ys]), meta
+    tables = (np.repeat(np.arange(n_fib), fiber_count), fx, fiber_h,
+              fiber_count, fiber_start[:-1], bead_of_fiber)
+    return dist, weight, np.column_stack([xs, ys]), tables
 
 
 THREE_BEADS = ((0.3, 0.4), (0.8, 0.6), (1.3, 0.4))
@@ -342,13 +348,14 @@ THREE_BEADS = ((0.3, 0.4), (0.8, 0.6), (1.3, 0.4))
 def test_necklace_sweep_matches_the_dijkstra_oracle(beads, fibers):
     params = NecklaceParams(beads=beads, resolution=HALF_PI / fibers)
     space = necklace(params)
-    dist, weight, coords, meta = necklace_by_dijkstra(params)
+    dist, weight, coords, tables = necklace_by_dijkstra(params)
     # sums of the same edge costs in another order: 1e-15 is a few ulps
     # of the diameter; the largest difference seen here is 3.5e-17
     assert np.max(np.abs(space.dist - dist)) <= 1e-15
     assert np.array_equal(space.weight, weight)
     assert np.array_equal(space.coords, coords)
-    assert space.meta == meta
+    for got, want in zip(necklace_fibers(space), tables, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(space.dist, space.dist.T)
     assert not np.any(np.diag(space.dist))
 
@@ -358,6 +365,52 @@ def test_two_bead_necklace_is_bit_identical_to_the_oracle():
                             resolution=HALF_PI / 120)
     assert np.array_equal(necklace(params).dist,
                           necklace_by_dijkstra(params)[0])
+
+
+def test_necklace_meta_is_its_recipe_and_pitch():
+    params = NecklaceParams(beads=((0.8, 0.4),), resolution=HALF_PI / 160)
+    assert necklace(params).meta == {
+        "generator": "necklace", "pitch": HALF_PI / 160,
+        "params": {"beads": [[0.8, 0.4]], "resolution": HALF_PI / 160}}
+
+
+def test_necklace_fibers_are_the_same_after_every_reload(tmp_path):
+    space = necklace(NecklaceParams(beads=((0.4, 0.3), (1.1, 0.3)),
+                                    resolution=HALF_PI / 200))
+    fibers = necklace_fibers(space)
+    explicit, recipe, old = (str(tmp_path / f) for f in
+                             ("explicit.json", "recipe.json", "old.json"))
+    save_space(space, explicit)
+    save_space(space, recipe, dist_mode="recipe")
+    # a file written when the necklace still stored its fiber tables in
+    # meta: the extra keys load and are ignored
+    with open(explicit) as fh:
+        doc = json.load(fh)
+    _, fx, fh_, count, start, bead = fibers
+    doc["meta"].update(
+        beads=doc["meta"]["params"]["beads"], width_factor=DIAMOND_SLOPE,
+        necklace={"fiber_x": fx.tolist(), "fiber_h": fh_.tolist(),
+                  "fiber_count": count.tolist(),
+                  "fiber_start": start.tolist(),
+                  "bead_of_fiber": bead.tolist()})
+    with open(old, "w") as fh:
+        json.dump(doc, fh)
+    for path in (explicit, recipe, old):
+        for got, want in zip(necklace_fibers(load_space(path)), fibers,
+                             strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_necklace_fibers_need_a_necklace_recipe_of_the_space():
+    space = necklace(NecklaceParams(beads=((0.8, 0.4),),
+                                    resolution=HALF_PI / 120))
+    prefix = FiniteMMS(dist=space.dist[:50, :50], weight=space.weight[:50],
+                       meta=space.meta)
+    for derived in (ball(space, 10, 0.2), scale(space, 2.0),
+                    FiniteMMS(dist=space.dist, weight=space.weight),
+                    segment_space(HALF_PI / 120), prefix):
+        with pytest.raises(ValueError, match="no necklace recipe"):
+            necklace_fibers(derived)
 
 
 def test_necklace_builds_its_matrix_without_a_second_copy():

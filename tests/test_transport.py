@@ -69,13 +69,10 @@ def dense_marginal_constraints(sm, tm):
 
 def circle_reflection(space, k):
     """Permutation reflecting circle k of a truncated earring in place."""
-    cnum = space.meta["circle_of_cell"]
     m = space.meta["cells_per_circle"]
+    first = 1 + k * (m - 1)         # circle k holds m - 1 cells from here
     perm = np.arange(space.n)
-    for i, c in enumerate(cnum):
-        if c == k:
-            j = i - 1 - k * (m - 1) + 1          # arc step index, 1..m-1
-            perm[i] = 1 + k * (m - 1) + (m - j - 1)
+    perm[first:first + m - 1] = perm[first + m - 2:first - 1:-1]
     return perm
 
 
@@ -526,6 +523,18 @@ def test_competitor_rejects_bad_configurations():
     shuffled[[1, 30]] = shuffled[[30, 1]]
     with pytest.raises(ValueError):
         symmetrized_competitor(sp, shuffled, plan, x=x, iso_tol=1e-9)
+
+
+@pytest.mark.parametrize("iso_tol", [math.nan, -1.0])
+def test_competitor_rejects_a_nan_or_negative_iso_tol(iso_tol):
+    # a NaN tolerance passed the distortion test, so this non-isometry
+    # (distortion 0.72) got a competitor plan
+    sp, perm, plan, x = earring_scenario()
+    swapped = perm.copy()
+    swapped[[1, 30]] = swapped[[30, 1]]
+    for p in (perm, swapped):
+        with pytest.raises(ValueError, match="iso_tol"):
+            symmetrized_competitor(sp, p, plan, x=x, iso_tol=iso_tol)
 
 
 def test_competitor_rejects_unfixed_sources():
