@@ -19,8 +19,7 @@ import sys
 from dataclasses import fields
 
 import numpy as np
-import scipy
-from scipy.linalg import expm
+import scipy        # only its version string: scipy's submodules load on use
 
 from mmslab import __version__
 from mmslab.contraction import (chebyshev_times, mcp_check, necklace_schedule,
@@ -317,6 +316,7 @@ def _cmd_iso_probe(args):
 
 
 def _random_small_motion(k, seed, scale):
+    from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k))
     q = expm(scale * (a - a.T))

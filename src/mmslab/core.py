@@ -12,8 +12,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+
+# scipy loads inside the functions that use it, so that a process which
+# never calls them starts without it.
 
 TRIANGLE_TOL = 1e-9
 
@@ -23,6 +24,9 @@ FULL_TRIANGLE_LIMIT = 300
 # Sampled triples are drawn and checked this many at a time, so the check
 # needs constant memory beyond the matrix whatever the budget.
 TRIANGLE_BLOCK = 16_384
+
+# Explicit files spell the matrix this many entries at a time.
+SAVE_BLOCK = 1 << 16
 
 # The neighbor graph joins every pair of cells within this many grid pitches.
 EDGE_FACTOR = 1.5
@@ -322,6 +326,7 @@ def geodesic_tolerance(space: FiniteMMS) -> float:
 
 def neighbor_graph(space: FiniteMMS):
     """Sparse graph of all pairs within ``EDGE_FACTOR`` grid pitches."""
+    from scipy.sparse import csr_matrix
     pitch = space.pitch()
     if pitch <= 0:
         raise ValueError("space has no usable pitch")
@@ -350,6 +355,7 @@ class ShortestChains:
 
     def distances(self, sources) -> np.ndarray:
         """Dijkstra rows, one per source, from one call."""
+        from scipy.sparse.csgraph import dijkstra
         return dijkstra(self.graph, directed=False, indices=sources)
 
     def between(self, a: int, b: int, da: np.ndarray, db: np.ndarray,
@@ -472,17 +478,39 @@ def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None
         if dist_mode == "explicit":
             # the bytes of json.dump(indent=1, sort_keys=True) with "dist"
             # in it, which sorts first: the matrix streams one row at a
-            # time through the C encoder, not the pure-Python indenting one
+            # time, not through the pure-Python indenting encoder
             fh.write('{\n "dist": [\n')
             sep = ""
-            for row in space.dist:
-                body = json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
+            for body in _row_bodies(space.dist):
                 fh.write(f"{sep}  [\n   {body}\n  ]")
                 sep = ",\n"
             fh.write("\n ],\n" + json.dumps(doc, indent=1, sort_keys=True)[2:])
         else:
             json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _row_bodies(dist: np.ndarray):
+    """The entries of each row of ``dist`` as json's C encoder spells
+    them, joined by the indent of an explicit file, in blocks of rows of
+    about ``SAVE_BLOCK`` entries.  A block with at most half its entries
+    distinct, as in generated spaces, spells each distinct bit pattern
+    once (so -0.0 and 0.0 stay apart) with ``float.__repr__``, the
+    encoder's spelling of a finite float.  A block with more goes through
+    the encoder row by row, which is faster when nearly every entry is
+    spelled anyway."""
+    step = max(1, SAVE_BLOCK // dist.shape[1])
+    for s in range(0, dist.shape[0], step):
+        block = dist[s:s + step]
+        bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        if 2 * bits.size > block.size:
+            for row in block:
+                yield json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
+        else:
+            spelled = np.array(list(map(float.__repr__, bits.view(float).tolist())),
+                               dtype=object)
+            for row in spelled[inv.reshape(block.shape)].tolist():
+                yield ",\n   ".join(row)
 
 
 def load_space(path: str) -> FiniteMMS:

@@ -158,7 +158,13 @@ class NecklaceParams:
     resolution: float
 
     def __post_init__(self):
-        beads = tuple((float(x), float(r)) for x, r in self.beads)
+        pair = (list, tuple, np.ndarray)
+        if not (isinstance(self.beads, pair) and all(
+                isinstance(b, pair) and len(b) == 2 for b in self.beads)):
+            raise ValueError("beads must be a list of (x, r) pairs,"
+                             f" got {self.beads!r}")
+        beads = tuple((float(_real("beads", x)), float(_real("beads", r)))
+                      for x, r in self.beads)
         if not 0 < _real("resolution", self.resolution) < HALF_PI:
             raise ValueError("resolution must lie in (0, pi/2)")
         for x, r in beads:
@@ -308,8 +314,15 @@ def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
     pts = np.column_stack([g.ravel() for g in grids])
     keep = np.einsum("ij,ij->i", pts, pts) <= r * r + 1e-12
     pts = pts[keep]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # squared differences summed into one n^2 buffer an axis at a time,
+    # in the order einsum("ijk,ijk->ij") sums three: (x^2 + z^2) + y^2
+    dist = np.zeros((len(pts), len(pts)))
+    sq = np.empty_like(dist)
+    for a in (0, 2, 1) if k == 3 else range(int(k)):
+        np.subtract.outer(pts[:, a], pts[:, a], out=sq)
+        np.multiply(sq, sq, out=sq)
+        dist += sq
+    np.sqrt(dist, out=dist)
     meta = {"generator": "ball", "pitch": pitch,
             "params": {"k": k, "r": r, "resolution": resolution}}
     return FiniteMMS(dist=dist, weight=np.full(len(pts), volume),

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.optimize import brentq
 
 from mmslab.core import FiniteMMS, ball_indices
+
+# scipy loads inside the functions that use it, so that a process which
+# never calls them starts without it.
 
 DEFAULT_ISO_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -516,6 +517,7 @@ class EscapeResult:
 def _block_data(iso: EuclideanIsometry):
     """Split the motion into spectral blocks: rotation angles and the
     translation component inside each block."""
+    from scipy.linalg import schur
     t, z = schur(iso.q, output="real")
     w = z.T @ iso.v
     blocks = []          # (kind, angle, |v_block|); kind in {rot, flip, keep}
@@ -582,6 +584,7 @@ def _sup_on_half_ball(sig, trans):
         hi = lo + eps
         while excess(hi) > 0.0:
             hi = 2.0 * hi + 1.0
+        from scipy.optimize import brentq
         lam = brentq(excess, lo + eps, hi, xtol=1e-18, rtol=1e-13)
         t = s * c / (lam - s**2)
         slack = 0.0

@@ -13,15 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
-from scipy.sparse.csgraph import connected_components
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
                          cell_id, trivial_geodesic)
 from mmslab.symmetry import DEFAULT_ISO_TOL, invert, isometry_from_perm
+
+# scipy loads inside the functions that use it, so that a process which
+# never calls them starts without it.
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
@@ -144,6 +147,7 @@ def _marginal_constraints(sm, tm):
     """(A_eq, b_eq) fixing the row sums ``sm`` and the column sums ``tm``
     of the row-major flattened coupling.  A_eq is sparse (CSC): column
     a * n1 + b holds a one in row a and a one in row n0 + b."""
+    from scipy.sparse import csc_array
     n0, n1 = len(sm), len(tm)
     k = np.arange(n0 * n1)
     rows = np.column_stack([k // n1, n0 + k % n1]).ravel()
@@ -177,6 +181,7 @@ def _solve(space: FiniteMMS, mu0, mu1) -> _Solve:
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
     else:
+        from scipy.optimize import linprog
         a_eq, b_eq = _marginal_constraints(sm, tm)
         res = linprog(d2.ravel(), A_eq=a_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
@@ -269,6 +274,8 @@ class ProbeResult:
 def _is_forest(tight: np.ndarray) -> bool:
     """True when the bipartite graph with biadjacency ``tight`` has no
     cycle: edges = nodes - components."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.csgraph import connected_components
     n0, n1 = tight.shape
     rows, cols = np.nonzero(tight)
     graph = csc_array((np.ones(len(rows)), (rows, n0 + cols)),
@@ -329,6 +336,7 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     # the two costs compared are sums of n0 * n1 nonnegative terms, each
     # off by at most n0 * n1 * eps times its value
     slack = gap + neg + 2 * n0 * n1 * np.finfo(float).eps * base.cost
+    from scipy.optimize import linprog
     cols = np.flatnonzero(tight)
     a_face = lp.a_eq[:, cols]
     rng = np.random.default_rng(seed)

@@ -141,6 +141,27 @@ def test_space_gen_rejects_a_computed_dist_mode(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_space_gen_loads_no_scipy_solver_module(tmp_path):
+    # importing scipy's sparse, optimize and linalg packages at module
+    # load took most of a second of every CLI call; a child process
+    # starts with none of them loaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from mmslab.cli import main; rc = main(sys.argv[1:]); "
+            "print([m for m in ('scipy.sparse', 'scipy.optimize', "
+            "'scipy.linalg') if m in sys.modules]); sys.exit(rc)")
+    child = subprocess.run(
+        [sys.executable, "-c", code, "space", "gen", "--kind", "necklace",
+         "--params", json.dumps(GEN_PARAMS["necklace"]),
+         "--out", str(tmp_path / "n.json"),
+         "--report", str(tmp_path / "n.report")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+    assert load_space(str(tmp_path / "n.json")).n == 351
+
+
 # === transport ===
 
 def test_ot_solve_forced_two_point_instance(tmp_path, capsys):
@@ -253,7 +274,13 @@ def test_space_gen_past_the_float_range_emits_error_object(tmp_path, capsys):
     ("earring", {"n": 3, "resolution": True}, "resolution"),
     ("segment", {"resolution": "0.1"}, "resolution"),
     ("ball", {"k": 2, "r": "1", "resolution": 0.25}, "r"),
-    ("necklace", {"beads": [], "resolution": "0.01"}, "resolution")])
+    ("necklace", {"beads": [], "resolution": "0.01"}, "resolution"),
+    ("necklace", {"beads": [[None, 0.4]], "resolution": 0.01}, "beads"),
+    ("necklace", {"beads": [0.8], "resolution": 0.01}, "beads"),
+    ("necklace", {"beads": [["0.8", 0.3]], "resolution": 0.01}, "beads"),
+    ("necklace", {"beads": ["11"], "resolution": 0.01}, "beads"),
+    ("necklace", {"beads": [[0.8, 0.3, 1]], "resolution": 0.01}, "beads"),
+    ("necklace", {"beads": 0.8, "resolution": 0.01}, "beads")])
 def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
                                                        kind, params, name):
     # each of these used to end in a numpy or Python error that named no
@@ -261,7 +288,9 @@ def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
     # the cap but more cells.  A count that is not a whole number fails
     # too: the earring's n = 2.5 ended in a TypeError from range, and the
     # circle built 12 cells for 12.7.  So does a parameter that is not a
-    # number, which ended in a TypeError from a comparison.  The parser
+    # number, which ended in a TypeError from a comparison, and so does a
+    # bead that is not a pair of numbers, which ended in a TypeError from
+    # float() or unpacking, or was read digit by digit ("11").  The parser
     # is built before the peak is taken, since it is cached for the
     # process.
     cli._build_parser()

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmslab import (
     DiscreteGeodesic,
@@ -22,8 +27,9 @@ from mmslab import (
     segment_space,
     validate_space,
 )
-from mmslab.core import (TRIANGLE_BLOCK, TRIANGLE_TOL, ValidationReport,
-                         _jsonable)
+from mmslab import core
+from mmslab.core import (SAVE_BLOCK, TRIANGLE_BLOCK, TRIANGLE_TOL,
+                         ValidationReport, _jsonable)
 from mmslab.generators import (NecklaceParams, circle_space,
                                euclidean_ball_grid, hawaiian_truncation,
                                necklace)
@@ -527,8 +533,30 @@ def dump_space_oracle(space, path):
         fh.write("\n")
 
 
+def straddling_space():
+    """300 cells, so the rows straddle block boundaries: the first block
+    is all distinct and takes the per-row path, the rest repeats."""
+    rows = SAVE_BLOCK // 300
+    assert 300 % rows
+    idx = np.arange(300)
+    dist = np.abs(idx[:, None] - idx[None, :]) * 0.1
+    dist[:rows] = np.random.default_rng(5).random((rows, 300))
+    return FiniteMMS(dist=dist, weight=np.ones(300))
+
+
 def odd_spaces():
+    zeros = np.array([[0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]])
+    spellings = np.array([1e-05, 1e+16, 5e-324, 1.7976931348623157e+308])
+    pts = np.random.default_rng(60).standard_normal((60, 3))
     return {
+        "signed-zeros": FiniteMMS(dist=zeros, weight=np.ones(3)),
+        "exponents": FiniteMMS(dist=spellings[np.add.outer(np.arange(4),
+                                                           np.arange(4)) % 4],
+                               weight=spellings),
+        "straddling": straddling_space(),
+        "cloud-60": FiniteMMS(
+            dist=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)),
+            weight=np.ones(60), coords=pts),
         "one-cell": FiniteMMS(dist=np.zeros((1, 1)), weight=np.ones(1)),
         "nested-meta": FiniteMMS(
             dist=np.array([[0.0, 0.1], [0.1, 0.0]]),
@@ -541,7 +569,8 @@ def odd_spaces():
 
 
 @pytest.mark.parametrize("kind", ["necklace", "earring", "segment", "ball",
-                                  "one-cell", "nested-meta"])
+                                  "one-cell", "nested-meta", "signed-zeros",
+                                  "exponents", "straddling", "cloud-60"])
 def test_explicit_file_bytes_match_the_json_dump_oracle(tmp_path, kind):
     space = GENERATED[kind]() if kind in GENERATED else odd_spaces()[kind]
     if kind == "ball":
@@ -550,6 +579,42 @@ def test_explicit_file_bytes_match_the_json_dump_oracle(tmp_path, kind):
     dump_space_oracle(space, tmp_path / "oracle.json")
     got = (tmp_path / "space.json").read_bytes()
     assert got == (tmp_path / "oracle.json").read_bytes()
+    if kind == "signed-zeros":
+        assert b"-0.0" in got and b" 0.0" in got
+    if kind == "exponents":
+        for spelling in (b"1e-05", b"1e+16", b"5e-324",
+                         b"1.7976931348623157e+308"):
+            assert spelling in got
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices of finite floats whose entries come from a pool of
+    a few values, so that they repeat, or afresh, or from both; the pool
+    favours the zeros of both signs."""
+    n = draw(st.integers(1, 7))
+    pool = st.sampled_from(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), FINITE), min_size=1, max_size=4)))
+    entry = draw(st.sampled_from([pool, FINITE, st.one_of(pool, FINITE)]))
+    entries = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    return np.array(entries).reshape(n, n)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dist=matrices(), block=st.integers(1, 40))
+def test_explicit_file_bytes_match_the_oracle_on_random_matrices(dist, block):
+    space = FiniteMMS(dist=dist, weight=np.ones(len(dist)))
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(core, "SAVE_BLOCK", block):
+        save_space(space, os.path.join(work, "space.json"))
+        dump_space_oracle(space, os.path.join(work, "oracle.json"))
+        with open(os.path.join(work, "space.json"), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(work, "oracle.json"), "rb") as fh:
+            assert got == fh.read()
 
 
 def test_load_rejects_a_computed_dist(tmp_path):
