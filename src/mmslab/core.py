@@ -492,25 +492,18 @@ def save_space(space: FiniteMMS, path: str, dist_mode: str = "explicit") -> None
 
 def _row_bodies(dist: np.ndarray):
     """The entries of each row of ``dist`` as json's C encoder spells
-    them, joined by the indent of an explicit file, in blocks of rows of
-    about ``SAVE_BLOCK`` entries.  A block with at most half its entries
-    distinct, as in generated spaces, spells each distinct bit pattern
-    once (so -0.0 and 0.0 stay apart) with ``float.__repr__``, the
-    encoder's spelling of a finite float.  A block with more goes through
-    the encoder row by row, which is faster when nearly every entry is
-    spelled anyway."""
+    them, joined by the indent of an explicit file.  Rows go in blocks of
+    about ``SAVE_BLOCK`` entries, and the encoder spells each distinct
+    bit pattern of a block once (so -0.0 and 0.0 stay apart): generated
+    spaces repeat a few hundred distances over and over."""
     step = max(1, SAVE_BLOCK // dist.shape[1])
     for s in range(0, dist.shape[0], step):
         block = dist[s:s + step]
         bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        if 2 * bits.size > block.size:
-            for row in block:
-                yield json.dumps(row.tolist())[1:-1].replace(", ", ",\n   ")
-        else:
-            spelled = np.array(list(map(float.__repr__, bits.view(float).tolist())),
-                               dtype=object)
-            for row in spelled[inv.reshape(block.shape)].tolist():
-                yield ",\n   ".join(row)
+        spelled = np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "),
+                           dtype=object)
+        for row in spelled[inv.reshape(block.shape)].tolist():
+            yield ",\n   ".join(row)
 
 
 def load_space(path: str) -> FiniteMMS:

@@ -158,7 +158,7 @@ class NecklaceParams:
     resolution: float
 
     def __post_init__(self):
-        pair = (list, tuple, np.ndarray)
+        pair = (list, tuple)
         if not (isinstance(self.beads, pair) and all(
                 isinstance(b, pair) and len(b) == 2 for b in self.beads)):
             raise ValueError("beads must be a list of (x, r) pairs,"

@@ -535,7 +535,7 @@ def dump_space_oracle(space, path):
 
 def straddling_space():
     """300 cells, so the rows straddle block boundaries: the first block
-    is all distinct and takes the per-row path, the rest repeats."""
+    is all distinct, the rest repeats."""
     rows = SAVE_BLOCK // 300
     assert 300 % rows
     idx = np.arange(300)
