@@ -263,7 +263,8 @@ def _cmd_iso_enum(args):
 
 def _cmd_iso_fix(args):
     sp = load_space(args.space)
-    balls = args.ball or []
+    # bad ids fail before the search
+    balls = [(cell_id(sp, c), r) for c, r in args.ball or []]
     if args.perm is not None:
         perms, complete = [args.perm], True
     else:
@@ -300,15 +301,19 @@ def _cmd_iso_displacement(args):
 
 def _cmd_iso_condition_a(args):
     sp = load_space(args.space)
-    rep = condition_a_scan(sp, args.x, args.s, iso_tol=args.iso_tol,
-                           fix_tol=args.fix_tol)
+    cell_id(sp, args.x)                 # a bad id fails before the search
+    res = enumerate_isometries(sp, iso_tol=args.iso_tol)
+    rep = condition_a_scan(sp, args.x, args.s, fix_tol=args.fix_tol, maps=res)
     return "Thm 1.1", _fields(rep), not rep.complete, None
 
 
 def _cmd_iso_probe(args):
     sp = load_space(args.space)
+    for i in args.compact or ():        # bad ids fail before the search
+        cell_id(sp, i)
+    maps = enumerate_isometries(sp, iso_tol=args.iso_tol)
     res = small_subgroup_probe(sp, args.eps, compact=args.compact,
-                               budget=args.budget, iso_tol=args.iso_tol)
+                               budget=args.budget, maps=maps)
     sub = res.subgroup
     results = _fields(res, subgroup=None if sub is None else
                       _fields(sub, "generators", "closed", order=len(sub)))

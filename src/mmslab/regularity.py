@@ -253,6 +253,13 @@ def radius_levels(delta: float, count: int) -> np.ndarray:
     return delta * (1.0 / 16.0) ** (np.arange(count, 0, -1) / count)
 
 
+def _check_k_set(k_set):
+    for k in k_set:
+        if k not in (1, 2, 3):
+            raise ValueError(f"k_set may hold only the dimensions 1, 2 and 3,"
+                             f" got {k}")
+
+
 def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
                          k_set=(1, 2, 3), r_samples: int = 12,
                          subsample: int = GH_SIZE_LIMIT) -> RegularityReport:
@@ -270,10 +277,12 @@ def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
     near-isometric spaces produces near-identical configurations, and it
     is the scale on which the estimate tracks the true distance in
     calibration runs.  A ball that never drops below the whole space
-    makes every verdict inconclusive.
+    makes every verdict inconclusive.  A dimension in ``k_set`` other
+    than 1, 2 or 3 raises ``ValueError`` before any work.
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
+    _check_k_set(k_set)
     x = cell_id(space, x)
     subsample = int(subsample)
     levels = radius_levels(delta, r_samples)
@@ -353,8 +362,10 @@ def regular_set_measure(space: FiniteMMS, eps: float, delta: float,
     rest of the space.  A point counts as regular overall when some
     dimension in ``k_set`` accepts it, as irregular when every dimension
     rejects it, and as inconclusive otherwise (in particular whenever
-    ``k_set`` is empty).
+    ``k_set`` is empty).  A dimension in ``k_set`` other than 1, 2 or 3
+    raises ``ValueError``, even when no cell is scanned.
     """
+    _check_k_set(k_set)
     n = space.n
     if n <= budget:
         scanned = np.arange(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mmslab.core import FiniteMMS, ball_indices
+from mmslab.core import FiniteMMS, ball_indices, cell_id
 
 # scipy loads inside the functions that use it, so that a process which
 # never calls them starts without it.
@@ -440,27 +440,23 @@ class SubgroupProbe:
 
 
 def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
-                         budget: int = DEFAULT_GROUP_BUDGET,
-                         iso_tol: float = DEFAULT_ISO_TOL,
-                         maps: EnumerationResult | None = None) -> SubgroupProbe:
+                         budget: int = DEFAULT_GROUP_BUDGET, *,
+                         maps: EnumerationResult) -> SubgroupProbe:
     """Look for a nontrivial subgroup whose elements all move the compact
     set ``compact`` (every cell by default) by less than ``epsilon``.
 
-    Filters the enumerated isometries to the small movers, closes each
+    Filters the isometries of ``maps`` to the small movers, closes each
     candidate, and returns the first closure that stays inside the
     filter.  An incomplete enumeration makes a negative answer
-    inconclusive.
+    inconclusive; a ``compact`` id outside the space raises.
     """
-    if maps is None:
-        maps = enumerate_isometries(space, iso_tol=iso_tol)
-    if compact is None:
-        compact = np.arange(space.n)
-    compact = np.asarray(list(compact), dtype=int)
+    compact = (np.arange(space.n) if compact is None else
+               np.array([cell_id(space, i) for i in compact], dtype=np.intp))
 
     def sup_move(rows):
         return space.dist[compact, rows[:, compact]].max(axis=1)
 
-    rows = _perm_rows(space, maps.perms())
+    rows = maps.perms().reshape(len(maps.maps), space.n)
     nontrivial = np.any(rows != np.arange(space.n), axis=1)
     small = rows[nontrivial & (sup_move(rows) < epsilon)]
     for perm in small:
@@ -540,21 +536,21 @@ def _block_data(iso: EuclideanIsometry):
 
 def _block_amplitudes(blocks, n):
     """Per block: operator amplitude of Q^n - I and norm of the
-    accumulated translation sum_{j<n} Q^j v."""
+    accumulated translation sum_{j<n} Q^j v.  ``n`` is a power or an
+    array of powers; each block then gives a value per power."""
+    n = np.asarray(n, dtype=float)
     sig, trans = [], []
     for kind, angle, vn in blocks:
         if kind == "rot":
-            s = abs(2.0 * math.sin(n * angle / 2.0))
-            half = math.sin(angle / 2.0)
-            c = vn * abs(math.sin(n * angle / 2.0) / half)
+            wave = np.sin(n * angle / 2.0)
+            sig.append(np.abs(2.0 * wave))
+            trans.append(vn * np.abs(wave / math.sin(angle / 2.0)))
         elif kind == "flip":
-            s = 2.0 * (n % 2)
-            c = vn * (n % 2)
+            sig.append(2.0 * (n % 2))
+            trans.append(vn * (n % 2))
         else:
-            s = 0.0
-            c = vn * n
-        sig.append(s)
-        trans.append(c)
+            sig.append(np.zeros_like(n))
+            trans.append(vn * n)
     return np.asarray(sig), np.asarray(trans)
 
 
@@ -613,19 +609,8 @@ def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
     start = 1
     while start <= max_pow:
         ns = np.arange(start, min(start + chunk - 1, max_pow) + 1, dtype=float)
-        terms = []
-        for kind, angle, vn in blocks:
-            if kind == "rot":
-                amp = np.abs(2.0 * np.sin(ns * angle / 2.0))
-                tr = vn * amp / (2.0 * math.sin(angle / 2.0))
-            elif kind == "flip":
-                amp = 2.0 * (ns % 2)
-                tr = vn * (ns % 2)
-            else:
-                amp = np.zeros_like(ns)
-                tr = vn * ns
-            terms.append(amp / 2.0 + tr)
-        ub = np.sqrt(np.sum(np.stack(terms) ** 2, axis=0))
+        sig, trans = _block_amplitudes(blocks, ns)
+        ub = np.sqrt(np.sum((sig / 2.0 + trans) ** 2, axis=0))
         top = int(np.argmax(ub))
         if ub[top] > best_ub:
             best_ub, best_n = float(ub[top]), start + top
@@ -665,38 +650,35 @@ class ConditionAReport:
 
 
 def condition_a_scan(space: FiniteMMS, x: int, s: float,
-                     iso_tol: float = DEFAULT_ISO_TOL,
-                     fix_tol: float | None = None,
-                     maps: EnumerationResult | None = None) -> ConditionAReport:
-    """Largest fixed mass any nontrivial isometry keeps inside the ball
-    of radius ``s`` around ``x``, against the ball's own mass.
+                     fix_tol: float | None = None, *,
+                     maps: EnumerationResult) -> ConditionAReport:
+    """Largest fixed mass (cells moved by at most ``fix_tol``, one pitch
+    by default) any nontrivial map of ``maps`` keeps inside the ball of
+    radius ``s`` around ``x``, against the ball's own mass.
 
     The condition holds when the gap is strictly positive.  With no
     nontrivial isometries the supremum is vacuous and reported as zero,
     the strongest possible verdict.
     """
-    ball_mass = float(space.weight[ball_indices(space, x, s)].sum())
-    if maps is None:
-        maps = enumerate_isometries(space, iso_tol=iso_tol)
-    fix_sup = 0.0
-    count = 0
-    for m in maps.maps:
-        if np.array_equal(m.perm, np.arange(space.n)):
-            continue
-        count += 1
-        inside = fixed_set(space, m.perm, fix_tol=fix_tol,
-                           balls=[(x, s)]).ball_masses[0]
-        fix_sup = max(fix_sup, inside)
+    if fix_tol is None:
+        fix_tol = space.pitch()
+    ball = ball_indices(space, x, s)
+    ball_mass = float(space.weight[ball].sum())
+    rows = maps.perms().reshape(len(maps.maps), space.n)
+    rows = rows[np.any(rows != np.arange(space.n), axis=1)]
+    fixed = space.dist[ball, rows[:, ball]] <= fix_tol
+    fix_sup = max((float(space.weight[ball[keep]].sum()) for keep in fixed),
+                  default=0.0)
     gap = ball_mass - fix_sup
     return ConditionAReport(
         holds=bool(gap > 0.0),
-        vacuous=count == 0,
+        vacuous=len(rows) == 0,
         complete=maps.complete,
         fix_sup=fix_sup,
         ball_mass=ball_mass,
         gap=gap,
         normalized_gap=gap / ball_mass if ball_mass > 0 else math.inf,
-        nontrivial=count,
+        nontrivial=len(rows),
     )
 
 

@@ -492,7 +492,7 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     landing on the first branch are pushed through the permutation, atoms
     landing on the image branch through its inverse; marginals and cost
     survive because the sources are fixed and the map is an isometry.
-    A NaN or negative ``iso_tol`` raises ``ValueError``.
+    A NaN or negative ``iso_tol`` or an outside cell id raises ``ValueError``.
     """
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
@@ -505,11 +505,12 @@ def symmetrized_competitor(space: FiniteMMS, perm, plan: GeodesicPlan,
     if targets is None:
         if x is None:
             raise ValueError("need either x or targets")
+        x = cell_id(space, x)
         if perm[x] == x:
             raise ValueError("x must move under the isometry")
-        branch1 = {int(x)}
+        branch1 = {x}
     else:
-        branch1 = {int(v) for v in targets}
+        branch1 = {cell_id(space, v) for v in targets}
     branch2 = {int(perm[v]) for v in branch1}
     if branch1 & branch2:
         raise ValueError("target branch meets its image")

@@ -241,9 +241,11 @@ def test_criterion_07_small_subgroup_probe(capsys):
     t0 = time.perf_counter()
     sp = hawaiian_truncation(8, 64)
     eps = 2.0 * math.pi / 64
-    hit = small_subgroup_probe(sp, eps, iso_tol=1e-9)
+    hit = small_subgroup_probe(
+        sp, eps, maps=enumerate_isometries(sp, iso_tol=1e-9))
     grid = euclidean_ball_grid(2, 1.0, 1.0 / 8)
-    miss = small_subgroup_probe(grid, 0.01 * 1.0, iso_tol=1e-9)
+    miss = small_subgroup_probe(
+        grid, 0.01 * 1.0, maps=enumerate_isometries(grid, iso_tol=1e-9))
     dt = time.perf_counter() - t0
 
     ok = (hit.found and hit.sup_displacement < eps
@@ -378,8 +380,8 @@ def test_criterion_11_condition_a(capsys):
     budget = 30.0
     t0 = time.perf_counter()
     sp = hawaiian_truncation(6, 64)
-    rep = condition_a_scan(sp, 0, 2.0 * sp.diameter,
-                           iso_tol=1e-9, fix_tol=1e-9)
+    rep = condition_a_scan(sp, 0, 2.0 * sp.diameter, fix_tol=1e-9,
+                           maps=enumerate_isometries(sp, iso_tol=1e-9))
     smallest = 2.0 * math.pi / 36
     resolution_error = 4.0 * smallest / 64
     dt = time.perf_counter() - t0

@@ -308,6 +308,11 @@ def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
     assert not out.exists()
 
 
+# the reversal of the 16-cell segment, with point masses at both ends
+SEGMENT_REVERSAL = ("--mu0", '{"point": 0}', "--mu1", '{"point": 15}',
+                    "--perm", json.dumps(list(range(15, -1, -1))))
+
+
 @pytest.mark.parametrize("bad, argv", [
     (-1, ["ot", "probe", "--mu0", '{"point": -1}', "--mu1", '{"point": 3}']),
     (16, ["ot", "solve", "--mu0", '{"point": 0}',
@@ -317,10 +322,17 @@ def test_oversized_space_gen_fails_before_it_allocates(tmp_path, capsys,
           "--k", "1", "--r-samples", "2", "--subsample", "4"]),
     (-1, ["iso", "displacement", "--x", "-1", "--r", "1.0"]),
     (-1, ["iso", "condition-a", "--x", "-1", "--s", "1.0"]),
-    (12, ["iso", "condition-a", "--x", "12", "--s", "1.0"])])
+    (12, ["iso", "condition-a", "--x", "12", "--s", "1.0"]),
+    (-1, ["iso", "probe", "--eps", "0.1", "--compact", "-1"]),
+    (12, ["iso", "probe", "--eps", "0.1", "--compact", "3,12"]),
+    (-1, ["ot", "competitor", *SEGMENT_REVERSAL, "--x", "-1"]),
+    (16, ["ot", "competitor", *SEGMENT_REVERSAL, "--x", "16"]),
+    (-3, ["ot", "competitor", *SEGMENT_REVERSAL, "--targets", "5,-3"]),
+    (900, ["ot", "competitor", *SEGMENT_REVERSAL, "--targets", "5,900"])])
 def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
                                                        argv):
-    # the iso verbs run on a 12-cell circle, the others on the 16-cell segment
+    # the iso verbs run on a 12-cell circle, the others on the 16-cell
+    # segment; a wrapped id once gave a result or an IndexError
     if argv[0] == "iso":
         cells, path = 12, circle_file(tmp_path, capsys, resolution=12)
     else:
@@ -330,15 +342,35 @@ def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
                      "message": f"cell id {bad} outside [0, {cells})"}
 
 
+@pytest.mark.parametrize("verb, extra", [("scan", ["--x", "3"]),
+                                         ("regular-mass", []),
+                                         ("regular-mass", ["--budget", "0"])])
+@pytest.mark.parametrize("k", ["4", "0", "-1", "1,4"])
+def test_scan_dimensions_outside_one_to_three_emit_error_objects(
+        tmp_path, capsys, verb, extra, k):
+    # these ended in a KeyError from the model-ball table that named no
+    # input, or with no cell scanned (budget 0) in a report for them
+    path = segment_16_file(tmp_path, capsys)
+    error = run_error(capsys, "gh", verb, "--space", path, *extra,
+                      "--eps", "0.1", "--delta", "0.5", "--k", k,
+                      "--r-samples", "2", "--subsample", "4")
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("k_set ")
+    assert error["message"].endswith(f" got {k.split(',')[-1]}")
+
+
 @pytest.mark.parametrize("argv", [
     ["iso", "displacement", "--x", "12", "--r", "1.0"],
-    ["iso", "critical-scale", "--x", "12", "--lo", "0.1", "--hi", "1.0"]])
+    ["iso", "critical-scale", "--x", "12", "--lo", "0.1", "--hi", "1.0"],
+    ["iso", "condition-a", "--x", "12", "--s", "1.0"],
+    ["iso", "probe", "--eps", "0.1", "--compact", "12"],
+    ["iso", "fix", "--ball", "12:1.0"]])
 def test_cell_ids_are_checked_before_the_search(tmp_path, capsys,
                                                  monkeypatch, argv):
     path = circle_file(tmp_path, capsys, resolution=12)
 
     def search(*args, **kwargs):
-        raise AssertionError("enumerated before checking --x")
+        raise AssertionError("enumerated before checking the cell ids")
 
     monkeypatch.setattr(cli, "enumerate_isometries", search)
     error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
@@ -506,7 +538,8 @@ def test_iso_condition_a_holds_on_a_grid_ball(tmp_path, capsys):
     res = doc["results"]
     assert res["holds"] and res["complete"] and not res["vacuous"]
     sp = load_space(str(path))
-    direct = condition_a_scan(sp, 0, 0.5, iso_tol=1e-9)
+    direct = condition_a_scan(sp, 0, 0.5,
+                              maps=enumerate_isometries(sp, iso_tol=1e-9))
     assert res["gap"] == pytest.approx(direct.gap, rel=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Properties of the isometry machinery under relabelling, the subgroup
-closure against the tuple-based breadth-first closure it replaced, and
-the input contract of ``space gen``.
+closure against the tuple-based breadth-first closure it replaced, the
+condition-(a) scan against the per-map ``fixed_set`` loop it replaced,
+and the input contract of ``space gen``.
 
 Relabelling a space by a permutation L (cell a of the new space is cell
 L[a] of the old one) conjugates its isometry group: g becomes
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from mmslab import (
     FiniteMMS,
+    ball_indices,
     circle_space,
     condition_a_scan,
     enumerate_isometries,
@@ -104,6 +106,41 @@ def test_relabelling_conjugates_the_isometry_group(spec, seed):
     gap = condition_a_scan(base, x, s, fix_tol=1e-9, maps=res).gap
     gap_back = condition_a_scan(moved, 0, s, fix_tol=1e-9, maps=back).gap
     assert math.isclose(gap_back, gap, rel_tol=1e-12, abs_tol=1e-12)
+    for space, maps, center in ((base, res, x), (moved, back, 0)):
+        for fix_tol in (None, 1e-9):
+            rep = condition_a_scan(space, center, s, fix_tol, maps=maps)
+            assert ((rep.fix_sup, rep.nontrivial, rep.gap)
+                    == condition_a_oracle(space, center, s, fix_tol, maps))
+
+
+# === the condition-(a) scan against the per-map loop ===
+
+def condition_a_oracle(space, x, s, fix_tol, maps):
+    """``(fix_sup, nontrivial, gap)`` from one ``fixed_set`` call per
+    nontrivial map, the loop ``condition_a_scan`` ran before it gathered
+    the moves of every map in one indexing step."""
+    ball_mass = float(space.weight[ball_indices(space, x, s)].sum())
+    fix_sup, count = 0.0, 0
+    for m in maps.maps:
+        if np.array_equal(m.perm, np.arange(space.n)):
+            continue
+        count += 1
+        inside = fixed_set(space, m.perm, fix_tol=fix_tol,
+                           balls=[(x, s)]).ball_masses[0]
+        fix_sup = max(fix_sup, inside)
+    return fix_sup, count, ball_mass - fix_sup
+
+
+def test_condition_a_matches_the_per_map_oracle_on_the_earring():
+    sp = hawaiian_truncation(6, 24)
+    maps = enumerate_isometries(sp, iso_tol=1e-9)
+    assert maps.complete and len(maps.maps) == 64
+    for x in (0, 5, 17, 60, sp.n - 1):
+        for s in (0.0, 0.3, 1.0, 0.5 * sp.diameter, 2.0 * sp.diameter):
+            for fix_tol in (None, 1e-9, 0.2):
+                rep = condition_a_scan(sp, x, s, fix_tol, maps=maps)
+                assert ((rep.fix_sup, rep.nontrivial, rep.gap)
+                        == condition_a_oracle(sp, x, s, fix_tol, maps))
 
 
 # === the closure against the tuple oracle ===

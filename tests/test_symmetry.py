@@ -30,8 +30,8 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
-from mmslab import symmetry
-from mmslab.symmetry import DEFAULT_NODE_BUDGET, _search, profile_candidates
+from mmslab.symmetry import (DEFAULT_NODE_BUDGET, _block_data, _search,
+                             _sup_on_half_ball, profile_candidates)
 
 TAU = 2 * math.pi
 
@@ -560,7 +560,8 @@ def test_generated_rotations_recover_the_cyclic_group():
 
 def test_probe_finds_the_smallest_circle_reflection():
     sp = hawaiian_truncation(3, 12)
-    probe = small_subgroup_probe(sp, epsilon=TAU / 9, iso_tol=1e-9)
+    probe = small_subgroup_probe(sp, epsilon=TAU / 9,
+                                 maps=enumerate_isometries(sp))
     assert probe.found and not probe.inconclusive
     assert probe.candidates == 1
     assert len(probe.subgroup) == 2
@@ -570,7 +571,8 @@ def test_probe_finds_the_smallest_circle_reflection():
 
 def test_probe_reports_nothing_when_everything_moves():
     sp = euclidean_ball_grid(2, 0.2, 0.1)
-    probe = small_subgroup_probe(sp, epsilon=0.002, iso_tol=1e-9)
+    probe = small_subgroup_probe(sp, epsilon=0.002,
+                                 maps=enumerate_isometries(sp))
     assert not probe.found
     assert not probe.inconclusive
     assert probe.candidates == 0
@@ -587,7 +589,8 @@ def test_probe_is_inconclusive_after_a_truncated_enumeration():
 
 def test_probe_respects_the_compact_set():
     sp = hawaiian_truncation(2, 12)
-    probe = small_subgroup_probe(sp, epsilon=1e-6, compact=[0], iso_tol=1e-9)
+    probe = small_subgroup_probe(sp, epsilon=1e-6, compact=[0],
+                                 maps=enumerate_isometries(sp))
     assert probe.found
     assert probe.sup_displacement == 0.0
 
@@ -671,6 +674,90 @@ def test_escape_displacement_matches_a_sampled_supremum():
     assert res.displacement - sampled <= 5e-3
 
 
+def escape_oracle(iso, threshold=0.05, max_pow=10_000_000):
+    """``(found, n, displacement)`` of ``euclidean_power_escape`` as it
+    was when the chunked bound spelled the block amplitudes inline and
+    the exact check took them from a per-power scalar loop."""
+    def amplitudes(blocks, n):
+        sig, trans = [], []
+        for kind, angle, vn in blocks:
+            if kind == "rot":
+                s = abs(2.0 * math.sin(n * angle / 2.0))
+                c = vn * abs(math.sin(n * angle / 2.0) / math.sin(angle / 2.0))
+            elif kind == "flip":
+                s, c = 2.0 * (n % 2), vn * (n % 2)
+            else:
+                s, c = 0.0, vn * n
+            sig.append(s)
+            trans.append(c)
+        return np.asarray(sig), np.asarray(trans)
+
+    blocks = _block_data(iso)
+    chunk, best_ub, best_n, start = 4096, -1.0, 1, 1
+    while start <= max_pow:
+        ns = np.arange(start, min(start + chunk - 1, max_pow) + 1, dtype=float)
+        terms = []
+        for kind, angle, vn in blocks:
+            if kind == "rot":
+                amp = np.abs(2.0 * np.sin(ns * angle / 2.0))
+                tr = vn * amp / (2.0 * math.sin(angle / 2.0))
+            elif kind == "flip":
+                amp, tr = 2.0 * (ns % 2), vn * (ns % 2)
+            else:
+                amp, tr = np.zeros_like(ns), vn * ns
+            terms.append(amp / 2.0 + tr)
+        ub = np.sqrt(np.sum(np.stack(terms) ** 2, axis=0))
+        top = int(np.argmax(ub))
+        if ub[top] > best_ub:
+            best_ub, best_n = float(ub[top]), start + top
+        hit = np.flatnonzero(ub >= threshold)
+        if len(hit):
+            n = start + int(hit[0])
+            while n <= max_pow:
+                sup = _sup_on_half_ball(*amplitudes(blocks, n))
+                if sup >= threshold:
+                    return True, n, float(sup)
+                n += 1
+            break
+        start += chunk
+        chunk = min(chunk * 8, 1_048_576)
+    return False, 0, float(_sup_on_half_ball(*amplitudes(blocks, best_n)))
+
+
+def random_motions(count, seed):
+    """Seeded rigid motions of R^1 to R^4: slow and fast rotations, some
+    composed with flips, with and without translation, each with a
+    threshold between 1e-3 and 1 and a power cap."""
+    from scipy.linalg import expm
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(1, 5))
+        a = rng.standard_normal((k, k))
+        q = expm(10.0 ** rng.uniform(-4, 0) * (a - a.T))
+        if rng.random() < 0.3:
+            q = q * rng.choice([-1.0, 1.0], size=k)
+        v = (np.zeros(k) if rng.random() < 0.25
+             else 10.0 ** rng.uniform(-5, -1) * rng.standard_normal(k))
+        iso = EuclideanIsometry(q=q, v=v)
+        if iso.is_identity():
+            continue
+        threshold = float(10.0 ** rng.uniform(-3, 0))
+        max_pow = int(rng.choice([50, 5_000, 200_000]))
+        out.append((iso, threshold, max_pow))
+    return out
+
+
+def test_escape_matches_the_inline_bound_oracle_bit_for_bit():
+    found = 0
+    for iso, threshold, max_pow in random_motions(300, seed=20):
+        res = euclidean_power_escape(iso, threshold=threshold, max_pow=max_pow)
+        expected = escape_oracle(iso, threshold=threshold, max_pow=max_pow)
+        assert (res.found, res.n, res.displacement) == expected
+        found += res.found
+    assert 0 < found < 300          # both verdicts are exercised
+
+
 def test_euclidean_isometry_validation():
     with pytest.raises(ValueError):
         EuclideanIsometry(q=[[1.0, 0.1], [0.0, 1.0]], v=[0.0, 0.0])
@@ -685,7 +772,8 @@ def test_euclidean_isometry_validation():
 
 def test_condition_a_gap_on_the_wedge():
     sp = hawaiian_truncation(2, 12)
-    rep = condition_a_scan(sp, x=0, s=10.0, iso_tol=1e-9, fix_tol=1e-9)
+    rep = condition_a_scan(sp, x=0, s=10.0, fix_tol=1e-9,
+                           maps=enumerate_isometries(sp))
     expected_gap = (TAU / 4) * (12 - 2) / 12
     assert rep.holds and not rep.vacuous and rep.complete
     assert rep.nontrivial == 3
@@ -697,20 +785,10 @@ def test_condition_a_gap_on_the_wedge():
 def test_condition_a_is_vacuous_without_symmetry():
     rng = np.random.default_rng(3)
     sp = cloud_space(rng.standard_normal((5, 3)))
-    rep = condition_a_scan(sp, x=0, s=10.0, iso_tol=1e-9)
+    rep = condition_a_scan(sp, x=0, s=10.0, maps=enumerate_isometries(sp))
     assert rep.vacuous and rep.holds
     assert rep.nontrivial == 0
     assert rep.fix_sup == 0.0
-
-
-def test_condition_a_checks_the_cell_before_enumerating(monkeypatch):
-    # a bad id used to be found only after a whole enumeration
-    def no_search(*args, **kwargs):
-        raise AssertionError("enumerated before checking x")
-
-    monkeypatch.setattr(symmetry, "enumerate_isometries", no_search)
-    with pytest.raises(ValueError, match="cell id 12 outside"):
-        condition_a_scan(circle_space(1.0, 12), x=12, s=1.0)
 
 
 def test_large_fix_implication_is_exercised_on_the_small_circle():
