@@ -185,8 +185,8 @@ def _cmd_space_validate(args):
 def _cmd_ot_solve(args):
     sp = load_space(args.space)
     res = solve_w2(sp, _measure(sp, args.mu0), _measure(sp, args.mu1))
-    results = _fields(res, coupling=_coupling_rows(res.coupling),
-                      w2=math.sqrt(res.cost))
+    results = _fields(res, "duals", coupling=_coupling_rows(res.coupling),
+                      w2=res.w2)
     return "Eq. eq:w-d", results, False, None
 
 

@@ -20,10 +20,16 @@ import numpy as np
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
                          constant_speed_defect, geodesic_tolerance)
 from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
-from mmslab.transport import GeodesicPlan, plan_evaluator, plan_marginals
+from mmslab.transport import GeodesicPlan, plan_marginals
 
 HALF_PI = math.pi / 2.0
 DEGENERATE_LENGTH = 1e-12
+# Most Chebyshev times: ``mcp_check`` on a 100-atom plan then takes about
+# 0.5 s (2-core x86_64).
+MAX_TIME_SAMPLES = 4097
+# Most grid points per axis of ``scalar_bound``: three 4096 x 4096 float
+# temporaries, about 400 MB and 0.7 s (2-core x86_64).
+MAX_SCALAR_SAMPLES = 4096
 
 
 def _coefficient(t: float, length: float) -> float:
@@ -45,9 +51,11 @@ def model_coefficient(t, length):
 
 
 def chebyshev_times(count: int = 33) -> np.ndarray:
-    """Chebyshev-spaced samples of [0, 1], endpoints included."""
-    if count < 2:
-        raise ValueError("need at least two samples")
+    """Chebyshev-spaced samples of [0, 1], endpoints included; ``count``
+    must lie in [2, ``MAX_TIME_SAMPLES``]."""
+    if not 2 <= count <= MAX_TIME_SAMPLES:
+        raise ValueError(f"count must lie in [2, {MAX_TIME_SAMPLES}],"
+                         f" got {count}")
     j = np.arange(count)
     return (1.0 - np.cos(math.pi * j / (count - 1))) / 2.0
 
@@ -89,17 +97,14 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     uniform[support] = space.weight[support] / mass_target
     marginal_defect = float(np.max(np.abs(e1 - uniform)))
 
-    nodes_at = plan_evaluator(plan)
-    lengths = [g.length for g, _ in plan.atoms]
-    masses = np.array([m for _, m in plan.atoms])
+    lengths = plan.lengths.tolist()
     worst = (math.inf, 0.0, -1)
     rows = []
     for t in np.sort(np.asarray(t_samples, dtype=float)).tolist():
-        nodes = nodes_at(t)
         coef = np.array([_coefficient(t, length) for length in lengths])
         lhs = np.zeros(space.n)
         # np.add.at sums repeated cells in plan order
-        np.add.at(lhs, nodes, masses * coef * mass_target)
+        np.add.at(lhs, plan.nodes_at(t), plan.masses * coef * mass_target)
         touched = np.flatnonzero(lhs > 0)
         if len(touched) == 0:
             continue
@@ -325,15 +330,14 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
     l = sched.length
     # node times plus the landmark times; the bead edges fall between
     # fiber columns, so they are not node times and must be added
-    times = sorted(set(plan.atoms[0][0].times)
+    times = sorted(set(plan.times[:plan.starts[1]].tolist())
                    | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
-    nodes_at = plan_evaluator(plan)
     rows = []
     worst = (math.inf, 0.0)
     for t in times:
         if t <= 0.0:
             continue
-        supp_mass = float(space.weight[np.unique(nodes_at(t))].sum())
+        supp_mass = float(space.weight[np.unique(plan.nodes_at(t))].sum())
         lhs = mass_target / (t * supp_mass)
         rhs = math.sin(l) ** 2 / (t * math.sin(t * l) ** 2)
         slack = rhs - lhs
@@ -389,7 +393,21 @@ class ScalarBoundReport:
 def scalar_bound(t_max: float = 0.2, d_max: float = HALF_PI + 0.25,
                  samples: int = 2000, cushion: float = 1e-12) -> ScalarBoundReport:
     """Grid check of 5/4 - t/4 <= t sin^2(d)/sin^2(t d) on
-    (0, t_max] x (0, d_max]."""
+    (0, t_max] x (0, d_max].
+
+    ``t_max`` and ``d_max`` must be finite and positive, ``cushion``
+    finite and nonnegative, and ``samples`` in [2, ``MAX_SCALAR_SAMPLES``];
+    anything else raises ``ValueError`` before the grid is built.
+    """
+    for name, value in (("t_max", t_max), ("d_max", d_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(cushion) and cushion >= 0):
+        raise ValueError(f"cushion must be finite and nonnegative,"
+                         f" got {cushion}")
+    if not 2 <= samples <= MAX_SCALAR_SAMPLES:
+        raise ValueError(f"samples must lie in [2, {MAX_SCALAR_SAMPLES}],"
+                         f" got {samples}")
     t = np.linspace(1e-9, t_max, samples)[:, None]
     d = np.linspace(1e-6, d_max, samples)[None, :]
     margin = t * np.sin(d) ** 2 / np.sin(t * d) ** 2 - (1.25 - t / 4.0)

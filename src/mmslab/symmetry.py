@@ -26,6 +26,9 @@ DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
 CHAIN_DEPTHS = 1 << 8          # depths per chain step: a 512 KB pick check
+# Most powers ``euclidean_power_escape`` scans: for a motion that never
+# escapes, about 0.6 s in R^3 and 1.5 s in R^6 (2-core x86_64).
+MAX_POWER = 10_000_000
 
 
 # === maps and groups ===
@@ -448,10 +451,12 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     Filters the isometries of ``maps`` to the small movers, closes each
     candidate, and returns the first closure that stays inside the
     filter.  An incomplete enumeration makes a negative answer
-    inconclusive; a ``compact`` id outside the space raises.
+    inconclusive; an empty ``compact`` or an id outside the space raises.
     """
     compact = (np.arange(space.n) if compact is None else
                np.array([cell_id(space, i) for i in compact], dtype=np.intp))
+    if not compact.size:
+        raise ValueError("compact must hold at least one cell")
 
     def sup_move(rows):
         return space.dist[compact, rows[:, compact]].max(axis=1)
@@ -592,15 +597,18 @@ def _sup_on_half_ball(sig, trans):
 
 
 def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
-                           max_pow: int = 10_000_000) -> EscapeResult:
+                           max_pow: int = MAX_POWER) -> EscapeResult:
     """Smallest power n whose displacement on the closed ball of radius
     1/2 around the origin reaches ``threshold``.
 
     The displacement of g^n is evaluated in closed form from the
     spectral blocks of Q and the accumulated translation, so powers are
     scanned without iterating the map.  Cheap bounds locate the first
-    candidate range; the exact supremum decides inside it.
+    candidate range; the exact supremum decides inside it.  ``max_pow``
+    above ``MAX_POWER`` raises.
     """
+    if max_pow > MAX_POWER:
+        raise ValueError(f"max_pow must be at most {MAX_POWER}, got {max_pow}")
     if iso.is_identity():
         raise ValueError("the identity never escapes")
     blocks = _block_data(iso)

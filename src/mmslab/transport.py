@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from mmslab.symmetry import DEFAULT_ISO_TOL, invert, isometry_from_perm
 
 # scipy loads inside the functions that use it, so that a process which
 # never calls them starts without it.
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
-
 MASS_TOL = 1e-12
 BRUTE_SUPPORT_LIMIT = 5
 # an edge is tight when its reduced cost is at most TIGHT_REL * max cost
@@ -117,6 +113,9 @@ class Coupling:
 class TransportResult:
     coupling: Coupling
     cost: float            # squared 2-Wasserstein distance
+    # HiGHS's equality duals, phi on the source support then psi on the
+    # target support; None on a one-point support, where no LP runs
+    duals: np.ndarray | None = None
 
     @property
     def w2(self) -> float:
@@ -157,27 +156,16 @@ def _marginal_constraints(sm, tm):
     return a_eq, np.concatenate([sm, tm])
 
 
-@dataclass(frozen=True)
-class _Solve:
-    """One LP solve with what the uniqueness probe reads off it: the
-    support cost matrix, the marginal constraints and HiGHS's equality
-    duals (all but ``d2`` are None on a one-point support)."""
-
-    result: TransportResult
-    d2: np.ndarray
-    a_eq: csc_array | None = None
-    b_eq: np.ndarray | None = None
-    duals: np.ndarray | None = None
-
-
-def _solve(space: FiniteMMS, mu0, mu1) -> _Solve:
+def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
+    """LP solve of the squared W2 problem on the marginal supports; solver
+    residuals above ``MASS_TOL`` in a marginal raise."""
     mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
     si, sm = _support(mu0)
     ti, tm = _support(mu1)
     n0, n1 = len(si), len(ti)
     d2 = space.dist[np.ix_(si, ti)] ** 2
 
-    a_eq = b_eq = duals = None
+    duals = None
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
     else:
@@ -191,15 +179,8 @@ def _solve(space: FiniteMMS, mu0, mu1) -> _Solve:
         duals = res.eqlin.marginals
     sigma = _repair_marginals(sigma, sm, tm, MASS_TOL)
     coupling = Coupling(source_idx=si, target_idx=ti, matrix=sigma)
-    result = TransportResult(coupling=coupling,
-                             cost=float((sigma * d2).sum()))
-    return _Solve(result=result, d2=d2, a_eq=a_eq, b_eq=b_eq, duals=duals)
-
-
-def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
-    """LP solve of the squared W2 problem on the marginal supports; solver
-    residuals above ``MASS_TOL`` in a marginal raise."""
-    return _solve(space, mu0, mu1).result
+    return TransportResult(coupling=coupling, cost=float((sigma * d2).sum()),
+                           duals=duals)
 
 
 def brute_force_w2(space: FiniteMMS, mu0, mu1) -> float:
@@ -318,40 +299,43 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
         raise ValueError(f"tol must be a nonnegative number, not {tol}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, not {draws}")
-    lp = _solve(space, mu0, mu1)
-    base = lp.result
-    if lp.duals is None:
+    base = solve_w2(space, mu0, mu1)
+    if base.duals is None:
         return ProbeResult(unique=True, deviation=0.0, base=base)
-    n0, n1 = lp.d2.shape
-    sm, tm = lp.b_eq[:n0], lp.b_eq[n0:]
-    phi, psi = lp.duals[:n0], lp.duals[n0:]
-    reduced = lp.d2 - phi[:, None] - psi[None, :]
-    tight = ((reduced <= TIGHT_REL * lp.d2.max())
+    si, ti = base.coupling.source_idx, base.coupling.target_idx
+    mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
+    sm, tm = mu0[si], mu1[ti]
+    n0, n1 = len(si), len(ti)
+    d2 = space.dist[np.ix_(si, ti)] ** 2
+    a_eq, b_eq = _marginal_constraints(sm, tm)
+    phi, psi = base.duals[:n0], base.duals[n0:]
+    reduced = d2 - phi[:, None] - psi[None, :]
+    tight = ((reduced <= TIGHT_REL * d2.max())
              | (base.coupling.matrix > MASS_TOL))
     if _is_forest(tight):
         return ProbeResult(unique=True, deviation=0.0, base=base)
 
-    gap = abs(base.cost - lp.b_eq @ lp.duals)
+    gap = abs(base.cost - b_eq @ base.duals)
     neg = max(0.0, -float(reduced.min()))
     # the two costs compared are sums of n0 * n1 nonnegative terms, each
     # off by at most n0 * n1 * eps times its value
     slack = gap + neg + 2 * n0 * n1 * np.finfo(float).eps * base.cost
     from scipy.optimize import linprog
     cols = np.flatnonzero(tight)
-    a_face = lp.a_eq[:, cols]
+    a_face = a_eq[:, cols]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
         q = rng.standard_normal(n0 * n1)[cols]
         for sgn in (1.0, -1.0):
-            res = linprog(sgn * q, A_eq=a_face, b_eq=lp.b_eq, bounds=(0, None),
+            res = linprog(sgn * q, A_eq=a_face, b_eq=b_eq, bounds=(0, None),
                           method="highs")
             if not res.success:
                 continue
             other = np.zeros(n0 * n1)
             other[cols] = res.x
             other = _repair_marginals(other.reshape(n0, n1), sm, tm, MASS_TOL)
-            if abs(float((other * lp.d2).sum()) - base.cost) > slack:
+            if abs(float((other * d2).sum()) - base.cost) > slack:
                 continue
             dev = float(np.max(np.abs(other - base.coupling.matrix)))
             worst = max(worst, dev)
@@ -380,18 +364,54 @@ def is_induced_by_map(coupling: Coupling) -> bool:
 
 @dataclass(frozen=True)
 class GeodesicPlan:
-    """Weighted family of discrete geodesics; masses sum to one."""
+    """Weighted family of discrete geodesics; masses sum to one.
+
+    The atoms are packed once, into read-only arrays: atom a has the
+    nodes ``nodes[starts[a]:starts[a + 1]]`` at ``times`` over the same
+    range, the length ``lengths[a]`` and the mass ``masses[a]``.
+    """
 
     atoms: tuple = field(default_factory=tuple)
+    nodes: np.ndarray = field(init=False, compare=False, repr=False)
+    times: np.ndarray = field(init=False, compare=False, repr=False)
+    starts: np.ndarray = field(init=False, compare=False, repr=False)
+    lengths: np.ndarray = field(init=False, compare=False, repr=False)
+    masses: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         total = sum(m for _, m in self.atoms)
         if self.atoms and abs(total - 1.0) > 1e-9:
             raise ValueError(f"plan mass {total} is not 1")
+        gs = [g for g, _ in self.atoms]
+        starts = np.cumsum([0] + [len(g.nodes) for g in gs], dtype=np.intp)
+        for name, values in (
+                ("nodes", np.fromiter(chain.from_iterable(g.nodes for g in gs),
+                                      np.intp, starts[-1])),
+                ("times", np.fromiter(chain.from_iterable(g.times for g in gs),
+                                      float, starts[-1])),
+                ("starts", starts),
+                ("lengths", np.array([g.length for g in gs], dtype=float)),
+                ("masses", np.array([m for _, m in self.atoms], dtype=float))):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
+    def nodes_at(self, t: float) -> np.ndarray:
+        """The node of every atom at time t, in plan order.
+
+        All nodes are picked in one vectorized step with the rule of
+        ``evaluate`` (the first minimum of |times - t|), which raises for
+        t outside [0, 1].  A plan without atoms gives an empty array for
+        any t.
+        """
+        if not self.atoms:
+            return self.nodes
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("t must lie in [0, 1]")
+        first, stop = self.starts[:-1], self.starts[1:]
+        gap = np.abs(self.times - t)
+        least = np.repeat(np.minimum.reduceat(gap, first), stop - first)
+        nearest = np.flatnonzero(gap == least)
+        return self.nodes[nearest[np.searchsorted(nearest, first)]]
 
 
 def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling) -> GeodesicPlan:
@@ -430,46 +450,17 @@ def plan_cost(plan: GeodesicPlan) -> float:
 
 
 def plan_marginals(space: FiniteMMS, plan: GeodesicPlan):
-    e0 = np.zeros(space.n)
-    e1 = np.zeros(space.n)
-    for g, m in plan.atoms:
-        e0[g.start] += m
-        e1[g.end] += m
-    return e0, e1
-
-
-def plan_evaluator(plan: GeodesicPlan):
-    """``nodes_at(t)``: the node of every atom at time t, in plan order.
-
-    The atoms' times and nodes are packed once; each call then picks all
-    nodes in one vectorized step with the rule of ``evaluate`` (the
-    first minimum of |times - t|), and raises as it does for t outside
-    [0, 1].  A plan without atoms gives an empty array for any t.
-    """
-    counts = [len(g.nodes) for g, _ in plan.atoms]
-    starts = np.cumsum([0] + counts[:-1])
-    times = np.fromiter(chain.from_iterable(g.times for g, _ in plan.atoms),
-                        dtype=float, count=sum(counts))
-    nodes = np.fromiter(chain.from_iterable(g.nodes for g, _ in plan.atoms),
-                        dtype=np.intp, count=sum(counts))
-    atom_of = np.repeat(np.arange(len(counts)), counts)
-
-    def nodes_at(t: float) -> np.ndarray:
-        if not counts:
-            return nodes
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        gap = np.abs(times - t)
-        nearest = np.flatnonzero(gap == np.minimum.reduceat(gap, starts)[atom_of])
-        return nodes[nearest[np.searchsorted(nearest, starts)]]
-
-    return nodes_at
+    """Mass vectors of the first and last nodes, summed in plan order (an
+    empty plan's ``bincount`` is integer zeros, hence the cast)."""
+    return tuple(np.bincount(plan.nodes[ends], plan.masses, minlength=space.n)
+                 .astype(float, copy=False)
+                 for ends in (plan.starts[:-1], plan.starts[1:] - 1))
 
 
 def pushforward_at(space: FiniteMMS, plan: GeodesicPlan, t: float) -> np.ndarray:
     """Mass vector of the time-t evaluation of the plan."""
     out = np.zeros(space.n)
-    np.add.at(out, plan_evaluator(plan)(t), [m for _, m in plan.atoms])
+    np.add.at(out, plan.nodes_at(t), plan.masses)
     return out
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -340,6 +341,36 @@ def test_cell_ids_outside_the_space_emit_error_objects(tmp_path, capsys, bad,
     error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
     assert error == {"type": "ValueError",
                      "message": f"cell id {bad} outside [0, {cells})"}
+
+
+def test_an_empty_compact_set_emits_an_error_object(tmp_path, capsys):
+    path = circle_file(tmp_path, capsys, resolution=12)
+    error = run_error(capsys, "iso", "probe", "--space", path, "--eps", "0.1",
+                      "--compact", "")
+    assert error == {"type": "ValueError",
+                     "message": "compact must hold at least one cell"}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("t_max", ["mcp", "scalar-bound", "--t-max", "nan"]),
+    ("t_max", ["mcp", "scalar-bound", "--t-max", "-1", "--d-max", "0"]),
+    ("d_max", ["mcp", "scalar-bound", "--d-max", "inf"]),
+    ("cushion", ["mcp", "scalar-bound", "--cushion", "-0.5"]),
+    ("samples", ["mcp", "scalar-bound", "--samples", "1"]),
+    ("samples", ["mcp", "scalar-bound", "--samples", "100000000"]),
+    ("count", ["mcp", "verify", "--x", "0", "--A", "3,4",
+               "--t-samples", "100000000"]),
+    ("max_pow", ["iso", "escape", "--random", "--scale", "1e-12",
+                 "--max-pow", "1000000000000"])])
+def test_inputs_outside_a_domain_or_ceiling_fail_fast_and_name_it(
+        tmp_path, capsys, name, argv):
+    if "verify" in argv:
+        argv[2:2] = ["--space", str(segment_16_file(tmp_path, capsys))]
+    start = time.perf_counter()
+    error = run_error(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{name} must ")
 
 
 @pytest.mark.parametrize("verb, extra", [("scan", ["--x", "3"]),

@@ -19,6 +19,7 @@ from mmslab import (
     solve_w2,
     uniform_on,
 )
+from mmslab.contraction import MAX_SCALAR_SAMPLES, MAX_TIME_SAMPLES
 from mmslab.generators import necklace_fibers
 
 HALF_PI = math.pi / 2.0
@@ -63,6 +64,23 @@ def test_chebyshev_times_cover_the_unit_interval():
 def test_chebyshev_times_need_two_samples():
     with pytest.raises(ValueError):
         chebyshev_times(1)
+
+
+def test_chebyshev_times_stay_under_the_ceiling():
+    with pytest.raises(ValueError, match=f"^count .* got {MAX_TIME_SAMPLES + 1}$"):
+        chebyshev_times(MAX_TIME_SAMPLES + 1)
+    assert len(chebyshev_times(MAX_TIME_SAMPLES)) == MAX_TIME_SAMPLES
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("t_max", {"t_max": 0.0}), ("t_max", {"t_max": math.nan}),
+    ("d_max", {"d_max": -1.0}), ("d_max", {"d_max": math.inf}),
+    ("cushion", {"cushion": -1e-12}), ("cushion", {"cushion": math.nan}),
+    ("samples", {"samples": 1}),
+    ("samples", {"samples": MAX_SCALAR_SAMPLES + 1})])
+def test_scalar_bound_rejects_inputs_outside_its_domain(name, kwargs):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        scalar_bound(**kwargs)
 
 
 def test_model_coefficient_values():

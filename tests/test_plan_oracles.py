@@ -1,10 +1,13 @@
 """The plan-wide lift and plan evaluation against the per-atom code they
 replaced, kept here as oracles: the recursive tight-edge walk with one
-neighbor graph and two Dijkstras per pair, and the scalar ``mcp_check``
+neighbor graph and two Dijkstras per pair, the scalar ``mcp_check``
 loop with one ``model_coefficient`` and one ``evaluate`` call per
-(time, atom).  Plans and reports must be equal, not close."""
+(time, atom), the per-atom marginal loop, and the packing the plan
+evaluator once did on every call.  Plans, arrays and reports must be
+equal, not close."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ from mmslab import (
 )
 from mmslab.contraction import DEGENERATE_LENGTH, McpReport
 from mmslab.generators import necklace_fibers
-from mmslab.transport import plan_evaluator
 
 HALF_PI = math.pi / 2.0
 
@@ -145,6 +147,56 @@ def mcp_oracle(space, plan, t_samples=None, allowance=None):
                      rows=tuple(rows))
 
 
+def marginals_oracle(space, plan):
+    e0 = np.zeros(space.n)
+    e1 = np.zeros(space.n)
+    for g, m in plan.atoms:
+        e0[g.start] += m
+        e1[g.end] += m
+    return e0, e1
+
+
+def evaluator_oracle(plan):
+    """The packing and the rule of the former ``plan_evaluator``: its
+    arrays, and ``nodes_at``."""
+    counts = [len(g.nodes) for g, _ in plan.atoms]
+    starts = np.cumsum([0] + counts[:-1])
+    times = np.fromiter(chain.from_iterable(g.times for g, _ in plan.atoms),
+                        dtype=float, count=sum(counts))
+    nodes = np.fromiter(chain.from_iterable(g.nodes for g, _ in plan.atoms),
+                        dtype=np.intp, count=sum(counts))
+    atom_of = np.repeat(np.arange(len(counts)), counts)
+
+    def nodes_at(t):
+        if not counts:
+            return nodes
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("t must lie in [0, 1]")
+        gap = np.abs(times - t)
+        nearest = np.flatnonzero(gap == np.minimum.reduceat(gap, starts)[atom_of])
+        return nodes[nearest[np.searchsorted(nearest, starts)]]
+
+    packed = {"nodes": nodes, "times": times,
+              "starts": np.append(starts[:len(counts)],
+                                  sum(counts)).astype(np.intp),
+              "lengths": np.array([g.length for g, _ in plan.atoms]),
+              "masses": np.array([m for _, m in plan.atoms])}
+    return packed, nodes_at
+
+
+def assert_packing_matches(space, plan):
+    """The plan's arrays and marginals against the oracles, equal in value
+    and dtype; the arrays are read-only."""
+    packed, _ = evaluator_oracle(plan)
+    for name, want in packed.items():
+        got = getattr(plan, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype, name
+        assert not got.flags.writeable, name
+    for got, want in zip(plan_marginals(space, plan),
+                         marginals_oracle(space, plan)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
 def pushforward_oracle(space, plan, t):
     out = np.zeros(space.n)
     for g, m in plan.atoms:
@@ -153,10 +205,13 @@ def pushforward_oracle(space, plan, t):
 
 
 def assert_evaluation_matches(space, plan, times):
-    nodes_at = plan_evaluator(plan)
+    assert_packing_matches(space, plan)
+    _, oracle_at = evaluator_oracle(plan)
     for t in times:
         t = float(t)
-        assert nodes_at(t).tolist() == [evaluate(g, t) for g, _ in plan.atoms]
+        assert plan.nodes_at(t).tolist() == [evaluate(g, t)
+                                             for g, _ in plan.atoms]
+        assert np.array_equal(plan.nodes_at(t), oracle_at(t))
         assert np.array_equal(pushforward_at(space, plan, t),
                               pushforward_oracle(space, plan, t))
 
@@ -271,9 +326,9 @@ def test_necklace_schedule_plan_matches_the_oracle():
     assert mcp_check(sp, plan, t_samples=samples) == mcp_oracle(
         sp, plan, t_samples=samples)
     # the density check's supports: node times and landmark times
-    nodes_at = plan_evaluator(plan)
+    assert plan.times[:plan.starts[1]].tolist() == list(plan.atoms[0][0].times)
     for t in sorted(set(plan.atoms[0][0].times) | set(samples)):
-        assert np.array_equal(np.unique(nodes_at(t)),
+        assert np.array_equal(np.unique(plan.nodes_at(t)),
                               sorted({evaluate(g, t) for g, _ in plan.atoms}))
     assert_evaluation_matches(sp, plan, samples)
 
@@ -292,7 +347,7 @@ def test_halfway_times_go_to_the_smaller_time_like_evaluate():
                           times=(0.0, 0.25, 0.75, 1.0), length=0.9), 0.25),
     )
     plan = GeodesicPlan(atoms=atoms)
-    nodes_at = plan_evaluator(plan)
+    nodes_at = plan.nodes_at
     # each is exactly halfway between two node times of some atom
     assert nodes_at(0.375).tolist() == [1, 5, 11, 14]
     assert nodes_at(0.5).tolist() == [2, 5, 11, 14]
@@ -310,7 +365,8 @@ def test_an_empty_coupling_lifts_to_an_empty_plan():
                      matrix=np.zeros((2, 1)))
     plan = lift_to_geodesic_plan(sp, empty)
     assert plan == lift_oracle(sp, empty) == GeodesicPlan()
-    assert plan_evaluator(plan)(0.5).size == 0
+    assert plan.nodes_at(0.5).size == 0
+    assert_packing_matches(sp, plan)
     assert np.array_equal(pushforward_at(sp, plan, 0.5), np.zeros(sp.n))
     for check in (mcp_check, mcp_oracle):
         with pytest.raises(ValueError, match="single cell"):

@@ -30,8 +30,8 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
-from mmslab.symmetry import (DEFAULT_NODE_BUDGET, _block_data, _search,
-                             _sup_on_half_ball, profile_candidates)
+from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_POWER, _block_data,
+                             _search, _sup_on_half_ball, profile_candidates)
 
 TAU = 2 * math.pi
 
@@ -625,6 +625,13 @@ def test_identity_never_escapes():
     g = EuclideanIsometry(q=np.eye(2), v=[0.0, 0.0])
     with pytest.raises(ValueError):
         euclidean_power_escape(g)
+
+
+def test_powers_above_the_ceiling_raise_before_the_scan():
+    g = EuclideanIsometry(q=np.eye(2), v=[1e-6, 0.0])
+    assert euclidean_power_escape(g, max_pow=MAX_POWER).max_pow == MAX_POWER
+    with pytest.raises(ValueError, match=f"^max_pow .* got {MAX_POWER + 1}$"):
+        euclidean_power_escape(g, max_pow=MAX_POWER + 1)
 
 
 def test_line_flip_with_offset():

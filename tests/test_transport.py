@@ -327,9 +327,21 @@ def test_a_one_point_support_counts_as_a_forest():
     assert probe.deviation == 0.0
 
 
+def test_duals_are_none_exactly_on_one_point_supports():
+    sp = line_space([0.0, 1.0, 3.0, 4.0])
+    for a, b in ([0], [2]), ([0], [2, 3]), ([0, 1], [3]), ([0, 1], [2, 3]):
+        res = solve_w2(sp, uniform_on(sp, a), uniform_on(sp, b))
+        if len(a) == 1 or len(b) == 1:
+            assert res.duals is None, (a, b)
+        else:
+            assert res.duals.shape == (len(a) + len(b),), (a, b)
+
+
 def test_probe_decides_the_eight_planar_draws():
     """Unit masses on n sources and n targets in the unit square; the odd
-    draws sit on a 1/3 lattice, where ties make many plans optimal."""
+    draws sit on a 1/3 lattice, where ties make many plans optimal.  The
+    probe's base is the solve's result, and its duals close the duality
+    gap within the rounding allowance of the probe's slack."""
     rng = np.random.default_rng(2)
     for k in range(8):
         n = int(rng.integers(3, 9))
@@ -337,8 +349,14 @@ def test_probe_decides_the_eight_planar_draws():
         if k % 2:
             p = np.round(3 * p) / 3
         sp = cloud(p)
-        probe = uniqueness_probe(sp, uniform_on(sp, range(n)),
-                                 uniform_on(sp, range(n, 2 * n)))
+        mu0, mu1 = uniform_on(sp, range(n)), uniform_on(sp, range(n, 2 * n))
+        probe = uniqueness_probe(sp, mu0, mu1)
+        base, res = probe.base, solve_w2(sp, mu0, mu1)
+        assert np.array_equal(base.coupling.matrix, res.coupling.matrix), k
+        assert base.cost == res.cost and np.array_equal(base.duals, res.duals)
+        b_eq = np.concatenate([mu0[:n], mu1[n:]])
+        allowance = 2 * n * n * np.finfo(float).eps * base.cost
+        assert abs(b_eq @ base.duals - base.cost) <= allowance, k
         if k % 2 == 0:
             assert probe.unique and probe.certificate == "forest", k
             continue
