@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import platform
+import re
 import sys
 from dataclasses import fields
 
@@ -30,7 +31,8 @@ from mmslab.generators import GENERATORS, generate
 from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
 from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
-                             DEFAULT_NODE_BUDGET, EuclideanIsometry,
+                             DEFAULT_NODE_BUDGET, MAX_MOTION_DIM,
+                             EuclideanIsometry,
                              condition_a_scan, critical_scale, displacement,
                              enumerate_isometries, euclidean_power_escape,
                              fixed_set, small_subgroup_probe)
@@ -42,7 +44,14 @@ from mmslab.transport import (as_measure, delta, lift_to_geodesic_plan,
 # === argument plumbing ===
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse variant that exits 1 (not 2) on bad usage."""
+    """Argparse variant that exits 1 (not 2) on bad usage, and that reads
+    a negative number in exponent form (``--cushion -1e-9``) as a value,
+    not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -321,6 +330,9 @@ def _cmd_iso_probe(args):
 
 
 def _random_small_motion(k, seed, scale):
+    # the motion's k x k draw comes before euclidean_power_escape checks k
+    if not 1 <= k <= MAX_MOTION_DIM:
+        raise ValueError(f"k must be between 1 and {MAX_MOTION_DIM}, got {k}")
     from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k))

@@ -29,6 +29,10 @@ CHAIN_DEPTHS = 1 << 8          # depths per chain step: a 512 KB pick check
 # Most powers ``euclidean_power_escape`` scans: for a motion that never
 # escapes, about 0.6 s in R^3 and 1.5 s in R^6 (2-core x86_64).
 MAX_POWER = 10_000_000
+# Largest dimension k of a motion it scans: memory and time grow with the
+# number of spectral blocks; at MAX_POWER a never-escaping motion of R^12
+# takes about 2.1 s and a 380 MB tracemalloc peak (2-core x86_64).
+MAX_MOTION_DIM = 12
 
 
 # === maps and groups ===
@@ -605,10 +609,13 @@ def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
     spectral blocks of Q and the accumulated translation, so powers are
     scanned without iterating the map.  Cheap bounds locate the first
     candidate range; the exact supremum decides inside it.  ``max_pow``
-    above ``MAX_POWER`` raises.
+    above ``MAX_POWER`` or a dimension ``iso.k`` above ``MAX_MOTION_DIM``
+    raises.
     """
     if max_pow > MAX_POWER:
         raise ValueError(f"max_pow must be at most {MAX_POWER}, got {max_pow}")
+    if iso.k > MAX_MOTION_DIM:
+        raise ValueError(f"k must be at most {MAX_MOTION_DIM}, got {iso.k}")
     if iso.is_identity():
         raise ValueError("the identity never escapes")
     blocks = _block_data(iso)

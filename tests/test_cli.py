@@ -27,7 +27,8 @@ from mmslab import cli
 from mmslab.cli import main
 from mmslab.generators import NecklaceParams, necklace, necklace_fibers
 from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
-                             DEFAULT_NODE_BUDGET)
+                             DEFAULT_NODE_BUDGET, MAX_MOTION_DIM)
+from mmslab.transport import MAX_PROBE_DRAWS
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "mmslab" / "schemas"
@@ -142,25 +143,40 @@ def test_space_gen_rejects_a_computed_dist_mode(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
-def test_space_gen_loads_no_scipy_solver_module(tmp_path):
-    # importing scipy's sparse, optimize and linalg packages at module
-    # load took most of a second of every CLI call; a child process
-    # starts with none of them loaded
+def run_cold(*argv):
+    """Run a verb in a fresh child process; it prints which of scipy's
+    sparse, optimize and linalg packages the run loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
     code = ("import sys; from mmslab.cli import main; rc = main(sys.argv[1:]); "
             "print([m for m in ('scipy.sparse', 'scipy.optimize', "
             "'scipy.linalg') if m in sys.modules]); sys.exit(rc)")
-    child = subprocess.run(
-        [sys.executable, "-c", code, "space", "gen", "--kind", "necklace",
-         "--params", json.dumps(GEN_PARAMS["necklace"]),
-         "--out", str(tmp_path / "n.json"),
-         "--report", str(tmp_path / "n.report")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_space_gen_loads_no_scipy_solver_module(tmp_path):
+    # importing scipy's sparse, optimize and linalg packages at module
+    # load took most of a second of every CLI call; a child process
+    # starts with none of them loaded
+    child = run_cold("space", "gen", "--kind", "necklace",
+                     "--params", json.dumps(GEN_PARAMS["necklace"]),
+                     "--out", str(tmp_path / "n.json"),
+                     "--report", str(tmp_path / "n.report"))
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
     assert load_space(str(tmp_path / "n.json")).n == 351
+
+
+def test_space_validate_reads_a_file_without_scipy_solver_modules(tmp_path):
+    path = tmp_path / "n.json"
+    save_space(necklace(NecklaceParams(**GEN_PARAMS["necklace"])), str(path))
+    child = run_cold("space", "validate", "--space", str(path),
+                     "--report", str(tmp_path / "n.report"))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+    assert json.loads((tmp_path / "n.report").read_text())["results"]["ok"]
 
 
 # === transport ===
@@ -371,6 +387,65 @@ def test_inputs_outside_a_domain_or_ceiling_fail_fast_and_name_it(
     assert time.perf_counter() - start < 1.0
     assert error["type"] == "ValueError"
     assert error["message"].startswith(f"{name} must ")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("k", ["iso", "escape", "--random", "--k", "1000000"]),
+    ("k", ["iso", "escape", "--random", "--k", str(MAX_MOTION_DIM + 1)]),
+    ("k", ["iso", "escape", "--q", json.dumps(np.eye(13).tolist()),
+           "--v", json.dumps([1e-3] + [0.0] * 12)]),
+    ("draws", ["ot", "probe", *UNIQUE_SEGMENT_PAIR, "--draws", "1000000"]),
+    ("draws", ["ot", "probe", *UNIQUE_SEGMENT_PAIR,
+               "--draws", str(MAX_PROBE_DRAWS + 1)])])
+def test_oversized_motions_and_draws_fail_fast_and_name_it(tmp_path, capsys,
+                                                           name, argv):
+    # a million-dimensional random motion first drew a 10^12-entry matrix
+    if argv[0] == "ot":
+        argv[2:2] = ["--space", str(segment_16_file(tmp_path, capsys))]
+    start = time.perf_counter()
+    error = run_error(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{name} must ")
+
+
+def test_the_largest_legal_motion_and_draws_run(tmp_path, capsys):
+    rc, doc = run_json(capsys, "iso", "escape", "--random",
+                       "--k", MAX_MOTION_DIM, "--max-pow", 1000)
+    assert rc == 0 and doc["results"]["k"] == MAX_MOTION_DIM
+    rc, doc = run_json(capsys, "ot", "probe",
+                       "--space", segment_16_file(tmp_path, capsys),
+                       *UNIQUE_SEGMENT_PAIR, "--draws", MAX_PROBE_DRAWS)
+    assert rc == 0 and doc["inputs"]["draws"] == MAX_PROBE_DRAWS
+
+
+def test_a_negative_exponent_after_a_flag_is_a_value(capsys):
+    # argparse took "-1e-9" for a flag and stopped with "expected one
+    # argument"; the library's check now rejects the value itself
+    error = run_error(capsys, "mcp", "scalar-bound", "--cushion", "-1e-9")
+    assert error == {"type": "ValueError", "message":
+                     "cushion must be finite and nonnegative, got -1e-09"}
+    rc, doc = run_json(capsys, "mcp", "scalar-bound", "--t-max", "2e-1",
+                       "--samples", 64)
+    assert rc == 0 and doc["inputs"]["t_max"] == 0.2
+
+
+def test_every_parser_reads_a_negative_exponent_as_a_value():
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    seen = 0
+    for parser in parsers(cli._build_parser()):
+        for text in ("-1e-9", "-2.5E+3", "-.5e1", "-3", "-0.5"):
+            assert parser._negative_number_matcher.match(text), parser.prog
+        for text in ("-e", "-1e", "--k", "-k"):
+            assert not parser._negative_number_matcher.match(text), parser.prog
+        seen += 1
+    assert seen > len(_parser_verbs())
 
 
 @pytest.mark.parametrize("verb, extra", [("scan", ["--x", "3"]),

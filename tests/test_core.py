@@ -453,15 +453,62 @@ def test_unreachable_pair_raises():
 
 # === persistence ===
 
+def load_space_oracle(path):
+    """``(dist, weight, coords, meta)`` as ``load_space`` read explicit
+    files before it converted each distinct spelling once, kept as an
+    oracle: ``json.load``, then ``np.asarray``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    points = sorted(doc["points"], key=lambda p: p["id"])
+    coords = None
+    if points and "coords" in points[0]:
+        coords = np.array([p["coords"] for p in points], dtype=float)
+    return (np.asarray(doc["dist"], dtype=float),
+            np.asarray(doc["weights"], dtype=float), coords,
+            doc.get("meta", {}))
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def read_back(space, path):
+    """Check that ``load_space`` gives the bits of ``space``, written to
+    ``path``, and the oracle's.  Return "memo" when it converted each
+    distinct spelling once, "plain" when json converted every token with
+    ``float``."""
+    with mock.patch.object(core.json, "loads", wraps=json.loads) as loads:
+        back = load_space(path)
+    oracle = load_space_oracle(path)
+    for got, wrote, old in zip((back.dist, back.weight, back.coords),
+                               (space.dist, space.weight, space.coords),
+                               oracle):
+        assert same_bits(got, wrote) and same_bits(got, old)
+    assert back.meta == oracle[3]
+    return "plain" if loads.call_args.kwargs["parse_float"] is float else "memo"
+
+
 def test_save_load_roundtrip_explicit(tmp_path):
-    space = necklace(NecklaceParams(beads=((0.8, 0.4),),
-                                    resolution=math.pi / 2 / 60))
-    path = tmp_path / "space.json"
+    # generated spaces repeat their distances: the memo reads them
+    for kind in sorted(GENERATED):
+        space = GENERATED[kind]()
+        path = tmp_path / f"{kind}.json"
+        save_space(space, path)
+        assert read_back(space, path) == "memo", kind
+        assert load_space(path).meta["pitch"] == space.meta["pitch"]
+
+
+def test_a_cloud_file_keeps_the_plain_reader(tmp_path):
+    # nearly every spelling in the middle of a cloud's file is new
+    pts = np.random.default_rng(7).random((200, 2))
+    space = FiniteMMS(dist=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)),
+                      weight=np.ones(200), coords=pts)
+    path = tmp_path / "cloud.json"
     save_space(space, path)
-    back = load_space(path)
-    assert np.allclose(back.dist, space.dist, atol=1e-9)
-    assert np.allclose(back.weight, space.weight)
-    assert back.meta["pitch"] == pytest.approx(space.meta["pitch"])
+    assert read_back(space, path) == "plain"
 
 
 GENERATED = {
@@ -615,6 +662,53 @@ def test_explicit_file_bytes_match_the_oracle_on_random_matrices(dist, block):
             got = fh.read()
         with open(os.path.join(work, "oracle.json"), "rb") as fh:
             assert got == fh.read()
+
+
+SPECIAL = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+           -1e308, 1e-05, 1e+16]
+
+
+@st.composite
+def symmetric_spaces(draw):
+    """Symmetric matrices whose entries come from a pool of a few values
+    or are all distinct, with the special values among the candidates;
+    positive weights, and coordinates half the time."""
+    n = draw(st.integers(1, 12))
+    m = n * (n + 1) // 2
+    entry = st.one_of(st.sampled_from(SPECIAL), FINITE)
+    if draw(st.booleans()):
+        pool = draw(st.lists(entry, min_size=1, max_size=4))
+        upper = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    else:
+        upper = draw(st.lists(entry, min_size=m, max_size=m, unique=True))
+    dist = np.zeros((n, n))
+    rows, cols = np.triu_indices(n)
+    dist[rows, cols] = dist[cols, rows] = upper
+    weight = draw(st.lists(st.one_of(
+        st.sampled_from([5e-324, 1e-310, 1e308]),
+        st.floats(min_value=0.0, exclude_min=True, max_value=1e308)),
+        min_size=n, max_size=n))
+    coords = None
+    if draw(st.booleans()):
+        coords = np.array(draw(st.lists(entry, min_size=2 * n,
+                                        max_size=2 * n))).reshape(n, 2)
+    return FiniteMMS(dist=dist, weight=np.array(weight), coords=coords)
+
+
+def test_load_matches_the_oracle_on_random_symmetric_matrices():
+    choices = set()
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(space=symmetric_spaces())
+    def check(space):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "space.json")
+            save_space(space, path)
+            choices.add(read_back(space, path))
+
+    check()
+    assert choices == {"memo", "plain"}
 
 
 def test_load_rejects_a_computed_dist(tmp_path):

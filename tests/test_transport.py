@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmslab import transport
 from mmslab import (
@@ -267,6 +269,36 @@ def test_both_routes_agree_on_random_instances():
         worst = max(worst, abs(solve_w2(sp, mu0, mu1).cost
                                - brute_force_w2(sp, mu0, mu1)))
     assert worst <= 1e-9
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 4 x 4 planar supports, apart or overlapping, with points on a
+    1/3 lattice half the time (ties make many plans optimal) and
+    positive masses."""
+    n0, n1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coord = draw(st.sampled_from([
+        st.floats(0.0, 1.0),
+        st.integers(0, 3).map(lambda v: v / 3)]))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n0 + n1,
+                        max_size=n0 + n1))
+    sp = cloud(pts)
+    shift = draw(st.integers(0, n0))       # target cells start here
+    mass = st.floats(0.05, 1.0)
+    mu0, mu1 = np.zeros(sp.n), np.zeros(sp.n)
+    mu0[:n0] = draw(st.lists(mass, min_size=n0, max_size=n0))
+    mu1[shift:shift + n1] = draw(st.lists(mass, min_size=n1, max_size=n1))
+    return sp, mu0 / mu0.sum(), mu1 / mu1.sum()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(instance=small_instances())
+def test_both_routes_agree_on_drawn_instances(instance):
+    # 4 x 5 and 5 x 5 supports are left out: their enumeration time
+    # varies by orders of magnitude from one instance to the next
+    sp, mu0, mu1 = instance
+    assert abs(solve_w2(sp, mu0, mu1).cost
+               - brute_force_w2(sp, mu0, mu1)) <= 1e-9
 
 
 def test_both_routes_agree_with_overlapping_supports():
