@@ -163,11 +163,13 @@ def _fields(obj, *drop, **extra):
 
 
 # === verb handlers ===
-# Each handler returns (anchor, results, inconclusive, table): anchor
-# names the paper's statement behind the check; table is (header, rows)
-# for the verbs with a tabular section, else None.
+# Each handler takes the parsed arguments and the space of ``--space``
+# (None for the verbs without one), which ``main`` has loaded and checked
+# ``--x`` against.  It returns (anchor, results, inconclusive, table):
+# anchor names the paper's statement behind the check; table is (header,
+# rows) for the verbs with a tabular section, else None.
 
-def _cmd_space_gen(args):
+def _cmd_space_gen(args, _):
     sp = generate(args.kind, args.params)
     save_space(sp, args.out, dist_mode=args.dist_mode)
     results = {
@@ -184,23 +186,20 @@ def _cmd_space_gen(args):
     return anchor, results, False, None
 
 
-def _cmd_space_validate(args):
-    sp = load_space(args.space)
+def _cmd_space_validate(args, sp):
     rep = validate_space(sp, seed=args.seed)
     inconclusive = rep.ok and not rep.exhaustive
     return "§2.1", _fields(rep, ok=rep.ok), inconclusive, None
 
 
-def _cmd_ot_solve(args):
-    sp = load_space(args.space)
+def _cmd_ot_solve(args, sp):
     res = solve_w2(sp, _measure(sp, args.mu0), _measure(sp, args.mu1))
     results = _fields(res, "duals", coupling=_coupling_rows(res.coupling),
                       w2=res.w2)
     return "Eq. eq:w-d", results, False, None
 
 
-def _cmd_ot_probe(args):
-    sp = load_space(args.space)
+def _cmd_ot_probe(args, sp):
     res = uniqueness_probe(sp, _measure(sp, args.mu0), _measure(sp, args.mu1),
                            tol=args.tol, seed=args.seed, draws=args.draws)
     results = _fields(
@@ -210,8 +209,7 @@ def _cmd_ot_probe(args):
     return "Thm 1.4", results, False, None
 
 
-def _cmd_ot_competitor(args):
-    sp = load_space(args.space)
+def _cmd_ot_competitor(args, sp):
     res = solve_w2(sp, _measure(sp, args.mu0), _measure(sp, args.mu1))
     plan = lift_to_geodesic_plan(sp, res.coupling)
     comp = symmetrized_competitor(sp, args.perm, plan, x=args.x,
@@ -221,8 +219,7 @@ def _cmd_ot_competitor(args):
     return "Lemma lm:02", results, False, None
 
 
-def _cmd_mcp_verify(args):
-    sp = load_space(args.space)
+def _cmd_mcp_verify(args, sp):
     t_samples = chebyshev_times(args.t_samples)
     if args.plan == "auto":
         if args.A is None:
@@ -240,8 +237,7 @@ def _cmd_mcp_verify(args):
     return "Def. def:MCP", _fields(rep), False, table
 
 
-def _cmd_mcp_schedule(args):
-    sp = load_space(args.space)
+def _cmd_mcp_schedule(args, sp):
     sched = necklace_schedule(sp, args.source, args.target_fiber,
                               args.target_count)
     dens = schedule_density_check(sp, sched, allowance=args.allowance)
@@ -252,14 +248,13 @@ def _cmd_mcp_schedule(args):
     return "Lemma lm:mcp", results, False, table
 
 
-def _cmd_mcp_scalar_bound(args):
+def _cmd_mcp_scalar_bound(args, _):
     rep = scalar_bound(t_max=args.t_max, d_max=args.d_max,
                        samples=args.samples, cushion=args.cushion)
     return "Lemma 5.3", _fields(rep), False, None
 
 
-def _cmd_iso_enum(args):
-    sp = load_space(args.space)
+def _cmd_iso_enum(args, sp):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol, budget=args.budget)
     results = _fields(res, count=len(res.maps), maps=[
         _fields(m, measure_preserving=m.is_measure_preserving())
@@ -270,8 +265,7 @@ def _cmd_iso_enum(args):
     return "§2.1", results, not res.complete, table
 
 
-def _cmd_iso_fix(args):
-    sp = load_space(args.space)
+def _cmd_iso_fix(args, sp):
     # bad ids fail before the search
     balls = [(cell_id(sp, c), r) for c, r in args.ball or []]
     if args.perm is not None:
@@ -289,9 +283,7 @@ def _cmd_iso_fix(args):
     return "Thm 1.1", results, not complete, (header, rows)
 
 
-def _cmd_iso_displacement(args):
-    sp = load_space(args.space)
-    cell_id(sp, args.x)                 # a bad id fails before the search
+def _cmd_iso_displacement(args, sp):
     if args.perm:
         group, complete = args.perm, True
     else:
@@ -308,16 +300,13 @@ def _cmd_iso_displacement(args):
     return "§3", results, not complete, None
 
 
-def _cmd_iso_condition_a(args):
-    sp = load_space(args.space)
-    cell_id(sp, args.x)                 # a bad id fails before the search
+def _cmd_iso_condition_a(args, sp):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol)
     rep = condition_a_scan(sp, args.x, args.s, fix_tol=args.fix_tol, maps=res)
     return "Thm 1.1", _fields(rep), not rep.complete, None
 
 
-def _cmd_iso_probe(args):
-    sp = load_space(args.space)
+def _cmd_iso_probe(args, sp):
     for i in args.compact or ():        # bad ids fail before the search
         cell_id(sp, i)
     maps = enumerate_isometries(sp, iso_tol=args.iso_tol)
@@ -333,6 +322,8 @@ def _random_small_motion(k, seed, scale):
     # the motion's k x k draw comes before euclidean_power_escape checks k
     if not 1 <= k <= MAX_MOTION_DIM:
         raise ValueError(f"k must be between 1 and {MAX_MOTION_DIM}, got {k}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k))
@@ -341,7 +332,7 @@ def _random_small_motion(k, seed, scale):
     return EuclideanIsometry(q=q, v=v)
 
 
-def _cmd_iso_escape(args):
+def _cmd_iso_escape(args, _):
     if args.random:
         iso = _random_small_motion(args.k, args.seed, args.scale)
     else:
@@ -355,9 +346,7 @@ def _cmd_iso_escape(args):
     return "Prop 3.1", results, not res.found, None
 
 
-def _cmd_iso_critical_scale(args):
-    sp = load_space(args.space)
-    cell_id(sp, args.x)                 # a bad id fails before the search
+def _cmd_iso_critical_scale(args, sp):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol)
     cs = critical_scale(sp, res.perms(), args.x, args.lo, args.hi,
                         tol=args.tol)
@@ -365,16 +354,14 @@ def _cmd_iso_critical_scale(args):
     return "Prop 3.1", results, not res.complete, None
 
 
-def _cmd_gh_exact(args):
-    x = load_space(args.space)
+def _cmd_gh_exact(args, sp):
     y = load_space(args.space2)
-    value, witness = gh_exact(x, y, size_limit=args.size_limit)
-    results = _fields(witness, value=value, lower_bound=gh_lower_bound(x, y))
+    value, witness = gh_exact(sp, y, size_limit=args.size_limit)
+    results = _fields(witness, value=value, lower_bound=gh_lower_bound(sp, y))
     return "§2.1", results, False, None
 
 
-def _cmd_gh_scan(args):
-    sp = load_space(args.space)
+def _cmd_gh_scan(args, sp):
     rep = epsilon_regular_scan(sp, args.x, eps=args.eps, delta=args.delta,
                                k_set=args.k, r_samples=args.r_samples,
                                subsample=args.subsample)
@@ -388,8 +375,7 @@ def _cmd_gh_scan(args):
     return "§2.1", results, inconclusive, table
 
 
-def _cmd_gh_regular_mass(args):
-    sp = load_space(args.space)
+def _cmd_gh_regular_mass(args, sp):
     rep = regular_set_measure(sp, eps=args.eps, delta=args.delta,
                               k_set=args.k, budget=args.budget,
                               r_samples=args.r_samples,
@@ -563,7 +549,10 @@ def main(argv=None) -> int:
 
     command = f"{args.group} {args.verb}"
     try:
-        anchor, results, inconclusive, table = args.handler(args)
+        sp = load_space(args.space) if hasattr(args, "space") else None
+        if getattr(args, "x", None) is not None:
+            cell_id(sp, args.x)         # a bad id fails before any work
+        anchor, results, inconclusive, table = args.handler(args, sp)
     except Exception as exc:
         sys.stderr.write(f"mms-lab: {type(exc).__name__}: {exc}\n")
         doc = {"command": command,

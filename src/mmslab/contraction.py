@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
-                         constant_speed_defect, geodesic_tolerance)
+                         constant_speed_defect, geodesic_tolerance,
+                         require_nonnegative, require_positive)
 from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
 from mmslab.transport import GeodesicPlan, plan_marginals
 
@@ -81,12 +82,13 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     For every sampled time the transported mass landing in a cell,
     weighted by the model coefficient and by the target mass, must stay
     below the cell weight up to ``allowance`` (mass units, default eight
-    grid pitches).
+    grid pitches).  A NaN, infinite or negative ``allowance`` raises.
     """
     if t_samples is None:
         t_samples = chebyshev_times()
     if allowance is None:
         allowance = 8.0 * space.pitch()
+    require_nonnegative("allowance", allowance)
 
     e0, e1 = plan_marginals(space, plan)
     if int((e0 > 1e-12).sum()) != 1:
@@ -154,12 +156,6 @@ class Schedule:
     worst_speed_defect: float
 
 
-def _path_y(breaks, x):
-    xs = [p[0] for p in breaks]
-    ys = [p[1] for p in breaks]
-    return float(np.interp(x, xs, ys))
-
-
 def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
                       target_count: int) -> Schedule:
     """Spread a point mass sitting in one bead over a centered block of
@@ -215,6 +211,7 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
     target_cells = tuple(range(lo, lo + target_count))
 
     fibers = range(f_src, target_fiber + 1)
+    times = tuple((float(fx[k]) - x_src) / length for k in fibers)
     atoms = []
     slope_max = 0.0
     defect_max = 0.0
@@ -235,13 +232,12 @@ def necklace_schedule(space: FiniteMMS, source: int, target_fiber: int,
             for (xa, ya), (xb, yb) in zip(breaks, breaks[1:]):
                 if xb - xa > 1e-15:
                     slope_max = max(slope_max, abs(yb - ya) / (xb - xa))
+            wants = np.interp(fx[f_src:target_fiber + 1], *zip(*breaks))
             nodes = []
-            for k in fibers:
-                want = _path_y(breaks, float(fx[k]))
+            for k, want in zip(fibers, wants):
                 lo = int(fstart[k])
                 fiber_ys = ys[lo:lo + int(fcount[k])]
                 nodes.append(lo + int(np.argmin(np.abs(fiber_ys - want))))
-            times = tuple((float(fx[k]) - x_src) / length for k in fibers)
             g = DiscreteGeodesic(nodes=tuple(nodes), times=times, length=length)
             defect_max = max(defect_max, constant_speed_defect(space, g))
             atoms.append((g, 1.0 / (kappa * target_count)))
@@ -310,10 +306,12 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
     cells over-cover it.  Entering through the bead apex instead thins
     the discrete support on the descent (rays skip cells on taller
     fibers), which inflates the left side by a grid-count factor and can
-    fail the bound even though the plan itself is sound.
+    fail the bound even though the plan itself is sound.  A NaN,
+    infinite or negative ``allowance`` raises.
     """
     if allowance is None:
         allowance = 8.0 * space.pitch()
+    require_nonnegative("allowance", allowance)
     _, fx, _, _, _, bead_of_fiber = necklace_fibers(space)
     beads = NecklaceParams(**space.meta["params"]).beads
 
@@ -399,12 +397,9 @@ def scalar_bound(t_max: float = 0.2, d_max: float = HALF_PI + 0.25,
     finite and nonnegative, and ``samples`` in [2, ``MAX_SCALAR_SAMPLES``];
     anything else raises ``ValueError`` before the grid is built.
     """
-    for name, value in (("t_max", t_max), ("d_max", d_max)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    if not (math.isfinite(cushion) and cushion >= 0):
-        raise ValueError(f"cushion must be finite and nonnegative,"
-                         f" got {cushion}")
+    require_positive("t_max", t_max)
+    require_positive("d_max", d_max)
+    require_nonnegative("cushion", cushion)
     if not 2 <= samples <= MAX_SCALAR_SAMPLES:
         raise ValueError(f"samples must lie in [2, {MAX_SCALAR_SAMPLES}],"
                          f" got {samples}")

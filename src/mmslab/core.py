@@ -9,6 +9,7 @@ and satisfy a constant-speed defect bound relative to the grid pitch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,6 +227,20 @@ def cell_id(space: FiniteMMS, i) -> int:
     if not 0 <= i < space.n:
         raise ValueError(f"cell id {i} outside [0, {space.n})")
     return i
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    positive number."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    nonnegative number."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def ball_indices(space: FiniteMMS, center: int, radius: float,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmslab.core import FiniteMMS, ball_indices, cell_id
+from mmslab.core import FiniteMMS, ball_indices, cell_id, require_positive
 
 GH_SIZE_LIMIT = 8
 
@@ -253,11 +253,17 @@ def radius_levels(delta: float, count: int) -> np.ndarray:
     return delta * (1.0 / 16.0) ** (np.arange(count, 0, -1) / count)
 
 
-def _check_k_set(k_set):
+def _check_scan(eps, delta, k_set, subsample):
+    """The scan's inputs: ``eps`` and ``delta`` finite and positive,
+    dimensions 1, 2 or 3 only, and at least one sample point."""
+    require_positive("eps", eps)
+    require_positive("delta", delta)
     for k in k_set:
         if k not in (1, 2, 3):
             raise ValueError(f"k_set may hold only the dimensions 1, 2 and 3,"
                              f" got {k}")
+    if not subsample >= 1:
+        raise ValueError(f"subsample must be at least 1, got {subsample}")
 
 
 def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
@@ -277,12 +283,11 @@ def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
     near-isometric spaces produces near-identical configurations, and it
     is the scale on which the estimate tracks the true distance in
     calibration runs.  A ball that never drops below the whole space
-    makes every verdict inconclusive.  A dimension in ``k_set`` other
-    than 1, 2 or 3 raises ``ValueError`` before any work.
+    makes every verdict inconclusive.  A NaN, infinite or nonpositive
+    ``eps`` or ``delta``, a dimension in ``k_set`` other than 1, 2 or 3,
+    or a ``subsample`` below 1 raises ``ValueError`` before any work.
     """
-    if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
-    _check_k_set(k_set)
+    _check_scan(eps, delta, k_set, subsample)
     x = cell_id(space, x)
     subsample = int(subsample)
     levels = radius_levels(delta, r_samples)
@@ -362,10 +367,13 @@ def regular_set_measure(space: FiniteMMS, eps: float, delta: float,
     rest of the space.  A point counts as regular overall when some
     dimension in ``k_set`` accepts it, as irregular when every dimension
     rejects it, and as inconclusive otherwise (in particular whenever
-    ``k_set`` is empty).  A dimension in ``k_set`` other than 1, 2 or 3
-    raises ``ValueError``, even when no cell is scanned.
+    ``k_set`` is empty).  The inputs ``epsilon_regular_scan`` rejects,
+    and a negative ``budget``, raise ``ValueError`` before any work, even
+    when no cell is scanned.
     """
-    _check_k_set(k_set)
+    _check_scan(eps, delta, k_set, subsample)
+    if not budget >= 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n = space.n
     if n <= budget:
         scanned = np.arange(n)

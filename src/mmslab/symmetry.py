@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mmslab.core import FiniteMMS, ball_indices, cell_id
+from mmslab.core import (FiniteMMS, ball_indices, cell_id, require_nonnegative,
+                         require_positive)
 
 # scipy loads inside the functions that use it, so that a process which
 # never calls them starts without it.
@@ -362,33 +363,42 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
 
 def generate_subgroup(space: FiniteMMS, gens,
                       budget: int = DEFAULT_GROUP_BUDGET) -> Subgroup:
-    """Closure of the generators under composition and inverse, breadth
-    first, truncated (and flagged open) past ``budget`` elements.
+    """Closure of the generators under composition, from the identity.
 
-    Each level composes every frontier row with every seed in one
-    indexing step, ``COMPOSE_BLOCK`` entries (at least one row) at a time."""
-    gens = _perm_rows(space, gens)
+    A finite set of permutations closed under composition is a group, so
+    no inverses are taken.  Generators already in the closure are
+    skipped; each one kept restarts a queue at the first element,
+    composes every element with every kept generator, ``COMPOSE_BLOCK``
+    entries (at least one row) at a time, and appends the new products
+    (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+    1991).  The closure stops once it holds more than ``budget``
+    elements, so ``closed`` means the group has at most ``budget``; an
+    open result holds more than ``budget`` elements of the group."""
+    gens = np.unique(_perm_rows(space, gens), axis=0)
     n = space.n
-    seeds = np.unique(np.vstack([gens, invert(gens), np.arange(n)]), axis=0)
-    seen = {row.tobytes() for row in seeds}
-    frontier = seeds
-    step = max(1, COMPOSE_BLOCK // (len(seeds) * n))
-    closed = True
-    while len(frontier):
-        fresh = []
-        for start in range(0, len(frontier), step):
-            block = frontier[start:start + step][:, seeds].reshape(-1, n)
-            for key in map(np.ndarray.tobytes, block):
+    queue = [np.arange(n).tobytes()]
+    seen = set(queue)
+    kept = []
+    for gen in gens:
+        if len(seen) > budget:
+            break
+        if gen.tobytes() in seen:
+            continue
+        kept.append(gen)
+        seeds = np.array(kept)
+        step = max(1, COMPOSE_BLOCK // (len(seeds) * n))
+        head = 0
+        while head < len(queue) and len(seen) <= budget:
+            rows = np.frombuffer(b"".join(queue[head:head + step]),
+                                 dtype=np.intp).reshape(-1, n)
+            head += len(rows)
+            for key in map(np.ndarray.tobytes, rows[:, seeds].reshape(-1, n)):
                 if key not in seen:
                     seen.add(key)
-                    fresh.append(key)
-        if len(seen) > budget:
-            closed = False
-            break
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, n)
-    elements = np.frombuffer(b"".join(seen), dtype=np.intp).reshape(-1, n)
-    return Subgroup(elements=np.unique(elements, axis=0),
-                    generators=np.unique(gens, axis=0), closed=closed)
+                    queue.append(key)
+    elements = np.frombuffer(b"".join(queue), dtype=np.intp).reshape(-1, n)
+    return Subgroup(elements=np.unique(elements, axis=0), generators=gens,
+                    closed=len(seen) <= budget)
 
 
 # === fixed sets and displacement ===
@@ -404,9 +414,13 @@ def fixed_set(space: FiniteMMS, perm, fix_tol: float | None = None,
               balls=()) -> FixedSet:
     """Cells moved by at most ``fix_tol`` (one grid pitch by default),
     their mass, and optionally the fixed mass inside balls given as
-    (center, radius) pairs."""
+    (center, radius) pairs.  ``fix_tol`` and the radii must be finite
+    and nonnegative."""
     if fix_tol is None:
         fix_tol = space.pitch()
+    require_nonnegative("fix_tol", fix_tol)
+    for _, radius in balls:
+        require_nonnegative("ball radius", radius)
     perm = _perm_rows(space, [perm])[0]
     moved = space.dist[np.arange(space.n), perm]
     idx = np.flatnonzero(moved <= fix_tol)
@@ -423,8 +437,7 @@ def fixed_set(space: FiniteMMS, perm, fix_tol: float | None = None,
 def displacement(space: FiniteMMS, group, r: float, x: int) -> float:
     """Largest move of any group element on the closed half-radius ball:
     sup over g and over y within r/2 of x of d(y, g(y))."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    require_nonnegative("r", r)
     return _displacement(space, _perm_rows(space, group), r, x)
 
 
@@ -454,9 +467,12 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
 
     Filters the isometries of ``maps`` to the small movers, closes each
     candidate, and returns the first closure that stays inside the
-    filter.  An incomplete enumeration makes a negative answer
-    inconclusive; an empty ``compact`` or an id outside the space raises.
+    filter.  An incomplete enumeration, or a candidate whose closure
+    passed ``budget`` elements, makes a negative answer inconclusive.  A
+    NaN, infinite or nonpositive ``epsilon``, an empty ``compact`` or an
+    id outside the space raises.
     """
+    require_positive("epsilon", epsilon)
     compact = (np.arange(space.n) if compact is None else
                np.array([cell_id(space, i) for i in compact], dtype=np.intp))
     if not compact.size:
@@ -468,9 +484,11 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     rows = maps.perms().reshape(len(maps.maps), space.n)
     nontrivial = np.any(rows != np.arange(space.n), axis=1)
     small = rows[nontrivial & (sup_move(rows) < epsilon)]
+    cut = False                  # some candidate's closure passed the budget
     for perm in small:
         sub = generate_subgroup(space, [perm], budget=budget)
         if not sub.closed:
+            cut = True
             continue
         sup = float(sup_move(sub.elements).max())
         if sup < epsilon and len(sub) > 1:
@@ -478,7 +496,7 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
                                  epsilon=epsilon, subgroup=sub,
                                  sup_displacement=sup,
                                  candidates=len(small))
-    return SubgroupProbe(found=False, inconclusive=not maps.complete,
+    return SubgroupProbe(found=False, inconclusive=cut or not maps.complete,
                          epsilon=epsilon, candidates=len(small))
 
 
@@ -609,9 +627,10 @@ def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
     spectral blocks of Q and the accumulated translation, so powers are
     scanned without iterating the map.  Cheap bounds locate the first
     candidate range; the exact supremum decides inside it.  ``max_pow``
-    above ``MAX_POWER`` or a dimension ``iso.k`` above ``MAX_MOTION_DIM``
-    raises.
+    above ``MAX_POWER``, a dimension ``iso.k`` above ``MAX_MOTION_DIM`` or
+    a NaN, infinite or nonpositive ``threshold`` raises.
     """
+    require_positive("threshold", threshold)
     if max_pow > MAX_POWER:
         raise ValueError(f"max_pow must be at most {MAX_POWER}, got {max_pow}")
     if iso.k > MAX_MOTION_DIM:
@@ -673,10 +692,13 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
 
     The condition holds when the gap is strictly positive.  With no
     nontrivial isometries the supremum is vacuous and reported as zero,
-    the strongest possible verdict.
+    the strongest possible verdict.  ``s`` and ``fix_tol`` must be finite
+    and nonnegative.
     """
+    require_nonnegative("s", s)
     if fix_tol is None:
         fix_tol = space.pitch()
+    require_nonnegative("fix_tol", fix_tol)
     ball = ball_indices(space, x, s)
     ball_mass = float(space.weight[ball].sum())
     rows = maps.perms().reshape(len(maps.maps), space.n)
@@ -766,10 +788,12 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     Requires displacement at ``lo`` to sit at or above lo/20 and at
     ``hi`` strictly below hi/20; the functional is a step function of r,
     so the result is a bracket of width ``tol`` and the defect achieved
-    at its left end.  ``tol`` must be positive; a ``tol`` below the
-    spacing of floats near the crossing ends at a bracket of two adjacent
-    floats.
+    at its left end.  ``lo`` and ``hi`` must be finite and nonnegative
+    and ``tol`` positive; a ``tol`` below the spacing of floats near the
+    crossing ends at a bracket of two adjacent floats.
     """
+    require_nonnegative("lo", lo)
+    require_nonnegative("hi", hi)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     perms = _perm_rows(space, group)

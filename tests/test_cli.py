@@ -389,6 +389,45 @@ def test_inputs_outside_a_domain_or_ceiling_fail_fast_and_name_it(
     assert error["message"].startswith(f"{name} must ")
 
 
+# small, legal scan options; a flag given again later overrides its value
+SCAN = ("--eps", "0.1", "--delta", "0.5", "--k", "1", "--r-samples", "2",
+        "--subsample", "4")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("eps", ["gh", "scan", "--x", "3", *SCAN, "--eps", "nan"]),
+    ("delta", ["gh", "scan", "--x", "3", *SCAN, "--delta", "nan"]),
+    ("subsample", ["gh", "scan", "--x", "3", *SCAN, "--subsample", "0"]),
+    ("budget", ["gh", "regular-mass", *SCAN, "--budget", "-1"]),
+    ("epsilon", ["iso", "probe", "--eps", "nan"]),
+    ("r", ["iso", "displacement", "--x", "0", "--r", "nan"]),
+    ("s", ["iso", "condition-a", "--x", "0", "--s", "nan"]),
+    ("fix_tol", ["iso", "condition-a", "--x", "0", "--s", "1.0",
+                 "--fix-tol", "nan"]),
+    ("fix_tol", ["iso", "fix", "--fix-tol", "nan"]),
+    ("ball radius", ["iso", "fix", "--ball", "0:nan"]),
+    ("hi", ["iso", "critical-scale", "--x", "0", "--lo", "0.1",
+            "--hi", "nan"]),
+    ("threshold", ["iso", "escape", "--random", "--threshold", "nan"]),
+    ("threshold", ["iso", "escape", "--random", "--threshold", "-1"]),
+    ("scale", ["iso", "escape", "--random", "--scale", "nan"]),
+    ("allowance", ["mcp", "verify", "--x", "0", "--A", "3,4",
+                   "--allowance", "nan"])])
+def test_scalars_outside_their_domain_fail_fast_and_name_it(tmp_path, capsys,
+                                                            name, argv):
+    # each once gave a verdict with exit 0, or an error that named nothing;
+    # the iso verbs run on a 12-cell circle, gh and mcp on the 16-cell segment
+    if argv[1] != "escape":
+        path = (circle_file(tmp_path, capsys, resolution=12)
+                if argv[0] == "iso" else segment_16_file(tmp_path, capsys))
+        argv = [*argv[:2], "--space", str(path), *argv[2:]]
+    start = time.perf_counter()
+    error = run_error(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{name} must ")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("k", ["iso", "escape", "--random", "--k", "1000000"]),
     ("k", ["iso", "escape", "--random", "--k", str(MAX_MOTION_DIM + 1)]),
@@ -1104,6 +1143,24 @@ def test_golden_reports(tmp_path, monkeypatch):
     assert runs["iso-probe"]["results"]["subgroup"] is not None
     assert runs["iso-probe-none"]["results"]["subgroup"] is None
     assert runs["error"]["exit"] == 1
+
+
+def test_main_loads_each_space_file_once(tmp_path, monkeypatch):
+    # main loads --space for every verb that has it; only gh exact loads a
+    # second file, its --space2
+    monkeypatch.chdir(tmp_path)
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_space(path)
+
+    monkeypatch.setattr(cli, "load_space", counted)
+    for name, argv, _ in _golden_cases():
+        loads.clear()
+        main(argv + ["--report", name + ".report"])
+        assert loads == [argv[argv.index(flag) + 1]
+                         for flag in ("--space", "--space2") if flag in argv], name
 
 
 def test_golden_reports_without_the_avx512_kernels(tmp_path):

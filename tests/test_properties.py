@@ -194,11 +194,18 @@ def test_closure_matches_the_tuple_oracle(spec, budget):
     for gens in (perms, nontrivial[:1], nontrivial[-2:], nontrivial[1::3]):
         sub = generate_subgroup(space, gens, budget=budget)
         elements, generators, closed = closure_oracle(space, gens, budget)
-        assert np.array_equal(np.asarray(sub.elements),
-                              np.asarray(elements).reshape(-1, space.n))
         assert np.array_equal(np.asarray(sub.generators).reshape(-1, space.n),
                               np.asarray(generators).reshape(-1, space.n))
         assert sub.closed == closed
+        if closed:
+            assert np.array_equal(np.asarray(sub.elements),
+                                  np.asarray(elements).reshape(-1, space.n))
+        else:
+            # an open closure holds more than the budget, all of the group,
+            # but not the oracle's breadth-first levels
+            group, _, _ = closure_oracle(space, gens, math.inf)
+            assert len(sub) > budget
+            assert {tuple(row) for row in sub.elements.tolist()} <= set(group)
 
 
 # === the input contract of space gen ===

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmslab import (
     FiniteMMS,
@@ -298,6 +300,48 @@ def test_gh_triangle_inequality_on_random_triples():
         xy, _ = gh_exact(x, y)
         yz, _ = gh_exact(y, z)
         assert xz <= xy + yz + 1e-9
+
+
+@st.composite
+def planar_clouds(draw):
+    """A cloud of 2-5 planar points, on a 1/3 lattice half the time
+    (repeated distances and points).  Six or more points are left out:
+    single 8-point pairs take seconds."""
+    coord = draw(st.sampled_from([
+        st.floats(0.0, 1.0),
+        st.integers(0, 3).map(lambda v: v / 3)]))
+    return cloud_space(draw(st.lists(st.tuples(coord, coord),
+                                     min_size=2, max_size=5)))
+
+
+GH_PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                       deadline=None)
+
+
+@GH_PROPERTY
+@given(x=planar_clouds(), y=planar_clouds(), lam=st.floats(0.3, 3.0))
+def test_gh_scales_with_drawn_clouds(x, y, lam):
+    base, _ = gh_exact(x, y)
+    scaled, _ = gh_exact(scale(x, 1.0 / lam), scale(y, 1.0 / lam))
+    assert scaled == pytest.approx(lam * base, rel=1e-9, abs=1e-12)
+
+
+@GH_PROPERTY
+@given(x=planar_clouds(), y=planar_clouds())
+def test_gh_is_symmetric_and_above_its_lower_bound_on_drawn_clouds(x, y):
+    ab, _ = gh_exact(x, y)
+    ba, _ = gh_exact(y, x)
+    assert ab == pytest.approx(ba, abs=1e-12)
+    assert gh_lower_bound(x, y) <= ab + 1e-12
+
+
+@GH_PROPERTY
+@given(x=planar_clouds(), y=planar_clouds(), z=planar_clouds())
+def test_gh_triangle_inequality_on_drawn_clouds(x, y, z):
+    xz, _ = gh_exact(x, z)
+    xy, _ = gh_exact(x, y)
+    yz, _ = gh_exact(y, z)
+    assert xz <= xy + yz + 1e-9
 
 
 def test_gh_size_budget():

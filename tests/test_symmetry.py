@@ -587,6 +587,21 @@ def test_probe_is_inconclusive_after_a_truncated_enumeration():
     assert probe.inconclusive
 
 
+def test_probe_is_inconclusive_when_the_budget_cuts_a_closure():
+    # the swap of the two close cells is a small mover of order 2; a group
+    # budget of one element cuts its closure, which once read as "none"
+    dist = np.array([[0.0, 0.01, 1.0], [0.01, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    sp = FiniteMMS(dist=dist, weight=np.ones(3))
+    maps = enumerate_isometries(sp)
+    for budget in (4096, 2):
+        probe = small_subgroup_probe(sp, epsilon=0.1, budget=budget, maps=maps)
+        assert probe.found and not probe.inconclusive
+    probe = small_subgroup_probe(sp, epsilon=0.1, budget=1, maps=maps)
+    assert not probe.found
+    assert probe.inconclusive
+    assert probe.candidates == 1
+
+
 def test_probe_respects_the_compact_set():
     sp = hawaiian_truncation(2, 12)
     probe = small_subgroup_probe(sp, epsilon=1e-6, compact=[0],
