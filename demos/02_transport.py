@@ -6,6 +6,8 @@ solve_w2 computes the squared-distance optimal coupling with an exact
 LP solve.  An independent brute-force enumeration gives the same cost
 on tiny instances, a probe searches the optimal face for a second
 plan, and a symmetry of the space turns one optimal plan into another.
+The probe keeps its solve_w2 result as ``base``, so each instance is
+solved once.
 """
 
 import numpy as np
@@ -17,7 +19,6 @@ from mmslab import (
     delta,
     hawaiian_truncation,
     lift_to_geodesic_plan,
-    solve_w2,
     symmetrized_competitor,
     uniform_on,
     uniqueness_probe,
@@ -34,7 +35,9 @@ sp = FiniteMMS(dist=np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)),
 
 mu0 = as_measure(sp, {0: 0.5, 1: 0.5})
 mu1 = as_measure(sp, {2: 0.25, 3: 0.25, 4: 0.5})
-res = solve_w2(sp, mu0, mu1)
+# the probe's base is its LP solve; a generic instance has a unique plan
+probe = uniqueness_probe(sp, mu0, mu1)
+res = probe.base
 exact = brute_force_w2(sp, mu0, mu1)
 print(f"LP cost        {res.cost:.15f}")
 print(f"brute force    {exact:.15f}")
@@ -42,9 +45,6 @@ print(f"difference     {abs(res.cost - exact):.2e}")
 print(f"W2 distance    {res.w2:.15f}")
 print("coupling atoms:", [(i, j, round(m, 4))
                           for i, j, m in res.coupling.entries()])
-
-# a generic instance has a unique optimal plan
-probe = uniqueness_probe(sp, mu0, mu1)
 print(f"uniqueplan?    {probe.unique} (certificate {probe.certificate}, "
       f"deviation {probe.deviation:.2e})")
 
@@ -65,15 +65,13 @@ x = 5                                             # a cell on circle 1
 mu0 = uniform_on(ear, source)
 mu1 = as_measure(ear, {x: 0.5, int(perm[x]): 0.5})
 
-base = solve_w2(ear, mu0, mu1)
-plan = lift_to_geodesic_plan(ear, base.coupling)
+probe = uniqueness_probe(ear, mu0, mu1)
+plan = lift_to_geodesic_plan(ear, probe.base.coupling)
 competitor = symmetrized_competitor(ear, perm, plan, x=x, iso_tol=1e-9)
 report = verify_competitor(ear, plan, competitor, tol=1e-9)
 print(f"competitor ok? {report.ok}")
 print(f"  same marginals ({report.marginal_defect:.1e}), "
       f"same cost ({report.cost_defect:.1e}), "
       f"plans differ by {report.plan_difference:.3f} in total variation")
-
-probe = uniqueness_probe(ear, mu0, mu1)
 print(f"probe agrees:  unique={probe.unique} "
       f"(certificate {probe.certificate}, deviation {probe.deviation:.2e})")

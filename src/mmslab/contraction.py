@@ -21,7 +21,7 @@ from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
                          constant_speed_defect, geodesic_tolerance,
                          require_nonnegative, require_positive)
 from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
-from mmslab.transport import GeodesicPlan, plan_marginals
+from mmslab.transport import MASS_TOL, GeodesicPlan, plan_marginals
 
 HALF_PI = math.pi / 2.0
 DEGENERATE_LENGTH = 1e-12
@@ -91,9 +91,9 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     require_nonnegative("allowance", allowance)
 
     e0, e1 = plan_marginals(space, plan)
-    if int((e0 > 1e-12).sum()) != 1:
+    if int((e0 > MASS_TOL).sum()) != 1:
         raise ValueError("plan must start from a single cell")
-    support = np.flatnonzero(e1 > 1e-12)
+    support = np.flatnonzero(e1 > MASS_TOL)
     mass_target = float(space.weight[support].sum())
     uniform = np.zeros(space.n)
     uniform[support] = space.weight[support] / mass_target

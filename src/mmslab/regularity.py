@@ -253,15 +253,18 @@ def radius_levels(delta: float, count: int) -> np.ndarray:
     return delta * (1.0 / 16.0) ** (np.arange(count, 0, -1) / count)
 
 
-def _check_scan(eps, delta, k_set, subsample):
+def _check_scan(eps, delta, k_set, r_samples, subsample):
     """The scan's inputs: ``eps`` and ``delta`` finite and positive,
-    dimensions 1, 2 or 3 only, and at least one sample point."""
+    dimensions 1, 2 or 3 only, at least one radius and at least one
+    sample point."""
     require_positive("eps", eps)
     require_positive("delta", delta)
     for k in k_set:
         if k not in (1, 2, 3):
             raise ValueError(f"k_set may hold only the dimensions 1, 2 and 3,"
                              f" got {k}")
+    if not r_samples >= 1:
+        raise ValueError(f"r_samples must be at least 1, got {r_samples}")
     if not subsample >= 1:
         raise ValueError(f"subsample must be at least 1, got {subsample}")
 
@@ -285,9 +288,10 @@ def epsilon_regular_scan(space: FiniteMMS, x: int, eps: float, delta: float,
     calibration runs.  A ball that never drops below the whole space
     makes every verdict inconclusive.  A NaN, infinite or nonpositive
     ``eps`` or ``delta``, a dimension in ``k_set`` other than 1, 2 or 3,
-    or a ``subsample`` below 1 raises ``ValueError`` before any work.
+    or an ``r_samples`` or a ``subsample`` below 1 raises ``ValueError``
+    before any work.
     """
-    _check_scan(eps, delta, k_set, subsample)
+    _check_scan(eps, delta, k_set, r_samples, subsample)
     x = cell_id(space, x)
     subsample = int(subsample)
     levels = radius_levels(delta, r_samples)
@@ -371,7 +375,7 @@ def regular_set_measure(space: FiniteMMS, eps: float, delta: float,
     and a negative ``budget``, raise ``ValueError`` before any work, even
     when no cell is scanned.
     """
-    _check_scan(eps, delta, k_set, subsample)
+    _check_scan(eps, delta, k_set, r_samples, subsample)
     if not budget >= 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     n = space.n

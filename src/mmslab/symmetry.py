@@ -797,8 +797,8 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     perms = _perm_rows(space, group)
-    d_lo = displacement(space, perms, lo, x)
-    d_hi = displacement(space, perms, hi, x)
+    d_lo = _displacement(space, perms, lo, x)
+    d_hi = _displacement(space, perms, hi, x)
     if d_lo < lo / 20.0 or d_hi >= hi / 20.0:
         raise ValueError("no crossing inside the bracket")
     # lo and hi passed the radius check; bisection stays between them

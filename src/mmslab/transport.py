@@ -75,16 +75,18 @@ def uniform_on(space: FiniteMMS, indices) -> np.ndarray:
     return out / out.sum()
 
 
-def _support(mu: np.ndarray):
-    idx = np.flatnonzero(mu > MASS_TOL)
-    return idx, mu[idx]
-
-
-def _normalized_pair(mu0: np.ndarray, mu1: np.ndarray):
+def _problem(space: FiniteMMS, mu0, mu1):
+    """The squared-W2 problem of two measures of equal total mass:
+    ``(si, sm, ti, tm, d2)``, the cells above ``MASS_TOL`` of each
+    normalized measure, their masses, and the squared distances from
+    the source cells to the target cells."""
+    mu0, mu1 = as_measure(space, mu0), as_measure(space, mu1)
     t0, t1 = mu0.sum(), mu1.sum()
     if abs(t0 - t1) > 1e-9 * max(t0, t1):
         raise ValueError("marginals must carry equal total mass")
-    return mu0 / t0, mu1 / t1
+    mu0, mu1 = mu0 / t0, mu1 / t1
+    si, ti = np.flatnonzero(mu0 > MASS_TOL), np.flatnonzero(mu1 > MASS_TOL)
+    return si, mu0[si], ti, mu1[ti], space.dist[np.ix_(si, ti)] ** 2
 
 
 # === couplings ===
@@ -126,9 +128,10 @@ class TransportResult:
         return math.sqrt(max(self.cost, 0.0))
 
 
-def _repair_marginals(matrix, row, col, tol):
-    """Absorb solver residuals (at most ``tol`` each) into the largest
-    entry of the offending row/column; raise if they exceed ``tol``."""
+def _repair_marginals(matrix, row, col):
+    """Absorb solver residuals (at most ``MASS_TOL`` each) into the
+    largest entry of the offending row/column; raise if they exceed
+    ``MASS_TOL``."""
     m = matrix.copy()
     m[m < 0] = 0.0
     for _ in range(3):
@@ -140,7 +143,7 @@ def _repair_marginals(matrix, row, col, tol):
             m[int(np.argmax(m[:, b])), b] += c[b]
     worst = max(np.max(np.abs(row - m.sum(axis=1))),
                 np.max(np.abs(col - m.sum(axis=0))))
-    if worst > tol:
+    if worst > MASS_TOL:
         raise RuntimeError(f"marginal repair left defect {worst:g}")
     m[m < 0] = 0.0
     return m
@@ -163,12 +166,8 @@ def _marginal_constraints(sm, tm):
 def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
     """LP solve of the squared W2 problem on the marginal supports; solver
     residuals above ``MASS_TOL`` in a marginal raise."""
-    mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
-    si, sm = _support(mu0)
-    ti, tm = _support(mu1)
+    si, sm, ti, tm, d2 = _problem(space, mu0, mu1)
     n0, n1 = len(si), len(ti)
-    d2 = space.dist[np.ix_(si, ti)] ** 2
-
     duals = None
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
@@ -181,7 +180,7 @@ def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
             raise RuntimeError(f"transport LP failed: {res.message}")
         sigma = res.x.reshape(n0, n1)
         duals = res.eqlin.marginals
-    sigma = _repair_marginals(sigma, sm, tm, MASS_TOL)
+    sigma = _repair_marginals(sigma, sm, tm)
     coupling = Coupling(source_idx=si, target_idx=ti, matrix=sigma)
     return TransportResult(coupling=coupling, cost=float((sigma * d2).sum()),
                            duals=duals)
@@ -196,13 +195,11 @@ def brute_force_w2(space: FiniteMMS, mu0, mu1) -> float:
     saturation orders with branch-and-bound and state dominance pruning.
     Supports are limited to 5x5.
     """
-    mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
-    si, sm = _support(mu0)
-    ti, tm = _support(mu1)
+    si, sm, ti, tm, d2 = _problem(space, mu0, mu1)
     n0, n1 = len(si), len(ti)
     if n0 > BRUTE_SUPPORT_LIMIT or n1 > BRUTE_SUPPORT_LIMIT:
         raise ValueError("brute force supports at most 5x5 couplings")
-    cost = (space.dist[np.ix_(si, ti)] ** 2).tolist()
+    cost = d2.tolist()
 
     best = math.inf
     memo = {}
@@ -274,13 +271,17 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     """Decide whether the optimal coupling is unique, on the exact
     optimal face, from the duals of one LP solve.
 
-    The base solve returns HiGHS's equality duals phi and psi.  An edge
-    (i, j) is tight when its reduced cost c_ij - phi_i - psi_j is at most
-    tau = ``TIGHT_REL`` * max c, and every edge the base coupling uses
-    counts as tight.  Let gap = |base cost - (mu0.phi + mu1.psi)| and
-    neg = the largest negative reduced cost (0 for feasible duals).  By
-    complementary slackness every optimal coupling puts at most
-    (gap + neg) / tau of its mass off the tight edges.
+    The base solve is one ``solve_w2`` call, returned as ``base``, so a
+    caller that needs the solve as well reads it there.  The probe takes
+    the supports, masses and squared costs from ``_problem``, the
+    builder that solve used, and the duals phi and psi from HiGHS's
+    equality marginals.  An edge (i, j) is tight when its reduced cost
+    c_ij - phi_i - psi_j is at most tau = ``TIGHT_REL`` * max c, and
+    every edge the base coupling uses counts as tight.  Let gap =
+    |base cost - (mu0.phi + mu1.psi)| and neg = the largest negative
+    reduced cost (0 for feasible duals).  By complementary slackness
+    every optimal coupling puts at most (gap + neg) / tau of its mass
+    off the tight edges.
 
     - ``certificate="forest"``: the tight bipartite graph has no cycle,
       so at most one coupling with these marginals lives on it; the
@@ -307,11 +308,8 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     base = solve_w2(space, mu0, mu1)
     if base.duals is None:
         return ProbeResult(unique=True, deviation=0.0, base=base)
-    si, ti = base.coupling.source_idx, base.coupling.target_idx
-    mu0, mu1 = _normalized_pair(as_measure(space, mu0), as_measure(space, mu1))
-    sm, tm = mu0[si], mu1[ti]
+    si, sm, ti, tm, d2 = _problem(space, mu0, mu1)
     n0, n1 = len(si), len(ti)
-    d2 = space.dist[np.ix_(si, ti)] ** 2
     a_eq, b_eq = _marginal_constraints(sm, tm)
     phi, psi = base.duals[:n0], base.duals[n0:]
     reduced = d2 - phi[:, None] - psi[None, :]
@@ -339,15 +337,13 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
                 continue
             other = np.zeros(n0 * n1)
             other[cols] = res.x
-            other = _repair_marginals(other.reshape(n0, n1), sm, tm, MASS_TOL)
+            other = _repair_marginals(other.reshape(n0, n1), sm, tm)
             if abs(float((other * d2).sum()) - base.cost) > slack:
                 continue
             dev = float(np.max(np.abs(other - base.coupling.matrix)))
             worst = max(worst, dev)
             if dev > tol:
-                witness = Coupling(source_idx=base.coupling.source_idx,
-                                   target_idx=base.coupling.target_idx,
-                                   matrix=other)
+                witness = Coupling(source_idx=si, target_idx=ti, matrix=other)
                 return ProbeResult(unique=False, deviation=dev, base=base,
                                    witness=witness, certificate="witness")
     return ProbeResult(unique=True, deviation=worst, base=base,

@@ -412,7 +412,9 @@ SCAN = ("--eps", "0.1", "--delta", "0.5", "--k", "1", "--r-samples", "2",
     ("threshold", ["iso", "escape", "--random", "--threshold", "-1"]),
     ("scale", ["iso", "escape", "--random", "--scale", "nan"]),
     ("allowance", ["mcp", "verify", "--x", "0", "--A", "3,4",
-                   "--allowance", "nan"])])
+                   "--allowance", "nan"]),
+    ("r_samples", ["gh", "scan", "--x", "3", *SCAN, "--r-samples", "0"]),
+    ("r_samples", ["gh", "regular-mass", *SCAN, "--r-samples", "-3"])])
 def test_scalars_outside_their_domain_fail_fast_and_name_it(tmp_path, capsys,
                                                             name, argv):
     # each once gave a verdict with exit 0, or an error that named nothing;
@@ -1106,6 +1108,13 @@ def _golden_cases():
                              "--budget", "4", "--r-samples", "3"], False),
         ("error", ["gh", "exact", "--space", "circle.json",
                    "--space2", "circle.json"], False),
+        ("error-scan-r-samples", ["gh", "scan", "--space", "seg.json",
+                                  "--x", "40", "--eps", "0.35", "--delta",
+                                  "0.3", "--r-samples", "0"], False),
+        ("error-regular-mass-r-samples", ["gh", "regular-mass", "--space",
+                                          "circle.json", "--eps", "0.3",
+                                          "--delta", "1.0", "--r-samples",
+                                          "-3"], False),
     ]
 
 

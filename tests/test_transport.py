@@ -168,18 +168,14 @@ def test_triangle_inequality_for_w2():
         assert ac <= ab + bc + 1e-9
 
 
-def test_cost_scales_with_the_square_of_the_metric():
-    rng = np.random.default_rng(5)
-    sp, mu0, mu1 = random_instance(rng, 3, 4)
-    base = solve_w2(sp, mu0, mu1).cost
-    zoomed = solve_w2(scale(sp, 2.5), mu0, mu1).cost
-    assert zoomed == pytest.approx(base / 2.5**2, rel=1e-9)
-
-
-def test_unequal_totals_are_rejected():
+@pytest.mark.parametrize("route", [solve_w2, brute_force_w2,
+                                   uniqueness_probe],
+                         ids=lambda route: route.__name__)
+def test_unequal_totals_are_rejected(route):
+    # the one equal-mass check, reached through every entry point
     sp = line_space([0.0, 1.0])
-    with pytest.raises(ValueError):
-        solve_w2(sp, np.array([1.0, 0.0]), np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="equal total mass"):
+        route(sp, np.array([1.0, 0.0]), np.array([0.0, 0.5]))
 
 
 def test_forced_coupling_from_a_point_source():
@@ -297,8 +293,25 @@ def test_both_routes_agree_on_drawn_instances(instance):
     # 4 x 5 and 5 x 5 supports are left out: their enumeration time
     # varies by orders of magnitude from one instance to the next
     sp, mu0, mu1 = instance
-    assert abs(solve_w2(sp, mu0, mu1).cost
-               - brute_force_w2(sp, mu0, mu1)) <= 1e-9
+    res = solve_w2(sp, mu0, mu1)
+    assert abs(res.cost - brute_force_w2(sp, mu0, mu1)) <= 1e-9
+    # the probe's base is this solve, bit for bit
+    base = uniqueness_probe(sp, mu0, mu1).base
+    assert np.array_equal(base.coupling.source_idx, res.coupling.source_idx)
+    assert np.array_equal(base.coupling.target_idx, res.coupling.target_idx)
+    assert np.array_equal(base.coupling.matrix, res.coupling.matrix)
+    assert base.cost == res.cost
+    assert (base.duals is None and res.duals is None
+            or np.array_equal(base.duals, res.duals))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(instance=small_instances(), factor=st.floats(0.25, 4.0))
+def test_cost_scales_with_the_square_of_the_metric(instance, factor):
+    sp, mu0, mu1 = instance
+    base = solve_w2(sp, mu0, mu1).cost
+    zoomed = solve_w2(scale(sp, factor), mu0, mu1).cost
+    assert zoomed == pytest.approx(base / factor**2, rel=1e-9, abs=1e-15)
 
 
 def test_both_routes_agree_with_overlapping_supports():
@@ -424,7 +437,7 @@ def optimal_vertex_count(space, mu0, mu1):
     return sum(v <= best + 1e-12 for v in vertices.values())
 
 
-def small_instances():
+def probe_instances():
     """Supports up to 3 x 4 on continuous and 1/3-lattice clouds, with
     equal and unequal masses, and the square of four points."""
     rng = np.random.default_rng(17)
@@ -449,7 +462,7 @@ def small_instances():
 
 def test_probe_verdicts_match_the_vertex_enumeration():
     verdicts = []
-    for sp, mu0, mu1 in small_instances():
+    for sp, mu0, mu1 in probe_instances():
         probe = uniqueness_probe(sp, mu0, mu1)
         count = optimal_vertex_count(sp, mu0, mu1)
         assert probe.unique == (count == 1), (count, probe)
