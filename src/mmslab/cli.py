@@ -188,7 +188,7 @@ def _cmd_space_gen(args, _):
 
 def _cmd_space_validate(args, sp):
     rep = validate_space(sp, seed=args.seed)
-    inconclusive = rep.ok and not rep.exhaustive
+    inconclusive = rep.ok and rep.certificate == "sample"
     return "§2.1", _fields(rep, ok=rep.ok), inconclusive, None
 
 

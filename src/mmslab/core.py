@@ -19,11 +19,17 @@ import numpy as np
 
 TRIANGLE_TOL = 1e-9
 
-# Validator switches to sampled triples above this size to stay O(budget).
+# Validator checks every triple up to this size; above it, a graph witness
+# or, where the witness fails, a sample of triples.
 FULL_TRIANGLE_LIMIT = 300
 
-# Sampled triples are drawn and checked this many at a time, so the check
-# needs constant memory beyond the matrix whatever the budget.
+# The graph witness joins the cells within this many grid pitches: at 1.5 a
+# necklace's bead cells lack the diagonal steps the witness needs.
+WITNESS_PITCHES = 2
+
+# Sampled triples are drawn and checked this many at a time, and the graph
+# witness gathers this many paths at a time, so either check needs constant
+# memory beyond the matrix (and the witness's edge list).
 TRIANGLE_BLOCK = 16_384
 
 # Explicit files spell the matrix this many entries at a time.
@@ -108,14 +114,28 @@ class FiniteMMS:
         p = self.meta.get("pitch")
         if p is not None:
             return float(p)
-        if self.n < 2:
+        n = self.n
+        if n < 2:
             return 0.0
-        d = np.where(np.eye(self.n, dtype=bool), np.inf, self.dist)
-        return float(d.min(axis=1).max())
+        # row blocks with their diagonal masked: no n^2 temporary
+        step = max(1, TRIANGLE_BLOCK // n)
+        nearest = np.empty(n)
+        for s in range(0, n, step):
+            block = self.dist[s:s + step].copy()
+            block[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
+            nearest[s:s + step] = block.min(axis=1)
+        return float(nearest.max())
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Defects of the metric axioms.  ``certificate`` names what covers
+    the triangle inequality: "exhaustive" (every triple checked),
+    "graph" (``_graph_witness`` bounds every triple) or "sample" (a seeded
+    sample, which certifies nothing).  ``triangle_defect_bound`` is the
+    worst defect over all n^3 triples for "exhaustive", the witness's
+    proven bound for "graph" and ``inf`` for "sample"."""
+
     n: int
     symmetry_defect: float
     diagonal_defect: float
@@ -124,6 +144,8 @@ class ValidationReport:
     worst_triangle_defect: float
     triples_checked: int
     exhaustive: bool
+    certificate: str = "sample"
+    triangle_defect_bound: float = math.inf
 
     @property
     def ok(self) -> bool:
@@ -139,17 +161,22 @@ def validate_space(space: FiniteMMS, seed: int = 0,
                    max_triples: int = 20_000_000) -> ValidationReport:
     """Check metric axioms and report defects; never raises on violations.
 
-    The triangle inequality is checked on all triples for small spaces and
-    on a seeded random sample above ``FULL_TRIANGLE_LIMIT`` points.  The
-    defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).
+    The defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).  Up to
+    ``FULL_TRIANGLE_LIMIT`` points every triple is checked.  Above it,
+    ``_graph_witness`` bounds the defect of every triple in O(n^2 deg)
+    work; the report then has ``certificate`` "graph", no violations,
+    the worst defect among the triples the witness evaluated, and
+    n |E(H)| of them as ``triples_checked``.
 
-    The sample holds ``min(max_triples, 4 n^2)`` triples.  It is drawn and
-    checked in blocks of ``TRIANGLE_BLOCK`` triples from one generator, so
-    it needs no memory beyond the matrix and a constant, and the report
-    is the same as if the whole sample were drawn at once.  Up to 32
-    violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
-    threshold of ``ok``), are listed in draw order.  Raises
-    ``ValueError`` when ``max_triples`` is below 1.
+    Where the witness fails, a seeded random sample of
+    ``min(max_triples, 4 n^2)`` triples is checked.  It is drawn and
+    checked in blocks of ``TRIANGLE_BLOCK`` triples from one generator,
+    so it needs no memory beyond the matrix and a constant, and the
+    report is the same as if the whole sample were drawn at once.  Up to
+    32 violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
+    threshold of ``ok``), are listed in draw order.  ``seed`` and
+    ``max_triples`` drive only the sample.  Raises ``ValueError`` when
+    ``max_triples`` is below 1.
     """
     if max_triples < 1:
         raise ValueError("max_triples must be positive")
@@ -166,8 +193,13 @@ def validate_space(space: FiniteMMS, seed: int = 0,
     violations = []
     checked = 0
     exhaustive = n <= FULL_TRIANGLE_LIMIT
-    if n >= 3:
-        if exhaustive:
+    witness = None if exhaustive else _graph_witness(space, diag)
+    if witness is not None:
+        certificate = "graph"
+        worst, checked, bound = witness
+    elif exhaustive:
+        certificate = "exhaustive"
+        if n >= 3:
             # defect[i, j] = d(i,j) - min_k (d(i,k) + d(k,j)), k loop chunked
             best = np.full((n, n), np.inf)
             for k in range(n):
@@ -180,20 +212,22 @@ def validate_space(space: FiniteMMS, seed: int = 0,
                 for i, j in bad[:32]:
                     k = int(np.argmin(d[i, :] + d[:, j]))
                     violations.append((int(i), int(j), k, float(defect[i, j])))
-        else:
-            rng = np.random.default_rng(seed)
-            flat = d.ravel()
-            checked = min(max_triples, 4 * n * n)
-            worst = -np.inf
-            for start in range(0, checked, TRIANGLE_BLOCK):
-                c = min(TRIANGLE_BLOCK, checked - start)
-                i, j, k = rng.integers(0, n, size=(c, 3)).T
-                row = i * n
-                defect = flat.take(row + j) - flat.take(row + k) - flat.take(k * n + j)
-                worst = max(worst, float(defect.max()))
-                if len(violations) < 32:
-                    for b in np.flatnonzero(defect > TRIANGLE_TOL)[:32 - len(violations)]:
-                        violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
+        bound = max(worst, 0.0)
+    else:
+        certificate, bound = "sample", math.inf
+        rng = np.random.default_rng(seed)
+        flat = d.ravel()
+        checked = min(max_triples, 4 * n * n)
+        worst = -np.inf
+        for start in range(0, checked, TRIANGLE_BLOCK):
+            c = min(TRIANGLE_BLOCK, checked - start)
+            i, j, k = rng.integers(0, n, size=(c, 3)).T
+            row = i * n
+            defect = flat.take(row + j) - flat.take(row + k) - flat.take(k * n + j)
+            worst = max(worst, float(defect.max()))
+            if len(violations) < 32:
+                for b in np.flatnonzero(defect > TRIANGLE_TOL)[:32 - len(violations)]:
+                    violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
     return ValidationReport(
         n=n,
         symmetry_defect=sym,
@@ -203,7 +237,86 @@ def validate_space(space: FiniteMMS, seed: int = 0,
         worst_triangle_defect=max(worst, 0.0),
         triples_checked=checked,
         exhaustive=exhaustive,
+        certificate=certificate,
+        triangle_defect_bound=bound,
     )
+
+
+def _graph_witness(space: FiniteMMS, diag: float):
+    """Bound the triangle defect of all n^3 triples in O(n^2 deg) work.
+
+    H is the directed graph of the edges (k -> j) with
+    0 < D(k,j) <= ``WITNESS_PITCHES`` pitches, weighted by D(k,j).  With
+    m_ij = min over the edges (k -> j) of D(i,k) + D(k,j), the witness
+    computes, in row blocks of i,
+
+        d+ = max(0, max_ij D(i,j) - m_ij)    (defects of the triples it sees)
+        d- = max(0, max_{j != i} m_ij - D(i,j))    (slack of the best
+                                                    predecessor of j)
+
+    and needs every edge weight to exceed d- + rho.  Then, for i != j,
+    the best predecessor k of j has D(i,k) <= D(i,j) + d- + rho - D(k,j)
+    < D(i,j), so the chain of best predecessors from j strictly lowers
+    D(i, .), repeats no cell and reaches i within n - 1 hops; summing
+    along it gives d_H(i,j) <= D(i,j) + diag + (n-1)(d- + rho).  Along a
+    shortest H-path from i to j (at most n - 1 hops, each closing a
+    triple the witness saw), D(i,j) <= d_H(i,j) + diag + (n-1)(d+ + rho).
+    As d_H obeys the triangle inequality, every defect is at most
+
+        (n-1)(d+ + 2 d- + 3 rho) + 3 diag,
+
+    with diag the largest |D(i,i)|.  rho covers rounding: a computed
+    slack is a sum rounded once and a difference rounded once, so with
+    M = max |D| and unit roundoff u = eps/2 it is off from the exact one
+    by at most 2uM + u(3M + 2uM) < 3 eps M = rho.  The bound's own few
+    roundings, on nonnegative terms, are covered by scaling it by
+    1 + 4 eps.
+
+    Returns (d+, n |E(H)|, bound) when the bound is at most
+    ``TRIANGLE_TOL``, else None.  It stops at the first row block that
+    already breaks the bound, so a failed attempt costs one block, and
+    returns None at once when the space has no usable pitch or a cell
+    with no in-edge.  The edges are found in column blocks and the paths
+    gathered about ``TRIANGLE_BLOCK`` at a time, so it needs memory for
+    the edge list and a constant beyond the matrix.
+    """
+    d = space.dist
+    n = space.n
+    radius = WITNESS_PITCHES * space.pitch()
+    if not radius > 0:
+        return None
+    step = max(1, TRIANGLE_BLOCK // n)
+    tails, weights, indeg = [], [], []
+    for s in range(0, n, step):
+        heads = d[:, s:s + step].T    # row j - s: the edges into j
+        mask = (heads > 0) & (heads <= radius)
+        j, k = np.nonzero(mask)       # by head, then by tail
+        tails.append(k)
+        weights.append(heads[j, k])
+        indeg.append(mask.sum(axis=1))
+    indeg = np.concatenate(indeg)
+    if not indeg.all():
+        return None
+    tails = np.concatenate(tails)
+    weights = np.concatenate(weights)
+    starts = np.concatenate([[0], np.cumsum(indeg[:-1])])
+    eps = np.finfo(float).eps
+    rho = 3 * eps * max(float(d.max()), -float(d.min()))
+    w_min = float(weights.min())
+    plus = minus = bound = 0.0
+    rows = max(1, TRIANGLE_BLOCK // len(tails))
+    for s in range(0, n, rows):
+        block = d[s:s + rows]
+        paths = block.take(tails, axis=1)
+        paths += weights
+        defect = block - np.minimum.reduceat(paths, starts, axis=1)
+        plus = max(plus, float(defect.max()))
+        defect[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
+        minus = max(minus, -float(defect.min()))
+        bound = ((n - 1) * (plus + 2 * minus + 3 * rho) + 3 * diag) * (1 + 4 * eps)
+        if bound > TRIANGLE_TOL or not w_min > minus + rho:
+            return None
+    return plus, n * len(tails), bound
 
 
 def scale(space: FiniteMMS, factor: float) -> FiniteMMS:

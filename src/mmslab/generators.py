@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mmslab.core import FiniteMMS
 
@@ -248,19 +249,43 @@ def necklace(params: NecklaceParams) -> FiniteMMS:
         weight[sl] = np.cos(fx[i]) ** 2 * w / k_i
 
     dist = np.empty((n_cells, n_cells))
-    for i in range(fx.size):
+    single = fiber_count == 1
+    i = 0
+    while i < fx.size:
         a, b = fiber_start[i], fiber_start[i + 1]
+        if i > 0 and single[i - 1] and single[i]:
+            # a run of spine fibers after a spine cell: the step to each
+            # costs w, so row a + t is row a - 1 plus w added t + 1 times,
+            # in the order the min-plus step adds them, and the run's own
+            # block is Toeplitz in those sums
+            i += 1
+            while i < fx.size and single[i]:
+                i += 1
+            b = fiber_start[i]
+            acc = np.empty((b - a + 1, a))
+            acc[0] = dist[a - 1, :a]
+            acc[1:] = w
+            np.add.accumulate(acc, axis=0, out=acc)
+            dist[a:b, :a] = acc[1:]
+            dist[:a, a:b] = acc[1:].T
+            sums = np.full(b - a, w)
+            sums[0] = 0.0
+            np.add.accumulate(sums, out=sums)
+            # sums[|t - s|] sits at b - a - 1 - t + s of the mirrored sums
+            mirrored = np.concatenate([sums[:0:-1], sums])
+            dist[a:b, a:b] = sliding_window_view(mirrored, b - a)[::-1]
+            continue
         y = ys[a:b]
         dist[a:b, a:b] = np.abs(y[:, None] - y[None, :])
-        if i == 0:
-            continue
-        p = fiber_start[i - 1]
-        step = np.maximum(w, np.abs(ys[p:a, None] - y[None, :]))
-        left = dist[a:b, :a]
-        np.add(dist[p, :a], step[0][:, None], out=left)
-        for r in range(1, a - p):    # only a bead fiber holds more cells
-            np.minimum(left, dist[p + r, :a] + step[r][:, None], out=left)
-        dist[:a, a:b] = left.T
+        if i > 0:
+            p = fiber_start[i - 1]
+            step = np.maximum(w, np.abs(ys[p:a, None] - y[None, :]))
+            left = dist[a:b, :a]
+            np.add(dist[p, :a], step[0][:, None], out=left)
+            for r in range(1, a - p):    # only a bead fiber holds more cells
+                np.minimum(left, dist[p + r, :a] + step[r][:, None], out=left)
+            dist[:a, a:b] = left.T
+        i += 1
 
     meta = {"generator": "necklace", "pitch": w,
             "params": {"beads": [[x, r] for x, r in params.beads],

@@ -19,9 +19,11 @@ from mmslab import (
     condition_a_scan,
     displacement,
     enumerate_isometries,
+    euclidean_ball_grid,
     hawaiian_truncation,
     load_space,
     save_space,
+    segment_space,
 )
 from mmslab import cli
 from mmslab.cli import main
@@ -86,6 +88,35 @@ def test_space_gen_writes_a_loadable_space(tmp_path, capsys):
     assert sp.meta["pitch"] == pytest.approx(2 * math.pi / 16)
     assert doc["results"]["ok"] and doc["results"]["exhaustive"]
     assert set(doc) == ENVELOPE_KEYS
+
+
+def _cloud(n):
+    pts = np.random.default_rng(7).random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return FiniteMMS(dist=dist, weight=np.ones(n))
+
+
+@pytest.mark.parametrize("make, certificate, code", [
+    (lambda: segment_space(math.pi / 2 / 393), "graph", 0),
+    (lambda: necklace(NecklaceParams(beads=((0.4, 0.3), (1.1, 0.3)),
+                                     resolution=math.pi / 2 / 315)), "graph", 0),
+    (lambda: _cloud(320), "sample", 2),
+    (lambda: euclidean_ball_grid(2, 1.0, 0.1), "sample", 2),
+])
+def test_space_validate_strict_flags_only_a_sampled_ok(tmp_path, capsys, make,
+                                                       certificate, code):
+    # above 300 cells the graph witness certifies segments and necklaces;
+    # clouds and ball grids fall back to the sample, which is inconclusive
+    space = make()
+    assert space.n > 300
+    path = tmp_path / "space.json"
+    save_space(space, str(path))
+    rc, doc = run_json(capsys, "space", "validate", "--space", path, "--strict")
+    assert rc == code
+    assert doc["results"]["ok"] is True
+    assert doc["results"]["certificate"] == certificate
+    bound = doc["results"]["triangle_defect_bound"]
+    assert bound == "inf" if certificate == "sample" else bound <= 1e-9
 
 
 def test_space_validate_has_no_tol_option(tmp_path, capsys):
@@ -1021,6 +1052,9 @@ def _golden_cases():
     bad = np.ones((4, 4)) - np.eye(4)
     bad[0, 1] = bad[1, 0] = 3.0
     save_space(FiniteMMS(dist=bad, weight=np.ones(4)), "bad.json")
+    # 393 cells, above the exhaustive check: the graph witness covers it
+    save_space(segment_space(math.pi / 2 / 393), "seg393.json",
+               dist_mode="recipe")
 
     def gen(kind, params, out):
         return ["space", "gen", "--kind", kind, "--params",
@@ -1045,6 +1079,8 @@ def _golden_cases():
         ("validate", ["space", "validate", "--space", "circle.json"], False),
         ("validate-failing", ["space", "validate", "--space", "bad.json"],
          False),
+        ("validate-graph", ["space", "validate", "--space", "seg393.json",
+                            "--strict"], False),
         ("ot-solve", ["ot", "solve", "--space", "seg.json",
                       "--mu0", '{"point": 3}',
                       "--mu1", '{"uniform": [50, 51, 52, 53]}'], False),

@@ -129,6 +129,9 @@ def test_one_bead_necklace_validates_clean():
                                     resolution=math.pi / 2 / 120))
     rep = validate_space(space)
     assert rep.ok, rep
+    # 136 cells: every triple checked, and the bound is the worst defect
+    assert rep.certificate == "exhaustive" and rep.exhaustive
+    assert rep.triangle_defect_bound == rep.worst_triangle_defect
 
 
 def test_large_space_uses_sampled_triples():
@@ -262,6 +265,71 @@ def test_sampled_validation_memory_stays_near_the_matrix():
         tracemalloc.stop()
     assert rep.ok and rep.triples_checked == 4_000_000
     assert peak < 0.5 * space.dist.nbytes, peak
+
+
+def exhaustive_worst_defect(d):
+    """Worst triangle defect over all n^3 triples, by the min-plus check
+    ``validate_space`` runs up to 300 cells, with the same sums."""
+    best = np.full(d.shape, np.inf)
+    for k in range(d.shape[0]):
+        np.minimum(best, d[:, k][:, None] + d[k, :][None, :], out=best)
+    return float((d - best).max())
+
+
+GRAPH_SPACES = {
+    "segment": lambda: segment_space(math.pi / 2 / 393),
+    "circle": lambda: circle_space(1.0, 400),
+    "earring": lambda: hawaiian_truncation(6, 64),
+    "necklace": lambda: necklace(NecklaceParams(
+        beads=((0.4, 0.3), (1.1, 0.3)), resolution=math.pi / 2 / 315)),
+    "necklace-3": lambda: necklace(NecklaceParams(
+        beads=((0.3, 0.4), (0.8, 0.3), (1.3, 0.4)), resolution=math.pi / 2 / 200)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_SPACES))
+def test_graph_bound_covers_the_exhaustive_worst_defect(kind):
+    space = GRAPH_SPACES[kind]()
+    assert 300 < space.n <= 450
+    rep = validate_space(space)
+    assert rep.certificate == "graph" and rep.ok and not rep.exhaustive
+    assert rep.triangle_violations == ()
+    worst = exhaustive_worst_defect(space.dist)
+    # the witness sees some triples, and its bound covers them all
+    assert rep.worst_triangle_defect <= max(worst, 0.0)
+    assert worst <= rep.triangle_defect_bound <= TRIANGLE_TOL
+    assert rep.triples_checked % space.n == 0
+
+
+@pytest.mark.parametrize("change", [1e-8, -1e-8])
+@pytest.mark.parametrize("pair", [(3, 5), (3, 40), (10, 300), (200, 420)])
+def test_a_planted_defect_fails_the_witness(pair, change):
+    # raising the distance of two neighbouring cells would leave a metric,
+    # so every pair here has a cell between its ends
+    space = GRAPH_SPACES["necklace"]()
+    assert validate_space(space).certificate == "graph"
+    dist = space.dist.copy()
+    a, b = pair
+    dist[a, b] = dist[b, a] = dist[a, b] + change
+    planted = replace(space, dist=dist)
+    assert exhaustive_worst_defect(planted.dist) > TRIANGLE_TOL
+    rep = validate_space(planted)
+    assert rep.certificate == "sample" and rep.triangle_defect_bound == math.inf
+    assert rep == sampled_validation_oracle(planted)
+
+
+def pitch_oracle(space):
+    """The nearest-neighbour fallback of ``pitch`` on one masked n^2 copy,
+    as it ran before it went in row blocks."""
+    d = np.where(np.eye(space.n, dtype=bool), np.inf, space.dist)
+    return float(d.min(axis=1).max())
+
+
+@pytest.mark.parametrize("n", [2, 17, 1100])
+def test_blocked_pitch_fallback_matches_the_masked_copy(n):
+    for space in (cloud_space(n, n), random_asymmetric_space(n, n)):
+        assert "pitch" not in space.meta
+        assert space.pitch() == pitch_oracle(space)
 
 
 @pytest.mark.parametrize("max_triples", [0, -5])

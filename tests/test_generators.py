@@ -367,6 +367,53 @@ def test_two_bead_necklace_is_bit_identical_to_the_oracle():
                           necklace_by_dijkstra(params)[0])
 
 
+def necklace_by_fiber_sweep(space):
+    """The matrix of ``space``, a necklace, from the fiber sweep as it ran
+    before it filled runs of spine fibers in one step: one min-plus step
+    per fiber from the fiber before, on the space's own cells and pitch.
+    Oracle for those runs, which must keep every sum bit for bit."""
+    _, _, _, count, start, _ = necklace_fibers(space)
+    start = np.append(start, space.n)
+    w = space.meta["pitch"]
+    ys = space.coords[:, 1]
+    dist = np.empty((space.n, space.n))
+    for i in range(count.size):
+        a, b = start[i], start[i + 1]
+        y = ys[a:b]
+        dist[a:b, a:b] = np.abs(y[:, None] - y[None, :])
+        if i == 0:
+            continue
+        p = start[i - 1]
+        step = np.maximum(w, np.abs(ys[p:a, None] - y[None, :]))
+        left = dist[a:b, :a]
+        np.add(dist[p, :a], step[0][:, None], out=left)
+        for r in range(1, a - p):
+            np.minimum(left, dist[p + r, :a] + step[r][:, None], out=left)
+        dist[:a, a:b] = left.T
+    return dist
+
+
+@pytest.mark.parametrize("beads, fibers", [
+    ((), 2),
+    ((), 120),
+    ((), 700),
+    (((0.8, 0.4),), 4),
+    (((0.8, 0.4),), 160),
+    (((0.1, 0.4),), 200),              # a bead at 0: fiber 0 is a bead fiber
+    (((HALF_PI - 0.1, 0.4),), 200),    # a bead at pi/2: no spine run after it
+    (((0.25, 1.0),), 31),
+    (((HALF_PI - 0.25, 1.0),), 77),
+    (((0.4, 0.3), (1.1, 0.3)), 500),
+    (((0.075, 0.3), (HALF_PI - 0.075, 0.3)), 150),
+    (THREE_BEADS, 240),
+    (((0.3, 0.2), (0.8, 0.3), (1.3, 0.2)), 700),
+])
+def test_necklace_spine_runs_match_the_fiber_sweep_bit_for_bit(beads, fibers):
+    space = necklace(NecklaceParams(beads=beads, resolution=HALF_PI / fibers))
+    want = necklace_by_fiber_sweep(space)
+    assert np.array_equal(space.dist.view(np.int64), want.view(np.int64))
+
+
 def test_necklace_meta_is_its_recipe_and_pitch():
     params = NecklaceParams(beads=((0.8, 0.4),), resolution=HALF_PI / 160)
     assert necklace(params).meta == {
