@@ -32,7 +32,7 @@ from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
 from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
                              DEFAULT_NODE_BUDGET, MAX_MOTION_DIM,
-                             EuclideanIsometry,
+                             EuclideanIsometry, _check_group_budget,
                              condition_a_scan, critical_scale, displacement,
                              enumerate_isometries, euclidean_power_escape,
                              fixed_set, small_subgroup_probe)
@@ -309,6 +309,7 @@ def _cmd_iso_condition_a(args, sp):
 def _cmd_iso_probe(args, sp):
     for i in args.compact or ():        # bad ids fail before the search
         cell_id(sp, i)
+    _check_group_budget(args.budget)    # and so does an oversized budget
     maps = enumerate_isometries(sp, iso_tol=args.iso_tol)
     res = small_subgroup_probe(sp, args.eps, compact=args.compact,
                                budget=args.budget, maps=maps)

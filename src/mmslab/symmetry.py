@@ -27,6 +27,7 @@ DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
 CHAIN_DEPTHS = 1 << 8          # depths per chain step: a 512 KB pick check
+CHAIN_FLOOR = 1 << 11          # least entries (16 KB) a chain step may gather
 # Most powers ``euclidean_power_escape`` scans: for a motion that never
 # escapes, about 0.6 s in R^3 and 1.5 s in R^6 (2-core x86_64).
 MAX_POWER = 10_000_000
@@ -34,6 +35,10 @@ MAX_POWER = 10_000_000
 # number of spectral blocks; at MAX_POWER a never-escaping motion of R^12
 # takes about 2.1 s and a 380 MB tracemalloc peak (2-core x86_64).
 MAX_MOTION_DIM = 12
+# Largest group ``budget`` of a closure: reaching it, the closure of
+# (Z/2)^15 on the 106-cell earring(15, 8) takes about 3.9 s and a 115 MB
+# tracemalloc peak (2-core x86_64); both grow as elements times cells.
+MAX_GROUP_BUDGET = 1 << 15
 
 
 # === maps and groups ===
@@ -64,13 +69,23 @@ def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
     return rows
 
 
-def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
-    perm = _perm_rows(space, [perm])[0]
+def _isometry_map(space: FiniteMMS, perm: np.ndarray,
+                  distortion: float) -> IsometryMap:
     perm.setflags(write=False)
-    moved = space.dist.take(perm, axis=0).take(perm, axis=1) - space.dist
-    distortion = float(np.abs(moved, out=moved).max())
     defect = float(np.max(np.abs(space.weight[perm] - space.weight)))
     return IsometryMap(perm=perm, distortion=distortion, measure_defect=defect)
+
+
+def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
+    perm = _perm_rows(space, [perm])[0]
+    moved = space.dist.take(perm, axis=0).take(perm, axis=1) - space.dist
+    return _isometry_map(space, perm, float(np.abs(moved, out=moved).max()))
+
+
+def _check_group_budget(budget):
+    if not budget <= MAX_GROUP_BUDGET:
+        raise ValueError(f"budget must be at most {MAX_GROUP_BUDGET}, "
+                         f"got {budget}")
 
 
 def compose(outer, inner) -> np.ndarray:
@@ -165,8 +180,9 @@ def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
 
 def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     """Depth-first extension of sources, fewest candidates first; returns
-    the permutations found as sorted rows, whether the search finished,
-    and its node count.
+    the maps found as ``(perm, worst)`` pairs sorted by permutation,
+    whether the search finished, and its node count.  ``worst`` is the
+    largest deviation the search measured along the map's path.
 
     The matrix is held in search order, so depth d checks a candidate c
     of source ``order[d]`` against the assigned prefix as the row
@@ -195,22 +211,40 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     since no leaf lies among the nodes it skips.  The first depth
     without a forced pick is walked one candidate at a time.
 
-    With ``cap = min(CANDIDATE_BLOCK, n * n)``, a step takes at most
-    ``CHAIN_DEPTHS`` depths and ``cap // 2`` candidates, and cuts its
-    block short at the depth where the full check of its survivors would
-    gather more than ``cap`` entries (never short of depth d itself), so
-    its temporaries stay near the n * n entries that one depth's check
-    may gather."""
+    Each placed depth keeps in ``worst`` its largest deviation against
+    the depths placed before it, from row maxima that the checks reduce
+    anyway: the full prefix check of its pick or of its walked
+    candidate, and for a pick also its row of the pick-against-pick
+    triangle.  The maximum over a map's depths covers each pair of
+    distinct cells once, in one order.
+
+    With ``cap = min(CANDIDATE_BLOCK, max(n * n, CHAIN_FLOOR))``, a step
+    takes at most ``CHAIN_DEPTHS`` depths and ``cap // 2`` candidates,
+    and cuts its block short at the depth where the full check of its
+    survivors would gather more than ``cap`` entries (never short of
+    depth d itself), so its temporaries stay near the n * n entries that
+    one depth's check may gather.  The floor lets a step on a small
+    space cover a whole forced map, which a cap of n * n splits in two.
+    Two tables, built once, replace per-step index arithmetic: the depth
+    of every flat candidate entry, and the depth where the step from
+    each depth ends."""
     n = len(dist)
     budget = max(budget, 0)      # a negative budget stops at the first node
     order = np.argsort([len(c) for c in cand], kind="stable")
     ordered = dist[np.ix_(order, order)]
     flat = np.concatenate([cand[i] for i in order] + [np.empty(0, np.intp)])
+    counts = np.array([len(cand[i]) for i in order], dtype=np.intp)
     starts = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum([len(cand[i]) for i in order], out=starts[1:])
-    cap = min(CANDIDATE_BLOCK, n * n)
+    np.cumsum(counts, out=starts[1:])
+    cap = min(CANDIDATE_BLOCK, max(n * n, CHAIN_FLOOR))
+    depth_of = np.repeat(np.arange(n, dtype=np.int32), counts)  # per entry
+    d = np.arange(n)
+    step_end = np.clip(
+        np.searchsorted(starts, starts[:-1] + cap // 2, side="right") - 1,
+        d + 1, np.minimum(d + CHAIN_DEPTHS, n)).tolist()
     below = np.tri(min(n, CHAIN_DEPTHS), k=-1, dtype=bool)
     target = np.empty(n, dtype=np.intp)
+    worst = np.zeros(n)          # per depth: its deviation from the prefix
     used = [False] * n
     found = []
     nodes = 0
@@ -219,7 +253,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
     def record():
         perm = np.empty(n, dtype=np.intp)
         perm[order] = target
-        found.append(perm)
+        found.append((perm, float(worst.max())))
 
     def descend(d):
         """Place the forced picks from depth d on and push the walk of the
@@ -227,11 +261,9 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
         nonlocal nodes
         while True:
             a = starts[d]
-            stop = max(d + 1, min(n, d + CHAIN_DEPTHS, int(np.searchsorted(
-                starts, a + cap // 2, side="right")) - 1))
+            stop = step_end[d]
             cells = flat[a:starts[stop]]
-            rows = np.repeat(np.arange(d, stop),
-                             starts[d + 1:stop + 1] - starts[d:stop])
+            rows = depth_of[a:starts[stop]]
             mark = np.full(n, n)         # -1 on the prefix, later pick depths
             mark[target[:d]] = -1
             live = np.flatnonzero(mark[cells] >= 0)
@@ -244,22 +276,28 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
                     live = live[rows[live] < stop]
             dev = ordered[rows[live], :d]
             dev -= dist[cells[live, None], target[:d]]
-            far = np.abs(dev, out=dev).max(axis=1, initial=0.0) > iso_tol
-            live = live[~far]
+            dev = np.abs(dev, out=dev).max(axis=1, initial=0.0)
+            keep = ~(dev > iso_tol)
+            live, dev = live[keep], dev[keep]
             forced = np.bincount(rows[live], minlength=stop)[d:] == 1
             run = stop - d if forced.all() else int(forced.argmin())
             if not run:
                 head = starts[d + 1] - a
+                k = int(np.searchsorted(live, head))
                 far = np.ones(head, dtype=bool)
-                far[live[live < head]] = False
-                levels.append(zip(cells[:head].tolist(), far.tolist()))
+                far[live[:k]] = False
+                score = np.zeros(head)
+                score[live[:k]] = dev[:k]
+                levels.append(zip(cells[:head].tolist(), far.tolist(),
+                                  score.tolist()))
                 return True
             pos = live[:run]
             picks = cells[pos]
             depths = np.arange(d, d + run)
-            dev = ordered[d:d + run, d:d + run] - dist[picks[:, None], picks]
-            bad = ((np.abs(dev, out=dev) > iso_tol)
-                   & below[:run, :run]).any(axis=1)
+            pair = ordered[d:d + run, d:d + run] - dist[picks[:, None], picks]
+            pair = np.abs(pair, out=pair).max(axis=1, initial=0.0,
+                                              where=below[:run, :run])
+            bad = pair > iso_tol
             np.minimum.at(mark, picks, depths)
             bad |= mark[picks] < depths
             if bad.any():
@@ -275,6 +313,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
                 nodes = budget + 1
                 return False
             target[d:d + run] = picks
+            np.maximum(pair[:run], dev[:run], out=worst[d:d + run])
             for j in picks.tolist():
                 used[j] = True
             levels.extend((total - upto).tolist())
@@ -302,7 +341,7 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
             if depth:
                 used[target[depth - 1]] = False
             continue
-        j, far = step
+        j, far, score = step
         if used[j]:
             continue
         nodes += 1
@@ -312,13 +351,15 @@ def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
         if far:
             continue
         target[depth] = j
+        worst[depth] = score
         if depth == n - 1:
             record()
             continue
         used[j] = True
         complete = descend(depth + 1)
-    rows = np.unique(np.array(found, dtype=np.intp).reshape(-1, n), axis=0)
-    return rows, complete, nodes
+    perms = np.array([perm for perm, _ in found], dtype=np.intp)
+    _, by_perm = np.unique(perms.reshape(-1, n), axis=0, return_index=True)
+    return [found[k] for k in by_perm], complete, nodes
 
 
 def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
@@ -352,12 +393,23 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     them, so the maps, ``nodes``, ``complete`` and every budget cut stay
     those of that walk.  A NaN or negative ``iso_tol`` raises
     ``ValueError``.
+
+    Each map's ``distortion`` is the largest deviation the search itself
+    measured along the map's path: each pair of distinct cells once, in
+    one order.  That equals the maximum over the whole matrix, bit for
+    bit, when ``dist`` is exactly symmetric with a zero diagonal, as
+    every generator's output is.  Any other matrix scores each map with
+    ``isometry_from_perm`` instead.
     """
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
-    rows, complete, nodes = _search(
-        space.dist, profile_candidates(space.dist, iso_tol), iso_tol, budget)
-    maps = tuple(isometry_from_perm(space, p) for p in rows)
+    dist = space.dist
+    found, complete, nodes = _search(
+        dist, profile_candidates(dist, iso_tol), iso_tol, budget)
+    if np.array_equal(dist, dist.T) and not dist.diagonal().any():
+        maps = tuple(_isometry_map(space, perm, worst) for perm, worst in found)
+    else:
+        maps = tuple(isometry_from_perm(space, perm) for perm, _ in found)
     return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
 
 
@@ -373,7 +425,9 @@ def generate_subgroup(space: FiniteMMS, gens,
     (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
     1991).  The closure stops once it holds more than ``budget``
     elements, so ``closed`` means the group has at most ``budget``; an
-    open result holds more than ``budget`` elements of the group."""
+    open result holds more than ``budget`` elements of the group.  A
+    ``budget`` above ``MAX_GROUP_BUDGET`` raises ``ValueError``."""
+    _check_group_budget(budget)
     gens = np.unique(_perm_rows(space, gens), axis=0)
     n = space.n
     queue = [np.arange(n).tobytes()]
@@ -469,10 +523,12 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     candidate, and returns the first closure that stays inside the
     filter.  An incomplete enumeration, or a candidate whose closure
     passed ``budget`` elements, makes a negative answer inconclusive.  A
-    NaN, infinite or nonpositive ``epsilon``, an empty ``compact`` or an
-    id outside the space raises.
+    NaN, infinite or nonpositive ``epsilon``, a ``budget`` above
+    ``MAX_GROUP_BUDGET``, an empty ``compact`` or an id outside the space
+    raises.
     """
     require_positive("epsilon", epsilon)
+    _check_group_budget(budget)
     compact = (np.arange(space.n) if compact is None else
                np.array([cell_id(space, i) for i in compact], dtype=np.intp))
     if not compact.size:

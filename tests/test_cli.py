@@ -28,8 +28,10 @@ from mmslab import (
 from mmslab import cli
 from mmslab.cli import main
 from mmslab.generators import NecklaceParams, necklace, necklace_fibers
+from mmslab.regularity import MAX_R_SAMPLES
 from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
-                             DEFAULT_NODE_BUDGET, MAX_MOTION_DIM)
+                             DEFAULT_NODE_BUDGET, MAX_GROUP_BUDGET,
+                             MAX_MOTION_DIM)
 from mmslab.transport import MAX_PROBE_DRAWS
 
 SCHEMA = json.loads(
@@ -445,11 +447,19 @@ SCAN = ("--eps", "0.1", "--delta", "0.5", "--k", "1", "--r-samples", "2",
     ("allowance", ["mcp", "verify", "--x", "0", "--A", "3,4",
                    "--allowance", "nan"]),
     ("r_samples", ["gh", "scan", "--x", "3", *SCAN, "--r-samples", "0"]),
-    ("r_samples", ["gh", "regular-mass", *SCAN, "--r-samples", "-3"])])
+    ("r_samples", ["gh", "regular-mass", *SCAN, "--r-samples", "-3"]),
+    ("r_samples", ["gh", "scan", "--x", "3", *SCAN,
+                   "--r-samples", "1000000"]),
+    ("r_samples", ["gh", "regular-mass", *SCAN,
+                   "--r-samples", str(MAX_R_SAMPLES + 1)]),
+    ("budget", ["iso", "probe", "--eps", "0.5", "--budget", "1000000000"]),
+    ("budget", ["iso", "probe", "--eps", "0.5",
+                "--budget", str(MAX_GROUP_BUDGET + 1)])])
 def test_scalars_outside_their_domain_fail_fast_and_name_it(tmp_path, capsys,
                                                             name, argv):
-    # each once gave a verdict with exit 0, or an error that named nothing;
-    # the iso verbs run on a 12-cell circle, gh and mcp on the 16-cell segment
+    # each once gave a verdict with exit 0, ran past 15 s, or raised an
+    # error that named nothing; the iso verbs run on a 12-cell circle, gh
+    # and mcp on the 16-cell segment
     if argv[1] != "escape":
         path = (circle_file(tmp_path, capsys, resolution=12)
                 if argv[0] == "iso" else segment_16_file(tmp_path, capsys))

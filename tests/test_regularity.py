@@ -23,7 +23,9 @@ from mmslab import (
     segment_space,
 )
 from mmslab.generators import necklace_fibers
-from mmslab.regularity import GHCorrespondence, _fps, _model_ball
+from mmslab import regularity
+from mmslab.regularity import (MAX_R_SAMPLES, GHCorrespondence, _fps,
+                               _model_ball)
 
 HALF_PI = math.pi / 2.0
 
@@ -512,6 +514,19 @@ def test_scan_rejects_bad_thresholds():
         epsilon_regular_scan(sp, 0, eps=0.1, delta=-1.0)
 
 
+def test_scan_takes_at_most_max_r_samples_radii():
+    sp = segment_space(0.1)
+    rep = epsilon_regular_scan(sp, 3, eps=0.1, delta=0.5, k_set=(1,),
+                               r_samples=MAX_R_SAMPLES, subsample=4)
+    assert len(rep.r_values) == len(rep.rows) == MAX_R_SAMPLES
+    for scan in (lambda r: epsilon_regular_scan(sp, 3, 0.1, 0.5, r_samples=r),
+                 lambda r: regular_set_measure(sp, 0.1, 0.5, r_samples=r)):
+        for r in (MAX_R_SAMPLES + 1, 10**6, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"r_samples must be at most {MAX_R_SAMPLES}"):
+                scan(r)
+
+
 def test_scan_runs_higher_dimensions():
     sp = euclidean_ball_grid(2, 1.0, 1.0 / 16)
     center = int(np.argmin(np.einsum("ij,ij->i", sp.coords, sp.coords)))
@@ -564,3 +579,23 @@ def test_regular_mass_scans_all_cells_when_budget_allows():
     rep = regular_set_measure(sp, eps=0.1, delta=1.0, k_set=(1,), budget=50)
     assert rep.scanned == tuple(range(12))
     assert rep.scanned_mass == pytest.approx(sp.total_mass)
+
+
+def test_regular_mass_builds_each_model_sample_once(monkeypatch):
+    # the model balls depend on k, r and the pitch only, not on the center
+    sp = circle_space(1.0, 12)
+    kwargs = dict(eps=0.1, delta=1.0, k_set=(1, 2), r_samples=3, subsample=4)
+    calls = []
+    model_ball = regularity._model_ball
+    monkeypatch.setattr(regularity, "_model_ball",
+                        lambda *a: calls.append(a) or model_ball(*a))
+    rep = regular_set_measure(sp, budget=6, **kwargs)
+    assert len(calls) == 3 * 2
+    assert rep.scanned == (0, 2, 4, 7, 9, 11)
+    slot = {"in": 0, "out": 1, "inconclusive": 2}
+    for k in (1, 2):
+        acc = [0.0, 0.0, 0.0]
+        for x in rep.scanned:
+            verdict = epsilon_regular_scan(sp, x, **kwargs).verdicts[k]
+            acc[slot[verdict]] += float(sp.weight[x])
+        assert rep.per_k[k] == regularity.MassSplit(*acc)

@@ -30,8 +30,9 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
-from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_POWER, _block_data,
-                             _search, _sup_on_half_ball, profile_candidates)
+from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_GROUP_BUDGET, MAX_POWER,
+                             _block_data, _search, _sup_on_half_ball,
+                             profile_candidates)
 
 TAU = 2 * math.pi
 
@@ -314,8 +315,30 @@ def relabelled(space, seed):
                      meta={"pitch": space.pitch()})
 
 
+def nudged(space, i, j, value):
+    """The space with the single entry (i, j) of its matrix set to
+    ``value``, so the matrix need not stay symmetric or zero on its
+    diagonal."""
+    dist = space.dist.copy()
+    dist[i, j] = value
+    return FiniteMMS(dist=dist, weight=space.weight, meta=space.meta)
+
+
+def off_by_one_ulp():
+    # one entry one ulp above its transpose: not exactly symmetric
+    sp = relabelled(circle_space(1.0, 16), 8)
+    return nudged(sp, 3, 11, np.nextafter(sp.dist[3, 11], np.inf))
+
+
+def nonzero_diagonal():
+    # one diagonal entry far below the tolerance, yet not zero
+    return nudged(relabelled(circle_space(1.0, 16), 9), 5, 5, 1e-12)
+
+
 ORACLE_SPACES = {
     "circle-16": lambda: relabelled(circle_space(1.0, 16), 1),
+    "circle-ulp": off_by_one_ulp,
+    "circle-diagonal": nonzero_diagonal,
     "earring-3-16": lambda: relabelled(hawaiian_truncation(3, 16), 2),
     "earring-4-24": lambda: relabelled(hawaiian_truncation(4, 24), 3),
     "ball-2-4": lambda: relabelled(euclidean_ball_grid(2, 1.0, 1 / 4), 4),
@@ -424,6 +447,19 @@ def test_chain_steps_match_the_oracle_under_every_budget(name):
     for budget in sorted(budgets):
         assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
                                 enumeration_oracle(sp, 1e-9, budget))
+
+
+@pytest.mark.parametrize("name", ["earring-8-64", *CHAIN_SPACES])
+def test_search_distortion_equals_the_full_gather(name):
+    # generated matrices are exactly symmetric with a zero diagonal, so
+    # each map is scored from its search path instead of an n^2 gather
+    sp = (hawaiian_truncation(8, 64) if name == "earring-8-64"
+          else CHAIN_SPACES[name]())
+    res = enumerate_isometries(sp, 1e-9)
+    assert res.complete and res.maps
+    for m in res.maps:
+        assert m.distortion == isometry_from_perm(sp, m.perm).distortion
+        assert not m.perm.flags.writeable
 
 
 def torus(k, seed):
@@ -545,6 +581,18 @@ def test_generated_subgroups_have_the_expected_orders():
     both = generate_subgroup(sp, [r0, r1])
     assert len(both) == 4 and both.closed
     assert compose(r0, r1) in both
+
+
+def test_group_budgets_above_the_ceiling_are_rejected():
+    sp = circle_space(1.0, 8)
+    maps = enumerate_isometries(sp)
+    assert len(generate_subgroup(sp, [rotation_perm(8, 1)],
+                                 budget=MAX_GROUP_BUDGET)) == 8
+    for budget in (MAX_GROUP_BUDGET + 1, 10**9):
+        with pytest.raises(ValueError, match="budget must be at most"):
+            generate_subgroup(sp, [rotation_perm(8, 1)], budget=budget)
+        with pytest.raises(ValueError, match="budget must be at most"):
+            small_subgroup_probe(sp, epsilon=0.1, budget=budget, maps=maps)
 
 
 def test_generated_rotations_recover_the_cyclic_group():
