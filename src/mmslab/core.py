@@ -435,15 +435,19 @@ def constant_speed_defect(space: FiniteMMS, g: DiscreteGeodesic) -> float:
     """max over node pairs of | d(a, b) - (t_b - t_a) * length |.
 
     Rows are compared in blocks of about ``TRIANGLE_BLOCK`` entries, so a
-    long chain needs no (nodes x nodes) temporaries.
+    long chain needs no (nodes x nodes) temporaries.  Each block gathers
+    its rows of ``dist`` and then the chain's columns with two ``take``
+    calls, faster than one ``np.ix_`` gather, and is reduced in place.
     """
     idx = np.asarray(g.nodes)
     tt = np.asarray(g.times)
     step = max(1, TRIANGLE_BLOCK // len(idx))
-    return float(np.max([
-        np.abs(space.dist[np.ix_(idx[s:s + step], idx)]
-               - np.abs(tt[s:s + step, None] - tt[None, :]) * g.length).max()
-        for s in range(0, len(idx), step)]))
+    worst = []
+    for s in range(0, len(idx), step):
+        block = space.dist.take(idx[s:s + step], axis=0).take(idx, axis=1)
+        block -= np.abs(tt[s:s + step, None] - tt[None, :]) * g.length
+        worst.append(np.abs(block, out=block).max())
+    return float(np.max(worst))
 
 
 def geodesic_tolerance(space: FiniteMMS) -> float:

@@ -450,9 +450,21 @@ def generate_subgroup(space: FiniteMMS, gens,
                 if key not in seen:
                     seen.add(key)
                     queue.append(key)
-    elements = np.frombuffer(b"".join(queue), dtype=np.intp).reshape(-1, n)
-    return Subgroup(elements=np.unique(elements, axis=0), generators=gens,
-                    closed=len(seen) <= budget)
+    closed = len(seen) <= budget
+    del seen
+    # The elements are distinct, so sorting them as rows gives what
+    # np.unique(axis=0) returns; it is done in place, with the structured
+    # view that np.unique sorts by, and the bytes keys are copied in
+    # blocks, so no second or third full copy is made.
+    elements = np.empty((len(queue), n), dtype=np.intp)
+    step = max(1, COMPOSE_BLOCK // n)
+    for s in range(0, len(queue), step):
+        block = queue[s:s + step]
+        elements[s:s + len(block)] = np.frombuffer(
+            b"".join(block), dtype=np.intp).reshape(-1, n)
+    del queue
+    elements.view([(f"f{i}", np.intp) for i in range(n)]).sort(axis=0)
+    return Subgroup(elements=elements, generators=gens, closed=closed)
 
 
 # === fixed sets and displacement ===

@@ -165,13 +165,41 @@ def _marginal_constraints(sm, tm):
 
 def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
     """LP solve of the squared W2 problem on the marginal supports; solver
-    residuals above ``MASS_TOL`` in a marginal raise."""
-    si, sm, ti, tm, d2 = _problem(space, mu0, mu1)
+    residuals above ``MASS_TOL`` in a marginal raise.
+
+    The last solve that ran HiGHS (both supports of at least 2 cells) is
+    kept, one entry only, keyed by the exact bytes of the problem: the
+    support cells, their masses and the squared distances, compared in
+    full.  A second call on a byte-identical problem, such as the base
+    solve of ``uniqueness_probe`` right after this one, returns the same
+    result object without an LP; HiGHS is deterministic, so that object
+    is the one a new solve would build.  The arrays of every result
+    (``coupling.source_idx``, ``target_idx``, ``matrix`` and ``duals``)
+    are read-only, since one result can reach several callers.
+    """
+    return _solve(_problem(space, mu0, mu1))
+
+
+# (key, result) of the last LP solve, or None.  It is replaced by one
+# assignment and read once per call, so a reader never sees a key with
+# another key's result.
+_LAST_SOLVE = None
+
+
+def _solve(problem) -> TransportResult:
+    """``solve_w2`` on a problem built by ``_problem``."""
+    global _LAST_SOLVE
+    si, sm, ti, tm, d2 = problem
     n0, n1 = len(si), len(ti)
+    key = None
     duals = None
     if n0 == 1 or n1 == 1:
         sigma = np.outer(sm, tm) / sm.sum()
     else:
+        key = tuple(a.tobytes() for a in problem)
+        last = _LAST_SOLVE
+        if last is not None and last[0] == key:
+            return last[1]
         from scipy.optimize import linprog
         a_eq, b_eq = _marginal_constraints(sm, tm)
         res = linprog(d2.ravel(), A_eq=a_eq, b_eq=b_eq,
@@ -181,9 +209,15 @@ def solve_w2(space: FiniteMMS, mu0, mu1) -> TransportResult:
         sigma = res.x.reshape(n0, n1)
         duals = res.eqlin.marginals
     sigma = _repair_marginals(sigma, sm, tm)
-    coupling = Coupling(source_idx=si, target_idx=ti, matrix=sigma)
-    return TransportResult(coupling=coupling, cost=float((sigma * d2).sum()),
-                           duals=duals)
+    for a in (si, ti, sigma, duals):
+        if a is not None:
+            a.flags.writeable = False
+    result = TransportResult(coupling=Coupling(source_idx=si, target_idx=ti,
+                                               matrix=sigma),
+                             cost=float((sigma * d2).sum()), duals=duals)
+    if key is not None:
+        _LAST_SOLVE = (key, result)
+    return result
 
 
 def brute_force_w2(space: FiniteMMS, mu0, mu1) -> float:
@@ -271,15 +305,18 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     """Decide whether the optimal coupling is unique, on the exact
     optimal face, from the duals of one LP solve.
 
-    The base solve is one ``solve_w2`` call, returned as ``base``, so a
-    caller that needs the solve as well reads it there.  The probe takes
-    the supports, masses and squared costs from ``_problem``, the
-    builder that solve used, and the duals phi and psi from HiGHS's
-    equality marginals.  An edge (i, j) is tight when its reduced cost
-    c_ij - phi_i - psi_j is at most tau = ``TIGHT_REL`` * max c, and
-    every edge the base coupling uses counts as tight.  Let gap =
-    |base cost - (mu0.phi + mu1.psi)| and neg = the largest negative
-    reduced cost (0 for feasible duals).  By complementary slackness
+    The problem is built once, by ``_problem``, and solved as
+    ``solve_w2`` solves it; the result, read-only, is ``base``.
+    ``solve_w2`` keeps its last LP solve, one entry keyed by the exact
+    bytes of the problem (one-point supports run no LP and are not
+    kept), so right after ``solve_w2`` on the same measures ``base`` is
+    the very result that call returned and no base LP runs.  The probe
+    takes the duals phi and psi from HiGHS's equality marginals.  An
+    edge (i, j) is tight when its reduced cost c_ij - phi_i - psi_j is
+    at most tau = ``TIGHT_REL`` * max c, and every edge the base
+    coupling uses counts as tight.  Let gap = |base cost - (mu0.phi +
+    mu1.psi)| and neg = the largest negative reduced cost (0 for
+    feasible duals).  By complementary slackness
     every optimal coupling puts at most (gap + neg) / tau of its mass
     off the tight edges.
 
@@ -305,10 +342,11 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
     if not 1 <= draws <= MAX_PROBE_DRAWS:
         raise ValueError(f"draws must be between 1 and {MAX_PROBE_DRAWS}, "
                          f"not {draws}")
-    base = solve_w2(space, mu0, mu1)
+    problem = _problem(space, mu0, mu1)
+    base = _solve(problem)
     if base.duals is None:
         return ProbeResult(unique=True, deviation=0.0, base=base)
-    si, sm, ti, tm, d2 = _problem(space, mu0, mu1)
+    si, sm, ti, tm, d2 = problem
     n0, n1 = len(si), len(ti)
     a_eq, b_eq = _marginal_constraints(sm, tm)
     phi, psi = base.duals[:n0], base.duals[n0:]

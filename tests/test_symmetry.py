@@ -595,6 +595,23 @@ def test_group_budgets_above_the_ceiling_are_rejected():
             small_subgroup_probe(sp, epsilon=0.1, budget=budget, maps=maps)
 
 
+def test_a_closure_peaks_below_three_copies_of_its_elements():
+    """Closing the 13 circle flips of earring(13, 8) into its 8,192
+    elements peaked at 4.3x their bytes when each element was also joined
+    into one buffer and copied twice more by np.unique."""
+    sp = hawaiian_truncation(13, 8)
+    gens = [circle_reflection(sp, k) for k in range(13)]
+    tracemalloc.start()
+    try:
+        sub = generate_subgroup(sp, gens, budget=MAX_GROUP_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.closed and len(sub) == 1 << 13
+    assert np.array_equal(sub.elements, np.unique(sub.elements, axis=0))
+    assert peak <= 3 * sub.elements.nbytes
+
+
 def test_generated_rotations_recover_the_cyclic_group():
     sp = circle_space(1.0, 8)
     sub = generate_subgroup(sp, [rotation_perm(8, 1)])

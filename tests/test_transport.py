@@ -194,11 +194,13 @@ def test_marginals_survive_repair_to_tight_tolerance():
     assert np.max(np.abs(res.coupling.col_marginal() - mu1[5:])) <= 1e-12
 
 
-def test_solver_is_deterministic():
+def test_solver_is_deterministic(monkeypatch):
     rng = np.random.default_rng(13)
     sp, mu0, mu1 = random_instance(rng, 4, 5)
     a = solve_w2(sp, mu0, mu1)
+    monkeypatch.setattr(transport, "_LAST_SOLVE", None)
     b = solve_w2(sp, mu0, mu1)
+    assert b is not a
     assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
 
 
@@ -233,6 +235,7 @@ def test_solve_is_bit_identical_to_the_dense_oracle(monkeypatch, make, n0, n1):
     sparse = solve_w2(sp, mu0, mu1)
     monkeypatch.setattr(transport, "_marginal_constraints",
                         dense_marginal_constraints)
+    monkeypatch.setattr(transport, "_LAST_SOLVE", None)
     dense = solve_w2(sp, mu0, mu1)
     assert np.array_equal(sparse.coupling.source_idx, dense.coupling.source_idx)
     assert np.array_equal(sparse.coupling.target_idx, dense.coupling.target_idx)
@@ -240,10 +243,12 @@ def test_solve_is_bit_identical_to_the_dense_oracle(monkeypatch, make, n0, n1):
     assert sparse.cost == dense.cost
 
 
-def test_a_200_by_200_solve_allocates_far_less_than_the_dense_matrix():
+def test_a_200_by_200_solve_allocates_far_less_than_the_dense_matrix(
+        monkeypatch):
     """The dense constraint matrix alone took 400 * 40,000 * 8 B = 128 MB;
     the sparse solve peaks near 13 MB, nearly all of it inside linprog."""
     sp, mu0, mu1 = random_instance(np.random.default_rng(200), 200, 200)
+    monkeypatch.setattr(transport, "_LAST_SOLVE", None)
     tracemalloc.start()
     try:
         solve_w2(sp, mu0, mu1)
@@ -251,6 +256,85 @@ def test_a_200_by_200_solve_allocates_far_less_than_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+# === the kept solve ===
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.coupling.source_idx, b.coupling.source_idx)
+    assert np.array_equal(a.coupling.target_idx, b.coupling.target_idx)
+    assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
+    assert a.cost == b.cost
+    assert np.array_equal(a.duals, b.duals)
+
+
+def fresh_solve(monkeypatch, sp, mu0, mu1):
+    monkeypatch.setattr(transport, "_LAST_SOLVE", None)
+    return solve_w2(sp, mu0, mu1)
+
+
+def test_a_repeated_solve_and_a_probe_after_it_reuse_the_lp():
+    sp, mu0, mu1 = random_instance(np.random.default_rng(31), 6, 7)
+    res = solve_w2(sp, mu0, mu1)
+    assert solve_w2(sp, mu0, mu1) is res
+    assert uniqueness_probe(sp, mu0, mu1).base is res
+
+
+def test_a_problem_one_ulp_away_is_solved_afresh(monkeypatch):
+    sp, mu0, mu1 = random_instance(np.random.default_rng(32), 6, 7)
+    first = solve_w2(sp, mu0, mu1)
+    nudged = mu0.copy()
+    nudged[2] = np.nextafter(nudged[2], 1.0)
+    res = solve_w2(sp, nudged, mu1)
+    assert res is not first
+    assert_same_result(res, fresh_solve(monkeypatch, sp, nudged, mu1))
+
+    again = solve_w2(sp, mu0, mu1)
+    dist = sp.dist.copy()
+    dist[1, 9] = dist[9, 1] = np.nextafter(dist[1, 9], 2.0)
+    far = FiniteMMS(dist=dist, weight=sp.weight)
+    assert (far.dist[1, 9] ** 2) != (sp.dist[1, 9] ** 2)
+    res = solve_w2(far, mu0, mu1)
+    assert res is not again
+    assert_same_result(res, fresh_solve(monkeypatch, far, mu0, mu1))
+
+
+def test_the_same_distances_on_relabelled_cells_are_solved_afresh(
+        monkeypatch):
+    """One extra cell between the targets and the sources shifts only the
+    source cells: the masses and squared distances keep their bits."""
+    rng = np.random.default_rng(33)
+    pts = rng.random((11, 2))
+    sp = cloud(pts)
+    shifted = cloud(np.insert(pts, 5, [9.0, 9.0], axis=0))
+    mu0, mu1 = uniform_on(sp, range(5, 11)), uniform_on(sp, range(5))
+    first = solve_w2(sp, mu0, mu1)
+    mu0s, mu1s = uniform_on(shifted, range(6, 12)), uniform_on(shifted, range(5))
+    res = solve_w2(shifted, mu0s, mu1s)
+    assert res is not first
+    assert np.array_equal(res.coupling.source_idx, first.coupling.source_idx + 1)
+    assert np.array_equal(res.coupling.matrix, first.coupling.matrix)
+    assert_same_result(res, fresh_solve(monkeypatch, shifted, mu0s, mu1s))
+
+
+def test_a_one_point_support_is_never_kept():
+    sp, mu0, mu1 = random_instance(np.random.default_rng(34), 4, 4)
+    res = solve_w2(sp, mu0, mu1)
+    point = solve_w2(sp, delta(sp, 0), mu1)
+    assert point.duals is None
+    assert transport._LAST_SOLVE[1] is res
+    assert solve_w2(sp, mu0, mu1) is res
+
+
+def test_solve_results_are_read_only():
+    sp, mu0, mu1 = random_instance(np.random.default_rng(35), 4, 4)
+    for res in (solve_w2(sp, mu0, mu1), solve_w2(sp, delta(sp, 0), mu1)):
+        c = res.coupling
+        for arr in (c.source_idx, c.target_idx, c.matrix, res.duals):
+            if arr is None:
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 # === the enumeration route ===
@@ -295,7 +379,8 @@ def test_both_routes_agree_on_drawn_instances(instance):
     sp, mu0, mu1 = instance
     res = solve_w2(sp, mu0, mu1)
     assert abs(res.cost - brute_force_w2(sp, mu0, mu1)) <= 1e-9
-    # the probe's base is this solve, bit for bit
+    # the probe's own base solve is this solve, bit for bit
+    transport._LAST_SOLVE = None
     base = uniqueness_probe(sp, mu0, mu1).base
     assert np.array_equal(base.coupling.source_idx, res.coupling.source_idx)
     assert np.array_equal(base.coupling.target_idx, res.coupling.target_idx)
@@ -382,7 +467,7 @@ def test_duals_are_none_exactly_on_one_point_supports():
             assert res.duals.shape == (len(a) + len(b),), (a, b)
 
 
-def test_probe_decides_the_eight_planar_draws():
+def test_probe_decides_the_eight_planar_draws(monkeypatch):
     """Unit masses on n sources and n targets in the unit square; the odd
     draws sit on a 1/3 lattice, where ties make many plans optimal.  The
     probe's base is the solve's result, and its duals close the duality
@@ -396,6 +481,7 @@ def test_probe_decides_the_eight_planar_draws():
         sp = cloud(p)
         mu0, mu1 = uniform_on(sp, range(n)), uniform_on(sp, range(n, 2 * n))
         probe = uniqueness_probe(sp, mu0, mu1)
+        monkeypatch.setattr(transport, "_LAST_SOLVE", None)
         base, res = probe.base, solve_w2(sp, mu0, mu1)
         assert np.array_equal(base.coupling.matrix, res.coupling.matrix), k
         assert base.cost == res.cost and np.array_equal(base.duals, res.duals)
