@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
-                         constant_speed_defect, geodesic_tolerance,
+from mmslab.core import (TRIANGLE_BLOCK, DiscreteGeodesic, FiniteMMS,
+                         cell_id, constant_speed_defect, geodesic_tolerance,
                          require_nonnegative, require_positive)
 from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
 from mmslab.transport import MASS_TOL, GeodesicPlan, plan_marginals
@@ -26,29 +27,36 @@ from mmslab.transport import MASS_TOL, GeodesicPlan, plan_marginals
 HALF_PI = math.pi / 2.0
 DEGENERATE_LENGTH = 1e-12
 # Most Chebyshev times: ``mcp_check`` on a 100-atom plan then takes about
-# 0.5 s (2-core x86_64).
+# 0.1 s and 1.5 MB (2-core x86_64).
 MAX_TIME_SAMPLES = 4097
 # Most grid points per axis of ``scalar_bound``: three 4096 x 4096 float
 # temporaries, about 400 MB and 0.7 s (2-core x86_64).
 MAX_SCALAR_SAMPLES = 4096
 
 
-def _coefficient(t: float, length: float) -> float:
-    """t sin^2(t l)/sin^2(l) on plain floats, t^3 for degenerate lengths.
-
-    The square is libm's ``pow`` on a scalar, as the reports have always
-    rounded it, and the cube is two float products, so neither depends
-    on the SIMD kernels numpy picks at run time.
-    """
-    if length < DEGENERATE_LENGTH:
-        return t * t * t
-    return t * math.sin(t * length) ** 2 / math.sin(length) ** 2
+def _sin_squared(x) -> np.ndarray:
+    """sin(x)^2 entry by entry with libm's ``sin`` and ``pow``, as the
+    reports have always rounded it, so the result does not depend on the
+    SIMD kernels numpy picks at run time."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel().tolist()
+    return np.fromiter(map(math.pow, map(math.sin, flat), repeat(2.0)),
+                       float, len(flat)).reshape(x.shape)
 
 
 def model_coefficient(t, length):
     """Contraction weight t sin^2(t l)/sin^2(l), with the t^3 limit for
-    degenerate lengths; broadcasts over array arguments."""
-    return np.vectorize(_coefficient, otypes=[float])(t, length)
+    degenerate lengths; broadcasts over array arguments.
+
+    sin^2(l) is taken once per entry of ``length``, before broadcasting,
+    and the cube is two float products, (t * t) * t.
+    """
+    t = np.asarray(t, dtype=float)
+    length = np.asarray(length, dtype=float)
+    small = length < DEGENERATE_LENGTH
+    coef = t * _sin_squared(t * length) / _sin_squared(np.where(small, 1.0,
+                                                                length))
+    return np.where(small, t * t * t, coef)
 
 
 def chebyshev_times(count: int = 33) -> np.ndarray:
@@ -82,10 +90,26 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     For every sampled time the transported mass landing in a cell,
     weighted by the model coefficient and by the target mass, must stay
     below the cell weight up to ``allowance`` (mass units, default eight
-    grid pitches).  A NaN, infinite or negative ``allowance`` raises.
+    grid pitches).  ``rows`` holds the worst cell of every sorted time
+    at which some mass lands, and the report's worst row is the first
+    of least slack.
+
+    The sorted times are evaluated in blocks of about ``TRIANGLE_BLOCK``
+    (time, cell) entries: each block places every atom with one
+    ``nodes_at`` call, takes the coefficients from one
+    ``model_coefficient`` table, and sums the landing masses of all its
+    times with one ``bincount`` in plan order, so memory stays bounded
+    at ``MAX_TIME_SAMPLES`` times.  An empty or not 1-D ``t_samples``,
+    a time outside [0, 1], and a NaN, infinite or negative
+    ``allowance`` raise ``ValueError``.
     """
     if t_samples is None:
         t_samples = chebyshev_times()
+    ts = np.asarray(t_samples, dtype=float)
+    if ts.ndim != 1 or not ts.size:
+        raise ValueError("t_samples must be a nonempty 1-D sequence of"
+                         f" times, got shape {ts.shape}")
+    ts = np.sort(ts)
     if allowance is None:
         allowance = 8.0 * space.pitch()
     require_nonnegative("allowance", allowance)
@@ -99,24 +123,31 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     uniform[support] = space.weight[support] / mass_target
     marginal_defect = float(np.max(np.abs(e1 - uniform)))
 
-    lengths = plan.lengths.tolist()
+    n = space.n
+    step = max(1, TRIANGLE_BLOCK // max(n, len(plan.lengths)))
+    found = []                  # (times, cells, lhs, slack) per block
+    for s in range(0, len(ts), step):
+        tb = ts[s:s + step]
+        at = np.arange(len(tb))
+        keys = plan.nodes_at(tb)
+        keys += at[:, None] * n
+        mass = plan.masses * model_coefficient(tb[:, None], plan.lengths)
+        mass *= mass_target
+        lhs = np.bincount(keys.ravel(), mass.ravel(),
+                          minlength=len(tb) * n).reshape(len(tb), n)
+        slack = np.where(lhs > 0, space.weight - lhs, np.inf)
+        cells = np.argmin(slack, axis=1)
+        least = slack[at, cells]
+        hit = least < np.inf    # rows where some mass lands
+        found.append((tb[hit], cells[hit], lhs[at[hit], cells[hit]],
+                      least[hit]))
+    t_hit, cells, lhs, slack = (np.concatenate(a) for a in zip(*found))
+    rows = tuple(zip(t_hit.tolist(), cells.tolist(), lhs.tolist(),
+                     space.weight[cells].tolist(), slack.tolist()))
     worst = (math.inf, 0.0, -1)
-    rows = []
-    for t in np.sort(np.asarray(t_samples, dtype=float)).tolist():
-        coef = np.array([_coefficient(t, length) for length in lengths])
-        lhs = np.zeros(space.n)
-        # np.add.at sums repeated cells in plan order
-        np.add.at(lhs, plan.nodes_at(t), plan.masses * coef * mass_target)
-        touched = np.flatnonzero(lhs > 0)
-        if len(touched) == 0:
-            continue
-        slack = space.weight[touched] - lhs[touched]
+    if rows:
         k = int(np.argmin(slack))
-        cell = int(touched[k])
-        rows.append((float(t), cell, float(lhs[cell]),
-                     float(space.weight[cell]), float(slack[k])))
-        if slack[k] < worst[0]:
-            worst = (float(slack[k]), float(t), cell)
+        worst = (rows[k][4], rows[k][0], rows[k][1])
 
     return McpReport(
         ok=bool(worst[0] + allowance >= 0.0),
@@ -126,7 +157,7 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
         worst_cell=worst[2],
         mass_target=mass_target,
         marginal_defect=marginal_defect,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -332,10 +363,9 @@ def schedule_density_check(space: FiniteMMS, sched: Schedule,
                    | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
     rows = []
     worst = (math.inf, 0.0)
-    for t in times:
-        if t <= 0.0:
-            continue
-        supp_mass = float(space.weight[np.unique(plan.nodes_at(t))].sum())
+    positive = [t for t in times if t > 0.0]
+    for t, nodes in zip(positive, plan.nodes_at(positive)):
+        supp_mass = float(space.weight[np.unique(nodes)].sum())
         lhs = mass_target / (t * supp_mass)
         rhs = math.sin(l) ** 2 / (t * math.sin(t * l) ** 2)
         slack = rhs - lhs

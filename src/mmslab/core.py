@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -389,8 +390,9 @@ def ball(space: FiniteMMS, center: int, radius: float, closed: bool = True) -> F
 class DiscreteGeodesic:
     """A constant-speed node chain.
 
-    ``times`` are strictly increasing with times[0] = 0 and times[-1] = 1;
-    ``length`` is the distance between the endpoint cells.  Evaluation uses
+    ``times`` are finite and strictly increasing with times[0] = 0 and
+    times[-1] = 1; ``length`` is the finite, nonnegative distance between
+    the endpoint cells; anything else raises ``ValueError``.  Evaluation uses
     the nearest-time rule with ties resolved toward the smaller time.
     """
 
@@ -399,18 +401,18 @@ class DiscreteGeodesic:
     length: float
 
     def __post_init__(self):
-        nodes = tuple(int(v) for v in self.nodes)
-        times = tuple(float(t) for t in self.times)
+        nodes = tuple(map(int, self.nodes))
+        times = tuple(map(float, self.times))
         if len(nodes) != len(times):
             raise ValueError("nodes and times must have equal length")
         if len(nodes) < 2:
             raise ValueError("a geodesic needs at least two nodes")
         if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
             raise ValueError("times must start at 0 and end at 1")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
+        # a NaN fails every comparison, so this also rejects NaN times
+        if not all(map(operator.lt, times, times[1:])):
+            raise ValueError("times must be finite and strictly increasing")
+        require_nonnegative("length", self.length)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "times", (0.0,) + times[1:-1] + (1.0,))
 

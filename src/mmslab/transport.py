@@ -434,23 +434,51 @@ class GeodesicPlan:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
-    def nodes_at(self, t: float) -> np.ndarray:
-        """The node of every atom at time t, in plan order.
+    def nodes_at(self, t) -> np.ndarray:
+        """The node of every atom at time t, in plan order: shape (A,) for
+        a number t, (T, A) for a 1-D array of T times (in any order,
+        repeats allowed).
 
-        All nodes are picked in one vectorized step with the rule of
-        ``evaluate`` (the first minimum of |times - t|), which raises for
-        t outside [0, 1].  A plan without atoms gives an empty array for
-        any t.
+        Each atom's node follows the rule of ``evaluate``: the first
+        minimum of |times - t|, so a tie goes to the smaller time.  One
+        ``searchsorted`` on the keys atom + 1j * time, which sort by
+        (atom, time), finds the first node time at or after t in every
+        atom; the node before it wins when its gap is no larger, after a
+        walk left through any run of equal rounded gaps (node times a few
+        ulps apart).  A time outside [0, 1] raises; a plan without atoms
+        gives an empty array for any t.
         """
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1:
+            raise ValueError("t must be a number or a 1-D array of times")
         if not self.atoms:
-            return self.nodes
-        if not 0.0 <= t <= 1.0:
+            return np.empty(ts.shape + (0,), dtype=np.intp)
+        if not (ts.min(initial=0.0) >= 0.0 and ts.max(initial=1.0) <= 1.0):
             raise ValueError("t must lie in [0, 1]")
-        first, stop = self.starts[:-1], self.starts[1:]
-        gap = np.abs(self.times - t)
-        least = np.repeat(np.minimum.reduceat(gap, first), stop - first)
-        nearest = np.flatnonzero(gap == least)
-        return self.nodes[nearest[np.searchsorted(nearest, first)]]
+        ts = ts.reshape(-1, 1)
+        first = self.starts[:-1]
+        key = np.empty(len(self.times), dtype=complex)
+        key.real = np.repeat(np.arange(len(first)), np.diff(self.starts))
+        key.imag = self.times
+        query = np.empty((len(ts), len(first)), dtype=complex)
+        query.real = np.arange(len(first))
+        query.imag = ts
+        # times start at 0 and end at 1, so ``pick`` stays inside its atom
+        pick = np.searchsorted(key, query).ravel()
+        tq = np.broadcast_to(ts, query.shape).ravel()
+        lo = np.broadcast_to(first, query.shape).ravel()
+        # ``left`` holds the picks that move one node left: at first those
+        # whose node before t is no farther, then those whose rounded gap
+        # equals the one of the node after them
+        left = np.flatnonzero(pick > lo)
+        p = pick[left]
+        left = left[tq[left] - self.times[p - 1] <= self.times[p] - tq[left]]
+        while left.size:
+            pick[left] -= 1
+            left = left[pick[left] > lo[left]]
+            p = pick[left]
+            left = left[tq[left] - self.times[p - 1] == tq[left] - self.times[p]]
+        return self.nodes[pick].reshape(np.shape(t) + (len(first),))
 
 
 def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling) -> GeodesicPlan:
@@ -497,10 +525,10 @@ def plan_marginals(space: FiniteMMS, plan: GeodesicPlan):
 
 
 def pushforward_at(space: FiniteMMS, plan: GeodesicPlan, t: float) -> np.ndarray:
-    """Mass vector of the time-t evaluation of the plan."""
-    out = np.zeros(space.n)
-    np.add.at(out, plan.nodes_at(t), plan.masses)
-    return out
+    """Mass vector of the time-t evaluation of the plan, summed in plan
+    order."""
+    return (np.bincount(plan.nodes_at(t), plan.masses, minlength=space.n)
+            .astype(float, copy=False))
 
 
 # === fixed-set symmetrization competitor ===

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,37 @@ def test_mcp_check_rejects_spread_sources():
 def test_mcp_allowance_gates_the_verdict():
     sp, plan = segment_plan(HALF_PI / 150)
     assert not mcp_check(sp, plan, allowance=1e-7).ok
+
+
+@pytest.mark.parametrize("t_samples", [[], np.empty(0), [[0.0, 0.5, 1.0]],
+                                       np.full((2, 2), 0.5), 0.5])
+def test_mcp_check_rejects_samples_that_are_empty_or_not_1d(t_samples):
+    """No times gave ``ok=True`` with no rows, a verdict with no
+    evidence; a 2-D array raised ``TypeError``."""
+    sp, plan = segment_plan(HALF_PI / 40)
+    with pytest.raises(ValueError, match="^t_samples must be a nonempty 1-D"):
+        mcp_check(sp, plan, t_samples=t_samples)
+
+
+def test_mcp_check_memory_stays_bounded_at_the_most_times():
+    """The times run in blocks of about ``TRIANGLE_BLOCK`` (time, cell)
+    entries, so at ``MAX_TIME_SAMPLES`` times the peak stays far below
+    the (times x cells) mass table that one pass over all times would
+    fill (13 MB here, and a second one for the slack); what remains is
+    mostly the report's rows and the plan's own arrays."""
+    cells = 400
+    sp = segment_space(HALF_PI / cells)
+    res = solve_w2(sp, delta(sp, 0), uniform_on(sp, range(300, 400)))
+    plan = lift_to_geodesic_plan(sp, res.coupling)
+    times = chebyshev_times(MAX_TIME_SAMPLES)
+    tracemalloc.start()
+    try:
+        rep = mcp_check(sp, plan, t_samples=times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == MAX_TIME_SAMPLES - 1     # nothing lands at t = 0
+    assert peak < MAX_TIME_SAMPLES * cells * 8 / 4
 
 
 # === the bead-chain schedule ===

@@ -445,6 +445,21 @@ def test_geodesic_constructor_checks_time_grid():
         DiscreteGeodesic(nodes=(0, 1, 2), times=(0.0, 0.6, 0.4), length=1.0)
 
 
+@pytest.mark.parametrize("times, length, match", [
+    ((0.0, math.nan, 1.0), 1.0, "finite and strictly increasing"),
+    ((math.nan, 0.5, 1.0), 1.0, "finite and strictly increasing"),
+    ((0.0, 0.5, math.nan), 1.0, "finite and strictly increasing"),
+    ((0.0, math.inf, 1.0), 1.0, "finite and strictly increasing"),
+    ((0.0, 0.5, 1.0), math.nan, "^length must be finite and nonnegative"),
+    ((0.0, 0.5, 1.0), math.inf, "^length must be finite and nonnegative"),
+    ((0.0, 0.5, 1.0), -1.0, "^length must be finite and nonnegative")])
+def test_geodesic_constructor_rejects_non_finite_values(times, length, match):
+    """Every comparison with a NaN is false, so NaN times and lengths
+    once got through the checks (and broke plan evaluation later)."""
+    with pytest.raises(ValueError, match=match):
+        DiscreteGeodesic(nodes=(0, 1, 2), times=times, length=length)
+
+
 # === shortest chains ===
 
 def test_geodesics_between_same_point_is_trivial():

@@ -2,15 +2,17 @@
 replaced, kept here as oracles: the recursive tight-edge walk with one
 neighbor graph and two Dijkstras per pair, the scalar ``mcp_check``
 loop with one ``model_coefficient`` and one ``evaluate`` call per
-(time, atom), the per-atom marginal loop, and the packing the plan
-evaluator once did on every call.  Plans, arrays and reports must be
-equal, not close."""
+(time, atom), the per-time density loop, the per-atom marginal loop,
+and the packing the plan evaluator once did on every call.  Plans,
+arrays and reports must be equal, not close."""
 
 import math
 from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -34,10 +36,12 @@ from mmslab import (
     necklace_schedule,
     plan_marginals,
     pushforward_at,
+    schedule_density_check,
     segment_space,
     solve_w2,
     uniform_on,
 )
+from mmslab import contraction
 from mmslab.contraction import DEGENERATE_LENGTH, McpReport
 from mmslab.generators import necklace_fibers
 
@@ -147,6 +151,26 @@ def mcp_oracle(space, plan, t_samples=None, allowance=None):
                      rows=tuple(rows))
 
 
+def density_rows_oracle(space, sched):
+    """The rows of ``schedule_density_check``, one ``evaluate`` per
+    (time, atom)."""
+    plan = sched.plan
+    mass_target = float(space.weight[np.asarray(sched.target_cells)].sum())
+    l = sched.length
+    times = sorted(set(plan.atoms[0][0].times)
+                   | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
+    rows = []
+    for t in times:
+        if t <= 0.0:
+            continue
+        supp = np.unique([evaluate(g, t) for g, _ in plan.atoms])
+        supp_mass = float(space.weight[supp].sum())
+        lhs = mass_target / (t * supp_mass)
+        rhs = math.sin(l) ** 2 / (t * math.sin(t * l) ** 2)
+        rows.append((t, supp_mass, lhs, rhs, rhs - lhs))
+    return tuple(rows)
+
+
 def marginals_oracle(space, plan):
     e0 = np.zeros(space.n)
     e1 = np.zeros(space.n)
@@ -207,11 +231,14 @@ def pushforward_oracle(space, plan, t):
 def assert_evaluation_matches(space, plan, times):
     assert_packing_matches(space, plan)
     _, oracle_at = evaluator_oracle(plan)
-    for t in times:
+    table = plan.nodes_at(np.asarray(times, dtype=float))
+    assert table.shape == (len(times), len(plan.atoms))
+    for t, row in zip(times, table):
         t = float(t)
         assert plan.nodes_at(t).tolist() == [evaluate(g, t)
                                              for g, _ in plan.atoms]
         assert np.array_equal(plan.nodes_at(t), oracle_at(t))
+        assert np.array_equal(row, oracle_at(t))
         assert np.array_equal(pushforward_at(space, plan, t),
                               pushforward_oracle(space, plan, t))
 
@@ -325,12 +352,42 @@ def test_necklace_schedule_plan_matches_the_oracle():
                      | {sched.t_spread, sched.t_flat_start, sched.t_flat_end})
     assert mcp_check(sp, plan, t_samples=samples) == mcp_oracle(
         sp, plan, t_samples=samples)
+    dens = schedule_density_check(sp, sched)
+    assert dens.rows == density_rows_oracle(sp, sched)
+    assert dens.worst_slack == min(row[4] for row in dens.rows)
     # the density check's supports: node times and landmark times
     assert plan.times[:plan.starts[1]].tolist() == list(plan.atoms[0][0].times)
     for t in sorted(set(plan.atoms[0][0].times) | set(samples)):
         assert np.array_equal(np.unique(plan.nodes_at(t)),
                               sorted({evaluate(g, t) for g, _ in plan.atoms}))
     assert_evaluation_matches(sp, plan, samples)
+
+
+@pytest.mark.parametrize("count", [1025, 4097])
+def test_mcp_check_in_several_blocks_matches_the_oracle(monkeypatch, count):
+    """A block of 7 times (the block constant shrunk to 7 rows of 60
+    cells) splits 1,025 and 4,097 times into many blocks with a partial
+    last one; the plan has an atom of length zero, so both branches of
+    the coefficient run."""
+    sp = segment_space(HALF_PI / 60)
+    res = solve_w2(sp, delta(sp, 30), uniform_on(sp, range(25, 36)))
+    plan = lift_to_geodesic_plan(sp, res.coupling)
+    assert any(g.length == 0.0 for g, _ in plan.atoms)
+    monkeypatch.setattr(contraction, "TRIANGLE_BLOCK", 7 * sp.n)
+    blocks = []
+    nodes_at = GeodesicPlan.nodes_at
+    monkeypatch.setattr(GeodesicPlan, "nodes_at",
+                        lambda self, t: blocks.append(len(t))
+                        or nodes_at(self, t))
+    times = chebyshev_times(count)
+    assert mcp_check(sp, plan, t_samples=times) == mcp_oracle(
+        sp, plan, t_samples=times)
+    assert len(blocks) == -(-count // 7) and set(blocks) == {7, count % 7}
+    # unsorted, repeated times sort first, in one block or in many
+    shuffled = np.random.default_rng(count).permutation(
+        np.concatenate([times[::5], times[::9]]))
+    assert mcp_check(sp, plan, t_samples=shuffled) == mcp_oracle(
+        sp, plan, t_samples=shuffled)
 
 
 # === ties and empty plans ===
@@ -355,8 +412,71 @@ def test_halfway_times_go_to_the_smaller_time_like_evaluate():
     assert nodes_at(0.125).tolist() == [0, 5, 11, 13]
     halfway = [0.125, 0.375, 0.625, 0.875, 0.5, 0.05, 0.55, 0.15, 0.85]
     assert_evaluation_matches(sp, plan, halfway + np.linspace(0, 1, 41).tolist())
-    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
-        nodes_at(1.5)
+    for bad in (1.5, math.nan, [0.5, -0.25], [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            nodes_at(bad)
+    with pytest.raises(ValueError, match="1-D array"):
+        nodes_at(np.full((2, 2), 0.5))
+
+
+def ulp_runs(start, size):
+    """``size`` floats from ``start`` up, one ulp apart."""
+    out = [start]
+    for _ in range(size - 1):
+        out.append(math.nextafter(out[-1], 2.0))
+    return out
+
+
+@st.composite
+def chains_and_times(draw):
+    """A plan of 1-4 atoms whose interior node times include runs one
+    ulp apart, and times to place it at: node times, their neighbours
+    one ulp away, exact midpoints of neighbouring node times, 0, 1 and
+    free draws, repeated and in no order."""
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        interior = []
+        for start in draw(st.lists(unit, max_size=5)):
+            interior += ulp_runs(start, draw(st.integers(1, 4)))
+        times = [0.0] + sorted({t for t in interior if 0.0 < t < 1.0}) + [1.0]
+        nodes = draw(st.lists(st.integers(0, 30), min_size=len(times),
+                              max_size=len(times)))
+        atoms.append(DiscreteGeodesic(nodes=tuple(nodes), times=tuple(times),
+                                      length=1.0))
+    node_times = sorted({t for g in atoms for t in g.times})
+    pool = (node_times
+            + [math.nextafter(t, 2.0) for t in node_times[:-1]]
+            + [math.nextafter(t, -1.0) for t in node_times[1:]]
+            + [(a + b) / 2 for a, b in zip(node_times, node_times[1:])]
+            + [0.0, 1.0])
+    ts = draw(st.lists(st.sampled_from(pool) | unit, min_size=1, max_size=12))
+    plan = GeodesicPlan(atoms=tuple((g, 1.0 / len(atoms)) for g in atoms))
+    return plan, ts
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=chains_and_times())
+def test_array_nodes_at_follows_evaluate(case):
+    plan, ts = case
+    want = [[evaluate(g, t) for g, _ in plan.atoms] for t in ts]
+    assert plan.nodes_at(np.asarray(ts)).tolist() == want
+    assert [plan.nodes_at(t).tolist() for t in ts] == want
+
+
+def test_a_run_of_equal_rounded_gaps_goes_to_its_first_time():
+    """Node times one ulp apart at 0.1 are all 0.35 away from t = 0.45
+    after rounding; ``evaluate`` takes the first of them, so the batched
+    rule must walk left past the node right before t."""
+    run = ulp_runs(0.1, 3)
+    g = DiscreteGeodesic(nodes=(0, 1, 2, 3, 4), times=(0.0, *run, 1.0),
+                         length=1.0)
+    assert len({0.45 - t for t in run}) == 1
+    plan = GeodesicPlan(atoms=((g, 1.0),))
+    assert evaluate(g, 0.45) == 1
+    assert plan.nodes_at(0.45).tolist() == [1]
+    assert plan.nodes_at(np.array([0.45, run[2], 0.0, 1.0])).tolist() == [
+        [1], [3], [0], [4]]
 
 
 def test_an_empty_coupling_lifts_to_an_empty_plan():
@@ -366,6 +486,7 @@ def test_an_empty_coupling_lifts_to_an_empty_plan():
     plan = lift_to_geodesic_plan(sp, empty)
     assert plan == lift_oracle(sp, empty) == GeodesicPlan()
     assert plan.nodes_at(0.5).size == 0
+    assert plan.nodes_at(np.linspace(0.0, 1.0, 3)).shape == (3, 0)
     assert_packing_matches(sp, plan)
     assert np.array_equal(pushforward_at(sp, plan, 0.5), np.zeros(sp.n))
     for check in (mcp_check, mcp_oracle):
