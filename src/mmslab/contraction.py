@@ -99,9 +99,9 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
     ``nodes_at`` call, takes the coefficients from one
     ``model_coefficient`` table, and sums the landing masses of all its
     times with one ``bincount`` in plan order, so memory stays bounded
-    at ``MAX_TIME_SAMPLES`` times.  An empty or not 1-D ``t_samples``,
-    a time outside [0, 1], and a NaN, infinite or negative
-    ``allowance`` raise ``ValueError``.
+    at ``MAX_TIME_SAMPLES`` times.  ``t_samples`` empty, not 1-D, out of
+    [0, 1] or landing no mass (t = 0 alone), and a NaN, infinite or
+    negative ``allowance`` raise ``ValueError``.
     """
     if t_samples is None:
         t_samples = chebyshev_times()
@@ -142,19 +142,19 @@ def mcp_check(space: FiniteMMS, plan: GeodesicPlan,
         found.append((tb[hit], cells[hit], lhs[at[hit], cells[hit]],
                       least[hit]))
     t_hit, cells, lhs, slack = (np.concatenate(a) for a in zip(*found))
+    if not len(slack):
+        raise ValueError("t_samples: no sampled time lands any mass, so "
+                         "there is nothing to check")
     rows = tuple(zip(t_hit.tolist(), cells.tolist(), lhs.tolist(),
                      space.weight[cells].tolist(), slack.tolist()))
-    worst = (math.inf, 0.0, -1)
-    if rows:
-        k = int(np.argmin(slack))
-        worst = (rows[k][4], rows[k][0], rows[k][1])
+    worst = rows[int(np.argmin(slack))]
 
     return McpReport(
-        ok=bool(worst[0] + allowance >= 0.0),
+        ok=bool(worst[4] + allowance >= 0.0),
         allowance=float(allowance),
-        worst_slack=worst[0],
-        worst_t=worst[1],
-        worst_cell=worst[2],
+        worst_slack=worst[4],
+        worst_t=worst[0],
+        worst_cell=worst[1],
         mass_target=mass_target,
         marginal_defect=marginal_defect,
         rows=rows,

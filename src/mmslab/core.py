@@ -57,7 +57,7 @@ class FiniteMMS:
     Attributes
     ----------
     dist : (n, n) ndarray
-        Symmetric distances with zero diagonal, n >= 1.
+        Exactly symmetric distances with a zero diagonal, n >= 1.
     weight : (n,) ndarray
         Strictly positive cell masses.
     coords : (n, k) ndarray or None
@@ -65,8 +65,10 @@ class FiniteMMS:
     meta : dict
         Provenance tag: generator name, parameters, grid pitch.
 
-    The three arrays must be finite: a NaN or infinite entry raises
-    ``ValueError`` here, so no later stage has to allow for one.
+    The three arrays must be finite, and ``dist`` exactly symmetric
+    (``-0.0 == 0.0``) with a zero diagonal, checked in row blocks with no
+    n^2 temporary; anything else raises ``ValueError`` here, naming the
+    first offending entry, so no later stage has to allow for it.
     """
 
     dist: np.ndarray
@@ -83,6 +85,18 @@ class FiniteMMS:
             raise ValueError("a space needs at least one cell")
         if weight.shape[0] != dist.shape[0]:
             raise ValueError("weight length must match dist")
+        n = dist.shape[0]
+        step = max(1, TRIANGLE_BLOCK // n)
+        for s in range(0, n, step):
+            upper, lower = dist[s:s + step, s:], dist[s:, s:s + step].T
+            if not np.array_equal(upper, lower):
+                i, j = np.argwhere(upper != lower)[0] + s
+                raise ValueError(f"dist must be symmetric: dist[{i}, {j}] = "
+                                 f"{dist[i, j]}, dist[{j}, {i}] = {dist[j, i]}")
+        if dist.diagonal().any():
+            i = np.flatnonzero(dist.diagonal())[0]
+            raise ValueError(f"dist must have a zero diagonal: "
+                             f"dist[{i}, {i}] = {dist[i, i]}")
         if np.any(weight <= 0):
             raise ValueError("weights must be strictly positive")
         coords = self.coords
@@ -130,37 +144,33 @@ class FiniteMMS:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Defects of the metric axioms.  ``certificate`` names what covers
-    the triangle inequality: "exhaustive" (every triple checked),
-    "graph" (``_graph_witness`` bounds every triple) or "sample" (a seeded
+    """Defects of the triangle inequality.  ``certificate`` names what
+    covers it: "exhaustive" (every triple checked), "graph"
+    (``_graph_witness`` bounds every triple) or "sample" (a seeded
     sample, which certifies nothing).  ``triangle_defect_bound`` is the
     worst defect over all n^3 triples for "exhaustive", the witness's
-    proven bound for "graph" and ``inf`` for "sample"."""
+    proven bound for "graph" and ``inf`` for "sample".  The last three
+    fields are zero for every ``FiniteMMS``; they keep the report's keys."""
 
     n: int
-    symmetry_defect: float
-    diagonal_defect: float
-    negative_weights: int
     triangle_violations: tuple
     worst_triangle_defect: float
     triples_checked: int
     exhaustive: bool
     certificate: str = "sample"
     triangle_defect_bound: float = math.inf
+    symmetry_defect: float = field(default=0.0, init=False)
+    diagonal_defect: float = field(default=0.0, init=False)
+    negative_weights: int = field(default=0, init=False)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.symmetry_defect <= TRIANGLE_TOL
-            and self.diagonal_defect <= TRIANGLE_TOL
-            and self.negative_weights == 0
-            and self.worst_triangle_defect <= TRIANGLE_TOL
-        )
+        return self.worst_triangle_defect <= TRIANGLE_TOL
 
 
 def validate_space(space: FiniteMMS, seed: int = 0,
                    max_triples: int = 20_000_000) -> ValidationReport:
-    """Check metric axioms and report defects; never raises on violations.
+    """Report the triangle inequality's defects; never raises on violations.
 
     The defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).  Up to
     ``FULL_TRIANGLE_LIMIT`` points every triple is checked.  Above it,
@@ -183,18 +193,11 @@ def validate_space(space: FiniteMMS, seed: int = 0,
         raise ValueError("max_triples must be positive")
     d = space.dist
     n = space.n
-    # upper-triangle row blocks against column blocks: no n^2 temporaries
-    step = max(1, TRIANGLE_BLOCK // n)
-    sym = float(np.max([np.abs(d[s:s + step, s:] - d[s:, s:s + step].T).max()
-                        for s in range(0, n, step)]))
-    diag = float(np.abs(np.diag(d)).max())
-    neg = int(np.sum(space.weight <= 0))
-
     worst = 0.0
     violations = []
     checked = 0
     exhaustive = n <= FULL_TRIANGLE_LIMIT
-    witness = None if exhaustive else _graph_witness(space, diag)
+    witness = None if exhaustive else _graph_witness(space)
     if witness is not None:
         certificate = "graph"
         worst, checked, bound = witness
@@ -231,9 +234,6 @@ def validate_space(space: FiniteMMS, seed: int = 0,
                     violations.append((int(i[b]), int(j[b]), int(k[b]), float(defect[b])))
     return ValidationReport(
         n=n,
-        symmetry_defect=sym,
-        diagonal_defect=diag,
-        negative_weights=neg,
         triangle_violations=tuple(violations),
         worst_triangle_defect=max(worst, 0.0),
         triples_checked=checked,
@@ -243,7 +243,7 @@ def validate_space(space: FiniteMMS, seed: int = 0,
     )
 
 
-def _graph_witness(space: FiniteMMS, diag: float):
+def _graph_witness(space: FiniteMMS):
     """Bound the triangle defect of all n^3 triples in O(n^2 deg) work.
 
     H is the directed graph of the edges (k -> j) with
@@ -259,19 +259,19 @@ def _graph_witness(space: FiniteMMS, diag: float):
     the best predecessor k of j has D(i,k) <= D(i,j) + d- + rho - D(k,j)
     < D(i,j), so the chain of best predecessors from j strictly lowers
     D(i, .), repeats no cell and reaches i within n - 1 hops; summing
-    along it gives d_H(i,j) <= D(i,j) + diag + (n-1)(d- + rho).  Along a
+    along it gives d_H(i,j) <= D(i,j) + (n-1)(d- + rho).  Along a
     shortest H-path from i to j (at most n - 1 hops, each closing a
-    triple the witness saw), D(i,j) <= d_H(i,j) + diag + (n-1)(d+ + rho).
-    As d_H obeys the triangle inequality, every defect is at most
+    triple the witness saw), D(i,j) <= d_H(i,j) + (n-1)(d+ + rho).  As
+    d_H obeys the triangle inequality and D has a zero diagonal, every
+    defect is at most
 
-        (n-1)(d+ + 2 d- + 3 rho) + 3 diag,
+        (n-1)(d+ + 2 d- + 3 rho).
 
-    with diag the largest |D(i,i)|.  rho covers rounding: a computed
-    slack is a sum rounded once and a difference rounded once, so with
-    M = max |D| and unit roundoff u = eps/2 it is off from the exact one
-    by at most 2uM + u(3M + 2uM) < 3 eps M = rho.  The bound's own few
-    roundings, on nonnegative terms, are covered by scaling it by
-    1 + 4 eps.
+    rho covers rounding: a computed slack is a sum rounded once and a
+    difference rounded once, so with M = max |D| and unit roundoff
+    u = eps/2 it is off from the exact one by at most
+    2uM + u(3M + 2uM) < 3 eps M = rho.  The bound's own few roundings,
+    on nonnegative terms, are covered by scaling it by 1 + 4 eps.
 
     Returns (d+, n |E(H)|, bound) when the bound is at most
     ``TRIANGLE_TOL``, else None.  It stops at the first row block that
@@ -314,7 +314,7 @@ def _graph_witness(space: FiniteMMS, diag: float):
         plus = max(plus, float(defect.max()))
         defect[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
         minus = max(minus, -float(defect.min()))
-        bound = ((n - 1) * (plus + 2 * minus + 3 * rho) + 3 * diag) * (1 + 4 * eps)
+        bound = (n - 1) * (plus + 2 * minus + 3 * rho) * (1 + 4 * eps)
         if bound > TRIANGLE_TOL or not w_min > minus + rho:
             return None
     return plus, n * len(tails), bound

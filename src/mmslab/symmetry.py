@@ -396,20 +396,16 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
 
     Each map's ``distortion`` is the largest deviation the search itself
     measured along the map's path: each pair of distinct cells once, in
-    one order.  That equals the maximum over the whole matrix, bit for
-    bit, when ``dist`` is exactly symmetric with a zero diagonal, as
-    every generator's output is.  Any other matrix scores each map with
-    ``isometry_from_perm`` instead.
+    one order.  A ``FiniteMMS`` is exactly symmetric with a zero
+    diagonal, so that equals the maximum over the whole matrix, bit for
+    bit.
     """
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
     dist = space.dist
     found, complete, nodes = _search(
         dist, profile_candidates(dist, iso_tol), iso_tol, budget)
-    if np.array_equal(dist, dist.T) and not dist.diagonal().any():
-        maps = tuple(_isometry_map(space, perm, worst) for perm, worst in found)
-    else:
-        maps = tuple(isometry_from_perm(space, perm) for perm, _ in found)
+    maps = tuple(_isometry_map(space, perm, worst) for perm, worst in found)
     return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
 
 

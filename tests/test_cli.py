@@ -915,6 +915,29 @@ def test_zero_cell_space_file_emits_error_object(tmp_path, capsys, verb):
     assert error["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("dist, message", [
+    ([[0, 2, 2], [2, 0, 2], [2, 1, 0]],
+     "dist must be symmetric: dist[1, 2] = 2.0, dist[2, 1] = 1.0"),
+    ([[0, 2, 2], [2, 1e-12, 2], [2, 2, 0]],
+     "dist must have a zero diagonal: dist[1, 1] = 1e-12"),
+])
+@pytest.mark.parametrize("verb", [["space", "validate"], ["iso", "enum"],
+                                  ["gh", "exact"]])
+def test_a_matrix_off_the_contract_emits_error_object(tmp_path, capsys,
+                                                      verb, dist, message):
+    # the asymmetric file once enumerated complete, with the swap [1, 0, 2]
+    # at distortion 1.0 under the default tolerance
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dist": dist, "meta": {}, "weights": [1, 1, 1],
+                                "points": [{"id": i} for i in range(3)]}))
+    if verb == ["gh", "exact"]:
+        # the bad file is the second space, which the verb loads itself
+        verb = verb + ["--space2", path]
+        path = two_point_file(tmp_path, 1.0, "good.json")
+    error = run_error(capsys, *verb, "--space", path)
+    assert error == {"type": "ValueError", "message": message}
+
+
 def test_unwritable_report_exits_one_naming_the_path(tmp_path, capsys):
     report = tmp_path / "missing" / "x.json"
     rc, cap = run(capsys, "mcp", "scalar-bound", "--samples", 20,

@@ -147,6 +147,18 @@ def test_mcp_check_rejects_samples_that_are_empty_or_not_1d(t_samples):
         mcp_check(sp, plan, t_samples=t_samples)
 
 
+@pytest.mark.parametrize("t_samples", [[0.0], [0.0, 0.0], [1e-200, 0.0]])
+def test_mcp_check_rejects_times_that_land_no_mass(t_samples):
+    """At t = 0 alone a 400-cell segment plan gave ``ok=True`` with
+    ``worst_slack`` inf, ``worst_cell`` -1 and no rows: a verdict with no
+    evidence.  One time that lands mass is enough."""
+    sp, plan = segment_plan(HALF_PI / 400)
+    with pytest.raises(ValueError, match="^t_samples: no sampled time lands"):
+        mcp_check(sp, plan, t_samples=t_samples)
+    rep = mcp_check(sp, plan, t_samples=[*t_samples, 1.0])
+    assert [row[0] for row in rep.rows] == [1.0] and rep.worst_t == 1.0
+
+
 def test_mcp_check_memory_stays_bounded_at_the_most_times():
     """The times run in blocks of about ``TRIANGLE_BLOCK`` (time, cell)
     entries, so at ``MAX_TIME_SAMPLES`` times the peak stays far below

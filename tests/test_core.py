@@ -1,5 +1,6 @@
 """Core data structures: spaces, validation, balls, geodesics, round trips."""
 
+import itertools
 import json
 import math
 import os
@@ -112,16 +113,25 @@ def test_a_defect_that_fails_ok_is_listed():
 
 
 def test_validator_flags_asymmetry_and_diagonal():
-    space = FiniteMMS.__new__(FiniteMMS)
-    object.__setattr__(space, "dist", np.array([[0.1, 1.0], [2.0, 0.0]]))
-    object.__setattr__(space, "weight", np.array([1.0, -2.0]))
-    object.__setattr__(space, "coords", None)
-    object.__setattr__(space, "meta", {})
+    # construction checks what validate_space once reported: an asymmetric
+    # matrix got through to a complete isometry group holding the swap
+    # [1, 0, 2], which is no isometry of dist[2, 1] != dist[1, 2]
+    with pytest.raises(ValueError, match=r"dist must be symmetric: "
+                       r"dist\[1, 2\] = 2\.0, dist\[2, 1\] = 1\.0"):
+        FiniteMMS(dist=np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0],
+                                 [2.0, 1.0, 0.0]]), weight=np.ones(3))
+    with pytest.raises(ValueError, match=r"dist must have a zero diagonal: "
+                       r"dist\[1, 1\] = 1e-12"):
+        FiniteMMS(dist=np.array([[0.0, 1.0], [1.0, 1e-12]]), weight=np.ones(2))
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        FiniteMMS(dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  weight=np.array([1.0, -2.0]))
+    # signed zeros compare equal, on the diagonal and off it
+    space = FiniteMMS(dist=np.array([[-0.0, 1.0, 0.0], [1.0, 0.0, -0.0],
+                                     [-0.0, 0.0, -0.0]]), weight=np.ones(3))
     rep = validate_space(space)
-    assert not rep.ok
-    assert rep.symmetry_defect == pytest.approx(1.0)
-    assert rep.diagonal_defect == pytest.approx(0.1)
-    assert rep.negative_weights == 1
+    assert (rep.symmetry_defect, rep.diagonal_defect,
+            rep.negative_weights) == (0.0, 0.0, 0)
 
 
 def test_one_bead_necklace_validates_clean():
@@ -157,10 +167,11 @@ def random_symmetric_space(n, seed):
     return FiniteMMS(dist=dist + dist.T, weight=np.ones(n))
 
 
-def random_asymmetric_space(n, seed):
-    dist = np.random.default_rng(seed).random((n, n))
-    np.fill_diagonal(dist, 0.0)
-    return FiniteMMS(dist=dist, weight=np.ones(n))
+def random_integer_space(n, seed):
+    """Symmetric with entries in {1, 2, 3} off its zero diagonal: many
+    ties, and a violation wherever a 3 spans two 1s."""
+    dist = np.triu(np.random.default_rng(seed).integers(1, 4, (n, n)), 1)
+    return FiniteMMS(dist=dist + dist.T, weight=np.ones(n))
 
 
 def stretched_space(n, seed, pairs):
@@ -192,9 +203,6 @@ def sampled_validation_oracle(space, seed=0, max_triples=20_000_000):
             violations.append((i, j, k, float(defect[b])))
     return ValidationReport(
         n=n,
-        symmetry_defect=float(np.abs(d - d.T).max()),
-        diagonal_defect=float(np.abs(np.diag(d)).max()),
-        negative_weights=int(np.sum(space.weight <= 0)),
         triangle_violations=tuple(violations),
         worst_triangle_defect=max(worst, 0.0),
         triples_checked=m,
@@ -205,7 +213,7 @@ def sampled_validation_oracle(space, seed=0, max_triples=20_000_000):
 @pytest.mark.parametrize("n", [301, 450])
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("make", [cloud_space, random_symmetric_space,
-                                  random_asymmetric_space])
+                                  random_integer_space])
 def test_streamed_sample_matches_all_at_once_oracle(make, seed, n):
     space = make(n, seed)
     rep = validate_space(space, seed=seed)
@@ -245,17 +253,39 @@ def test_streamed_sample_lists_the_first_32_violations_in_draw_order():
 
 @pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 1100])
 def test_symmetry_defect_matches_the_full_difference(n):
-    """The blocked check over the upper triangle reports the same value
-    as |d - d^T| on the whole matrix, across block edges."""
-    space = random_asymmetric_space(n, n)
-    full = float(np.abs(space.dist - space.dist.T).max())
-    rep = validate_space(space, max_triples=1)
-    assert rep.symmetry_defect == full
+    """Construction rejects a matrix exactly where |d - d^T| on the whole
+    matrix, or its diagonal, is nonzero, and names the first offending
+    entry of the upper triangle, across the edges of its row blocks."""
+    d = random_symmetric_space(n, n).dist.copy()
+    step = max(1, TRIANGLE_BLOCK // n)
+    edges = sorted({0, step - 1, step, n - 1} & set(range(n)))
+    for i, j in itertools.product(edges, repeat=2):
+        bent = d.copy()
+        bent[i, j] = np.nextafter(bent[i, j], np.inf)
+        assert (float(np.abs(bent - bent.T).max()) > 0) == (i != j)
+        name = (f"symmetric: dist\\[{min(i, j)}, {max(i, j)}\\]" if i != j
+                else f"zero diagonal: dist\\[{i}, {i}\\]")
+        with pytest.raises(ValueError, match=name):
+            FiniteMMS(dist=bent, weight=np.ones(n))
+        if i != j:
+            assert np.array_equal(
+                FiniteMMS(dist=np.maximum(bent, bent.T), weight=np.ones(n)).dist,
+                np.maximum(bent, bent.T))
+
+
+def test_construction_makes_no_n2_temporary():
+    dist = cloud_space(1000, 0).dist.copy()
+    tracemalloc.start()
+    try:
+        FiniteMMS(dist=dist, weight=np.ones(1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * dist.nbytes, peak
 
 
 def test_sampled_validation_memory_stays_near_the_matrix():
-    """Neither the symmetry check nor the streamed sample allocates an
-    n^2 temporary."""
+    """The streamed sample allocates no n^2 temporary."""
     space = cloud_space(1000, 0)
     tracemalloc.start()
     try:
@@ -327,7 +357,7 @@ def pitch_oracle(space):
 
 @pytest.mark.parametrize("n", [2, 17, 1100])
 def test_blocked_pitch_fallback_matches_the_masked_copy(n):
-    for space in (cloud_space(n, n), random_asymmetric_space(n, n)):
+    for space in (cloud_space(n, n), random_symmetric_space(n, n)):
         assert "pitch" not in space.meta
         assert space.pitch() == pitch_oracle(space)
 
@@ -665,12 +695,14 @@ def dump_space_oracle(space, path):
 
 def straddling_space():
     """300 cells, so the rows straddle block boundaries: the first block
-    is all distinct, the rest repeats."""
+    starts with a symmetric corner of distinct values, the rest
+    repeats."""
     rows = SAVE_BLOCK // 300
     assert 300 % rows
     idx = np.arange(300)
     dist = np.abs(idx[:, None] - idx[None, :]) * 0.1
-    dist[:rows] = np.random.default_rng(5).random((rows, 300))
+    corner = np.triu(np.random.default_rng(5).random((rows, rows)), 1)
+    dist[:rows, :rows] = corner + corner.T
     return FiniteMMS(dist=dist, weight=np.ones(300))
 
 
@@ -680,9 +712,11 @@ def odd_spaces():
     pts = np.random.default_rng(60).standard_normal((60, 3))
     return {
         "signed-zeros": FiniteMMS(dist=zeros, weight=np.ones(3)),
-        "exponents": FiniteMMS(dist=spellings[np.add.outer(np.arange(4),
-                                                           np.arange(4)) % 4],
-                               weight=spellings),
+        # each spelling lies off the zero diagonal
+        "exponents": FiniteMMS(dist=np.where(
+            np.eye(4, dtype=bool), 0.0,
+            spellings[np.add.outer(np.arange(4), np.arange(4)) % 4]),
+            weight=spellings),
         "straddling": straddling_space(),
         "cloud-60": FiniteMMS(
             dist=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)),
@@ -722,15 +756,20 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def matrices(draw):
-    """Small matrices of finite floats whose entries come from a pool of
-    a few values, so that they repeat, or afresh, or from both; the pool
-    favours the zeros of both signs."""
+    """Small symmetric matrices of finite floats with a zero diagonal,
+    whose other entries come from a pool of a few values, so that they
+    repeat, or afresh, or from both; the pool favours the zeros of both
+    signs."""
     n = draw(st.integers(1, 7))
     pool = st.sampled_from(draw(st.lists(
         st.one_of(st.sampled_from([0.0, -0.0]), FINITE), min_size=1, max_size=4)))
     entry = draw(st.sampled_from([pool, FINITE, st.one_of(pool, FINITE)]))
-    entries = draw(st.lists(entry, min_size=n * n, max_size=n * n))
-    return np.array(entries).reshape(n, n)
+    m = n * (n - 1) // 2
+    dist = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    dist[rows, cols] = dist[cols, rows] = draw(st.lists(entry, min_size=m,
+                                                        max_size=m))
+    return dist
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -753,11 +792,12 @@ SPECIAL = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
 
 @st.composite
 def symmetric_spaces(draw):
-    """Symmetric matrices whose entries come from a pool of a few values
-    or are all distinct, with the special values among the candidates;
-    positive weights, and coordinates half the time."""
+    """Symmetric matrices with a zero diagonal, whose other entries come
+    from a pool of a few values or are all distinct, with the special
+    values among the candidates; positive weights, and coordinates half
+    the time."""
     n = draw(st.integers(1, 12))
-    m = n * (n + 1) // 2
+    m = n * (n - 1) // 2
     entry = st.one_of(st.sampled_from(SPECIAL), FINITE)
     if draw(st.booleans()):
         pool = draw(st.lists(entry, min_size=1, max_size=4))
@@ -765,7 +805,7 @@ def symmetric_spaces(draw):
     else:
         upper = draw(st.lists(entry, min_size=m, max_size=m, unique=True))
     dist = np.zeros((n, n))
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.triu_indices(n, 1)
     dist[rows, cols] = dist[cols, rows] = upper
     weight = draw(st.lists(st.one_of(
         st.sampled_from([5e-324, 1e-310, 1e308]),

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmslab import (
     EnumerationResult,
@@ -53,6 +55,18 @@ def brute_isometries(space, tol):
         if np.max(np.abs(space.dist[np.ix_(pa, pa)] - space.dist)) <= tol:
             out.append(p)
     return sorted(out)
+
+
+@st.composite
+def tied_spaces(draw):
+    """3 to 6 cells, each distance 1 or 2: many ties, many maps."""
+    n = draw(st.integers(3, 6))
+    m = n * (n - 1) // 2
+    dist = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    dist[rows, cols] = dist[cols, rows] = draw(
+        st.lists(st.sampled_from([1.0, 2.0]), min_size=m, max_size=m))
+    return FiniteMMS(dist=dist, weight=np.ones(n))
 
 
 def circle_reflection(space, k):
@@ -112,6 +126,18 @@ def test_generic_cloud_admits_only_the_identity():
     assert res.complete
     assert np.array_equal(res.perms(), [np.arange(6)])
     assert np.array_equal(res.perms(), brute_isometries(sp, 1e-9))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(sp=tied_spaces(), tol=st.sampled_from([1e-9, 1.0]))
+def test_enumeration_matches_brute_force_on_tied_matrices(sp, tol):
+    # at tol 1 every permutation is a map, of distortion 0 or 1: the
+    # distortion the search takes from its path must be the full one
+    res = enumerate_isometries(sp, tol)
+    assert res.complete
+    assert np.array_equal(res.perms(), brute_isometries(sp, tol))
+    for m in res.maps:
+        assert m.distortion == isometry_from_perm(sp, m.perm).distortion
 
 
 def test_circle_enumeration_matches_brute_force():
@@ -316,29 +342,44 @@ def relabelled(space, seed):
 
 
 def nudged(space, i, j, value):
-    """The space with the single entry (i, j) of its matrix set to
-    ``value``, so the matrix need not stay symmetric or zero on its
-    diagonal."""
+    """The space with the entries (i, j) and (j, i) of its matrix set to
+    ``value``."""
     dist = space.dist.copy()
-    dist[i, j] = value
+    dist[i, j] = dist[j, i] = value
     return FiniteMMS(dist=dist, weight=space.weight, meta=space.meta)
 
 
 def off_by_one_ulp():
-    # one entry one ulp above its transpose: not exactly symmetric
+    # one distance one ulp longer than on the circle, in both orders
     sp = relabelled(circle_space(1.0, 16), 8)
     return nudged(sp, 3, 11, np.nextafter(sp.dist[3, 11], np.inf))
 
 
-def nonzero_diagonal():
-    # one diagonal entry far below the tolerance, yet not zero
-    return nudged(relabelled(circle_space(1.0, 16), 9), 5, 5, 1e-12)
+def signed_zero_diagonal():
+    # a signed zero on the diagonal, which the exact check lets through
+    return nudged(relabelled(circle_space(1.0, 16), 9), 5, 5, -0.0)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((3, 11), r"symmetric: dist\[3, 11\]"),
+    ((11, 3), r"symmetric: dist\[3, 11\]"),
+    ((5, 5), r"zero diagonal: dist\[5, 5\] = 5e-324"),
+])
+def test_matrices_off_the_contract_are_rejected(entry, message):
+    # the search compares each pair of cells in one order only, so one
+    # entry one ulp off, above its transpose or above zero on the
+    # diagonal, must stop at construction rather than score maps
+    sp = relabelled(circle_space(1.0, 16), 8)
+    dist = sp.dist.copy()
+    dist[entry] = np.nextafter(dist[entry], np.inf)
+    with pytest.raises(ValueError, match=message):
+        FiniteMMS(dist=dist, weight=sp.weight, meta=sp.meta)
 
 
 ORACLE_SPACES = {
     "circle-16": lambda: relabelled(circle_space(1.0, 16), 1),
     "circle-ulp": off_by_one_ulp,
-    "circle-diagonal": nonzero_diagonal,
+    "circle-diagonal": signed_zero_diagonal,
     "earring-3-16": lambda: relabelled(hawaiian_truncation(3, 16), 2),
     "earring-4-24": lambda: relabelled(hawaiian_truncation(4, 24), 3),
     "ball-2-4": lambda: relabelled(euclidean_ball_grid(2, 1.0, 1 / 4), 4),
@@ -451,8 +492,8 @@ def test_chain_steps_match_the_oracle_under_every_budget(name):
 
 @pytest.mark.parametrize("name", ["earring-8-64", *CHAIN_SPACES])
 def test_search_distortion_equals_the_full_gather(name):
-    # generated matrices are exactly symmetric with a zero diagonal, so
-    # each map is scored from its search path instead of an n^2 gather
+    # every FiniteMMS is exactly symmetric with a zero diagonal, so each
+    # map is scored from its search path instead of an n^2 gather
     sp = (hawaiian_truncation(8, 64) if name == "earring-8-64"
           else CHAIN_SPACES[name]())
     res = enumerate_isometries(sp, 1e-9)
