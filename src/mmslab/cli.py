@@ -60,11 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ids(text):
-    """Cell id list, JSON ("[0,1,2]") or comma separated ("0,1,2")."""
+    """Cell id list, JSON ("[0,1,2]") or comma separated ("0,1,2"), as
+    parsed: ``cell_id`` checks each id."""
     text = text.strip()
-    if text.startswith("["):
-        return [int(v) for v in json.loads(text)]
-    return [int(v) for v in text.split(",") if v != ""]
+    return json.loads(text if text.startswith("[") else f"[{text}]")
 
 
 def _k_set(text):
@@ -73,10 +72,6 @@ def _k_set(text):
 def _ball_spec(text):
     c, r = text.split(":")
     return int(c), float(r)
-
-
-def _perm(text):
-    return [int(v) for v in json.loads(text)]
 
 
 def _measure(space, doc):
@@ -89,9 +84,9 @@ def _measure(space, doc):
         pairs = [(a["point"], a["mass"]) for a in doc["atoms"]]
         return as_measure(space, pairs)
     if isinstance(doc, dict) and "point" in doc:
-        return delta(space, int(doc["point"]))
+        return delta(space, doc["point"])
     if isinstance(doc, dict) and "uniform" in doc:
-        return uniform_on(space, [int(i) for i in doc["uniform"]])
+        return uniform_on(space, doc["uniform"])
     raise ValueError('measure must be {"atoms": [...]}, {"point": i},'
                      ' or {"uniform": [ids]}')
 
@@ -452,7 +447,7 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--draws", type=int, default=3)
         if name == "competitor":
-            p.add_argument("--perm", required=True, type=_perm)
+            p.add_argument("--perm", required=True, type=json.loads)
             p.add_argument("--x", type=int)
             p.add_argument("--targets", type=_ids)
 
@@ -487,7 +482,7 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p = leaf(iso, "fix", _cmd_iso_fix, searched,
              help="fixed sets of one or all isometries")
-    p.add_argument("--perm", type=_perm)
+    p.add_argument("--perm", type=json.loads)
     p.add_argument("--fix-tol", type=float)
     p.add_argument("--ball", action="append", type=_ball_spec,
                    metavar="CENTER:RADIUS")
@@ -495,7 +490,7 @@ def _build_parser():
              help="largest move on the half-radius ball")
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--r", required=True, type=float)
-    p.add_argument("--perm", action="append", type=_perm)
+    p.add_argument("--perm", action="append", type=json.loads)
     p = leaf(iso, "condition-a", _cmd_iso_condition_a, searched,
              help="fixed mass of nontrivial isometries against ball mass")
     p.add_argument("--x", required=True, type=int)

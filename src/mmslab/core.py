@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -33,10 +34,14 @@ WITNESS_PITCHES = 2
 # memory beyond the matrix (and the witness's edge list).
 TRIANGLE_BLOCK = 16_384
 
+# Where the graph witness fails, the validator samples at most this many
+# triples (and at most 4 n^2).
+MAX_SAMPLED_TRIPLES = 20_000_000
+
 # Explicit files spell the matrix this many entries at a time.
 SAVE_BLOCK = 1 << 16
 
-# The neighbor graph joins every pair of cells within this many grid pitches.
+# Geodesics are lifted on the graph of the cells within this many pitches.
 EDGE_FACTOR = 1.5
 
 
@@ -149,27 +154,21 @@ class ValidationReport:
     (``_graph_witness`` bounds every triple) or "sample" (a seeded
     sample, which certifies nothing).  ``triangle_defect_bound`` is the
     worst defect over all n^3 triples for "exhaustive", the witness's
-    proven bound for "graph" and ``inf`` for "sample".  The last three
-    fields are zero for every ``FiniteMMS``; they keep the report's keys."""
+    proven bound for "graph" and ``inf`` for "sample"."""
 
     n: int
     triangle_violations: tuple
     worst_triangle_defect: float
     triples_checked: int
-    exhaustive: bool
     certificate: str = "sample"
     triangle_defect_bound: float = math.inf
-    symmetry_defect: float = field(default=0.0, init=False)
-    diagonal_defect: float = field(default=0.0, init=False)
-    negative_weights: int = field(default=0, init=False)
 
     @property
     def ok(self) -> bool:
         return self.worst_triangle_defect <= TRIANGLE_TOL
 
 
-def validate_space(space: FiniteMMS, seed: int = 0,
-                   max_triples: int = 20_000_000) -> ValidationReport:
+def validate_space(space: FiniteMMS, seed: int = 0) -> ValidationReport:
     """Report the triangle inequality's defects; never raises on violations.
 
     The defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).  Up to
@@ -180,17 +179,14 @@ def validate_space(space: FiniteMMS, seed: int = 0,
     n |E(H)| of them as ``triples_checked``.
 
     Where the witness fails, a seeded random sample of
-    ``min(max_triples, 4 n^2)`` triples is checked.  It is drawn and
+    ``min(MAX_SAMPLED_TRIPLES, 4 n^2)`` triples is checked.  It is drawn and
     checked in blocks of ``TRIANGLE_BLOCK`` triples from one generator,
     so it needs no memory beyond the matrix and a constant, and the
     report is the same as if the whole sample were drawn at once.  Up to
     32 violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
-    threshold of ``ok``), are listed in draw order.  ``seed`` and
-    ``max_triples`` drive only the sample.  Raises ``ValueError`` when
-    ``max_triples`` is below 1.
+    threshold of ``ok``), are listed in draw order.  ``seed`` drives only
+    the sample.
     """
-    if max_triples < 1:
-        raise ValueError("max_triples must be positive")
     d = space.dist
     n = space.n
     worst = 0.0
@@ -221,7 +217,7 @@ def validate_space(space: FiniteMMS, seed: int = 0,
         certificate, bound = "sample", math.inf
         rng = np.random.default_rng(seed)
         flat = d.ravel()
-        checked = min(max_triples, 4 * n * n)
+        checked = min(MAX_SAMPLED_TRIPLES, 4 * n * n)
         worst = -np.inf
         for start in range(0, checked, TRIANGLE_BLOCK):
             c = min(TRIANGLE_BLOCK, checked - start)
@@ -237,7 +233,6 @@ def validate_space(space: FiniteMMS, seed: int = 0,
         triangle_violations=tuple(violations),
         worst_triangle_defect=max(worst, 0.0),
         triples_checked=checked,
-        exhaustive=exhaustive,
         certificate=certificate,
         triangle_defect_bound=bound,
     )
@@ -277,30 +272,19 @@ def _graph_witness(space: FiniteMMS):
     ``TRIANGLE_TOL``, else None.  It stops at the first row block that
     already breaks the bound, so a failed attempt costs one block, and
     returns None at once when the space has no usable pitch or a cell
-    with no in-edge.  The edges are found in column blocks and the paths
-    gathered about ``TRIANGLE_BLOCK`` at a time, so it needs memory for
-    the edge list and a constant beyond the matrix.
+    with no in-edge.  H comes from ``_near_graph``: as D is symmetric,
+    row j of it lists the edges into j.  The paths are gathered about
+    ``TRIANGLE_BLOCK`` at a time, so it needs memory for the edge list
+    and a constant beyond the matrix.
     """
     d = space.dist
     n = space.n
     radius = WITNESS_PITCHES * space.pitch()
     if not radius > 0:
         return None
-    step = max(1, TRIANGLE_BLOCK // n)
-    tails, weights, indeg = [], [], []
-    for s in range(0, n, step):
-        heads = d[:, s:s + step].T    # row j - s: the edges into j
-        mask = (heads > 0) & (heads <= radius)
-        j, k = np.nonzero(mask)       # by head, then by tail
-        tails.append(k)
-        weights.append(heads[j, k])
-        indeg.append(mask.sum(axis=1))
-    indeg = np.concatenate(indeg)
-    if not indeg.all():
+    indptr, tails, weights = _near_graph(space, radius)
+    if not np.diff(indptr).all():
         return None
-    tails = np.concatenate(tails)
-    weights = np.concatenate(weights)
-    starts = np.concatenate([[0], np.cumsum(indeg[:-1])])
     eps = np.finfo(float).eps
     rho = 3 * eps * max(float(d.max()), -float(d.min()))
     w_min = float(weights.min())
@@ -310,7 +294,7 @@ def _graph_witness(space: FiniteMMS):
         block = d[s:s + rows]
         paths = block.take(tails, axis=1)
         paths += weights
-        defect = block - np.minimum.reduceat(paths, starts, axis=1)
+        defect = block - np.minimum.reduceat(paths, indptr[:-1], axis=1)
         plus = max(plus, float(defect.max()))
         defect[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
         minus = max(minus, -float(defect.min()))
@@ -318,6 +302,24 @@ def _graph_witness(space: FiniteMMS):
         if bound > TRIANGLE_TOL or not w_min > minus + rho:
             return None
     return plus, n * len(tails), bound
+
+
+def _near_graph(space: FiniteMMS, radius: float):
+    """The cells j with 0 < D(i, j) <= ``radius`` of each cell i, as CSR
+    arrays ``(indptr, indices, data)`` (j ascending, data D(i, j)), read
+    from ``dist`` in row blocks of about ``TRIANGLE_BLOCK`` entries."""
+    d, n = space.dist, space.n
+    step = max(1, TRIANGLE_BLOCK // n)
+    flats, data = [], []
+    for s in range(0, n, step):
+        block = d[s:s + step]
+        mask = (block > 0) & (block <= radius)
+        flat = np.flatnonzero(mask)
+        flats.append(flat + s * n)
+        data.append(block.ravel().take(flat))
+    rows, indices = np.divmod(np.concatenate(flats), n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return indptr, indices, np.concatenate(data)
 
 
 def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
@@ -335,8 +337,14 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
 
 
 def cell_id(space: FiniteMMS, i) -> int:
-    """``i`` as a cell index of the space; ids outside ``[0, n)`` raise
-    rather than wrap around."""
+    """``i`` as a cell index of the space: an integer, or a float with no
+    fractional part (as the generators take 12.0 cells).  A bool, a
+    string, a fractional number or an id outside ``[0, n)`` raises rather
+    than being truncated or wrapped around."""
+    if isinstance(i, (float, np.floating)) and float(i).is_integer():
+        i = int(i)
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"cell id {i!r} is not a whole number")
     i = int(i)
     if not 0 <= i < space.n:
         raise ValueError(f"cell id {i} outside [0, {space.n})")
@@ -357,27 +365,25 @@ def require_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def ball_indices(space: FiniteMMS, center: int, radius: float,
-                 closed: bool = True) -> np.ndarray:
-    row = space.dist[cell_id(space, center)]
-    mask = (row <= radius) if closed else (row < radius)
-    return np.flatnonzero(mask)
+def ball_indices(space: FiniteMMS, center: int, radius: float) -> np.ndarray:
+    """The cells of the closed ball of ``radius`` around ``center``."""
+    return np.flatnonzero(space.dist[cell_id(space, center)] <= radius)
 
 
-def ball(space: FiniteMMS, center: int, radius: float, closed: bool = True) -> FiniteMMS:
-    """Restrict the space to the metric ball around ``center``.
+def ball(space: FiniteMMS, center: int, radius: float) -> FiniteMMS:
+    """Restrict the space to the closed metric ball around ``center``.
 
     The returned space keeps the original indices in ``meta['subset']``,
     drops the recipe ``meta["params"]`` (so it has no necklace layout),
-    and raises on an empty ball (open, of radius 0).
+    and raises on an empty ball (of negative radius).
     """
-    idx = ball_indices(space, center, radius, closed=closed)
+    idx = ball_indices(space, center, radius)
     if idx.size == 0:
         raise ValueError("empty ball")
     meta = dict(space.meta)
     meta.pop("params", None)
     meta["subset"] = [int(i) for i in idx]
-    meta["ball"] = {"center": int(center), "radius": float(radius), "closed": bool(closed)}
+    meta["ball"] = {"center": int(center), "radius": float(radius)}
     return FiniteMMS(
         dist=space.dist[np.ix_(idx, idx)].copy(),
         weight=space.weight[idx].copy(),
@@ -458,19 +464,9 @@ def geodesic_tolerance(space: FiniteMMS) -> float:
     return 2.0 * space.pitch()
 
 
-def neighbor_graph(space: FiniteMMS):
-    """Sparse graph of all pairs within ``EDGE_FACTOR`` grid pitches."""
-    from scipy.sparse import csr_matrix
-    pitch = space.pitch()
-    if pitch <= 0:
-        raise ValueError("space has no usable pitch")
-    mask = (space.dist > 0) & (space.dist <= EDGE_FACTOR * pitch)
-    rows, cols = np.nonzero(mask)
-    return csr_matrix((space.dist[rows, cols], (rows, cols)), shape=space.dist.shape)
-
-
 class ShortestChains:
-    """Shortest node chains through one neighbor graph.
+    """Shortest node chains through the cells within ``EDGE_FACTOR``
+    pitches of each other, from ``_near_graph``.
 
     The graph and its edge list are built once; ``between`` then needs
     only the Dijkstra rows of the two endpoints, which callers compute
@@ -478,10 +474,14 @@ class ShortestChains:
     """
 
     def __init__(self, space: FiniteMMS):
+        from scipy.sparse import csr_matrix
+        pitch = space.pitch()
+        if pitch <= 0:
+            raise ValueError("space has no usable pitch")
         self.space = space
-        self.graph = neighbor_graph(space)
+        indptr, cols, wts = _near_graph(space, EDGE_FACTOR * pitch)
+        self.graph = csr_matrix((wts, cols, indptr), shape=space.dist.shape)
         self.geodesic_tol = geodesic_tolerance(space)
-        indptr = self.graph.indptr
         # edge list in CSR order: rows ascending, columns ascending per row
         self._rows = np.repeat(np.arange(space.n), np.diff(indptr))
         self._cols = self.graph.indices

@@ -55,12 +55,19 @@ class IsometryMap:
 
 def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
     """Permutations as (m, n) index rows.  An empty sequence is the empty
-    set; anything else that is not a stack of permutations of the cells
-    raises ``ValueError``."""
+    set; anything else that is not a stack of permutations of the cells,
+    such as an entry with a fractional part, raises ``ValueError``."""
     try:
-        rows = np.asarray(perms, dtype=np.intp)
+        rows = np.asarray(perms)
     except ValueError:                   # rows of different lengths
         raise ValueError("not a permutation of the cells") from None
+    if rows.dtype.kind == "f":          # whole cells, as 2.0: an exact cast
+        whole = (rows == np.trunc(rows)) & (rows >= 0) & (rows < space.n)
+        if not whole.all():
+            raise ValueError("not a permutation of the cells")
+    elif rows.dtype.kind not in "iu":   # bools, strings, objects
+        raise ValueError("not a permutation of the cells")
+    rows = rows.astype(np.intp, copy=False)
     if rows.shape == (0,):
         rows = rows.reshape(0, space.n)
     if (rows.ndim != 2 or rows.shape[1] != space.n
@@ -488,7 +495,7 @@ def fixed_set(space: FiniteMMS, perm, fix_tol: float | None = None,
     idx = np.flatnonzero(moved <= fix_tol)
     inside = []
     for center, radius in balls:
-        bidx = ball_indices(space, int(center), float(radius))
+        bidx = ball_indices(space, center, float(radius))
         keep = bidx[moved[bidx] <= fix_tol]
         inside.append(float(space.weight[keep].sum()))
     return FixedSet(indices=tuple(int(v) for v in idx),

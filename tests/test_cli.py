@@ -88,7 +88,8 @@ def test_space_gen_writes_a_loadable_space(tmp_path, capsys):
     sp = load_space(str(path))
     assert sp.n == 16
     assert sp.meta["pitch"] == pytest.approx(2 * math.pi / 16)
-    assert doc["results"]["ok"] and doc["results"]["exhaustive"]
+    assert doc["results"]["ok"]
+    assert doc["results"]["certificate"] == "exhaustive"
     assert set(doc) == ENVELOPE_KEYS
 
 
@@ -398,6 +399,46 @@ def test_an_empty_compact_set_emits_an_error_object(tmp_path, capsys):
                       "--compact", "")
     assert error == {"type": "ValueError",
                      "message": "compact must hold at least one cell"}
+
+
+@pytest.mark.parametrize("bad, argv", [
+    ("1.9", ["ot", "solve", "--mu0", '{"point": 1.9}',
+             "--mu1", '{"point": 3}']),
+    ("True", ["ot", "solve", "--mu0", '{"point": true}',
+              "--mu1", '{"point": 3}']),
+    ("'3'", ["ot", "solve", "--mu0", '{"point": 0}',
+             "--mu1", '{"uniform": ["3"]}']),
+    ("4.5", ["ot", "probe", "--mu0", '{"point": 0}',
+             "--mu1", '{"atoms": [{"point": 4.5, "mass": 1}]}']),
+    ("3.9", ["mcp", "verify", "--x", "0", "--A", "[3.9,4.5]"]),
+    ("5.5", ["ot", "competitor", *SEGMENT_REVERSAL, "--targets", "5.5"])])
+def test_cell_ids_of_no_whole_number_emit_error_objects(tmp_path, capsys,
+                                                         bad, argv):
+    # these ran on the truncated ids: cells 1, 1, 3, 4, [3, 4] and 5
+    path = segment_16_file(tmp_path, capsys)
+    error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
+    assert error == {"type": "ValueError",
+                     "message": f"cell id {bad} is not a whole number"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "fix", "--perm", "[0.9,1.2,2.7,3.1,4.5,5.99]"],
+    ["iso", "displacement", "--x", "0", "--r", "1.0",
+     "--perm", "[0.9,1.2,2.7,3.1,4.5,5.99]"]])
+def test_a_permutation_of_no_whole_numbers_emits_an_error_object(
+        tmp_path, capsys, argv):
+    # truncated to the identity, it fixed every cell
+    path = circle_file(tmp_path, capsys, resolution=6)
+    error = run_error(capsys, *argv[:2], "--space", path, *argv[2:])
+    assert error == {"type": "ValueError",
+                     "message": "not a permutation of the cells"}
+
+
+def test_an_id_list_that_is_no_json_is_a_usage_error(tmp_path, capsys):
+    path = segment_16_file(tmp_path, capsys)
+    rc, cap = run(capsys, "mcp", "verify", "--space", path, "--x", "0",
+                  "--A", "3,4,")
+    assert rc == 1 and "usage" in cap.err and cap.out == ""
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -231,6 +231,29 @@ def test_non_permutations_are_rejected(bad):
         large_fix_implies_small_displacement(sp, rows[-1], x=0, n_scale=1)
 
 
+@pytest.mark.parametrize("bad", [[0.9, 1.2, 2.7, 3.1, 4.5, 5.99],
+                                 [0, 1, 2, 3, 4, 5.5],
+                                 [0, 1, 2, 3, 4, math.nan],
+                                 [0, 1, 2, 3, 4, math.inf],
+                                 [True, False, True, True, True, True],
+                                 ["0", "1", "2", "3", "4", "5"]])
+def test_permutations_of_no_whole_numbers_are_rejected(bad):
+    # the first was truncated to the identity, at distortion 0
+    sp = circle_space(1.0, 6)
+    with pytest.raises(ValueError, match="not a permutation"):
+        isometry_from_perm(sp, bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        generate_subgroup(sp, [bad])
+
+
+def test_whole_floats_are_a_permutation():
+    sp = circle_space(1.0, 6)
+    perm = [1, 2, 3, 4, 5, 0]
+    m = isometry_from_perm(sp, [float(v) for v in perm])
+    assert m.perm.dtype == np.intp and m.perm.tolist() == perm
+    assert m.distortion == isometry_from_perm(sp, perm).distortion
+
+
 def test_isometry_maps_hold_read_only_arrays():
     sp = circle_space(1.0, 6)
     m = isometry_from_perm(sp, [1, 2, 3, 4, 5, 0])
