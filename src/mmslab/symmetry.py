@@ -26,8 +26,11 @@ DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
-CHAIN_DEPTHS = 1 << 8          # depths per chain step: a 512 KB pick check
-CHAIN_FLOOR = 1 << 11          # least entries (16 KB) a chain step may gather
+# Most entries (maps x n^2) that a listing may gather to score its maps:
+# earring(8, 64)'s 256 maps take 62 Mi, and circle(1, 500)'s 1,000 maps
+# 250 Mi in about 1.5 s (2-core x86_64).  A larger group is counted, not
+# listed.
+LIST_CEILING = 1 << 28
 # Most powers ``euclidean_power_escape`` scans: for a motion that never
 # escapes, about 0.6 s in R^3 and 1.5 s in R^6 (2-core x86_64).
 MAX_POWER = 10_000_000
@@ -76,17 +79,13 @@ def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
     return rows
 
 
-def _isometry_map(space: FiniteMMS, perm: np.ndarray,
-                  distortion: float) -> IsometryMap:
-    perm.setflags(write=False)
-    defect = float(np.max(np.abs(space.weight[perm] - space.weight)))
-    return IsometryMap(perm=perm, distortion=distortion, measure_defect=defect)
-
-
 def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
     perm = _perm_rows(space, [perm])[0]
+    perm.setflags(write=False)
     moved = space.dist.take(perm, axis=0).take(perm, axis=1) - space.dist
-    return _isometry_map(space, perm, float(np.abs(moved, out=moved).max()))
+    defect = np.abs(space.weight[perm] - space.weight).max()
+    return IsometryMap(perm, float(np.abs(moved, out=moved).max()),
+                       float(defect))
 
 
 def _check_group_budget(budget):
@@ -121,8 +120,11 @@ class Subgroup:
 @dataclass(frozen=True)
 class EnumerationResult:
     maps: tuple                # IsometryMap, sorted by permutation
-    complete: bool
-    nodes: int
+    complete: bool             # maps holds every isometry
+    nodes: int                 # pairs placed: base cells and search nodes
+    order: int | None = None   # of the group the chain generates, if certified
+    base: tuple = ()           # cells that only the identity fixes
+    orbit_sizes: tuple = ()    # per base cell: its orbit in its stabilizer
 
     def perms(self) -> np.ndarray:
         """The maps' permutations as (m, n) rows, sorted."""
@@ -145,6 +147,13 @@ def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
     entries at a time.  The lists are those of the plain per-row check,
     element for element.
     """
+    src, dst, _ = _profile_pairs(dist, iso_tol)
+    return np.split(dst, np.cumsum(np.bincount(src, minlength=len(dist)))[:-1])
+
+
+def _profile_pairs(dist: np.ndarray, iso_tol: float):
+    """``profile_candidates`` as flat pairs (src, dst), by src and then by
+    dst, with each pair's row deviation max_c |p_src[c] - p_dst[c]|."""
     n = len(dist)
     profiles = np.sort(dist, axis=1)
     key = profiles[:, -1]
@@ -161,7 +170,7 @@ def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
     group = max(1, CANDIDATE_BLOCK // len(cols))    # window pairs per group
     batch = max(1, CANDIDATE_BLOCK // n)            # pairs per full check
 
-    cand = []
+    pairs = []
     start = 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(
@@ -173,247 +182,230 @@ def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
         far = np.abs(profiles[src[:, None], cols] - profiles[dst[:, None], cols])
         keep = ~np.any(far > iso_tol, axis=1)
         src, dst = src[keep], dst[keep]
-        keep = np.empty(len(src), dtype=bool)
+        dev = np.empty(len(src))
         for b in range(0, len(src), batch):
             diff = profiles[src[b:b + batch]] - profiles[dst[b:b + batch]]
-            keep[b:b + batch] = np.abs(diff, out=diff).max(axis=1) <= iso_tol
-        src, dst = src[keep], dst[keep]
-        dst = dst[np.lexsort((dst, src))]
-        counts = np.bincount(src - start, minlength=stop - start)
-        cand.extend(np.split(dst, np.cumsum(counts)[:-1]))
+            dev[b:b + batch] = np.abs(diff, out=diff).max(axis=1)
+        keep = dev <= iso_tol
+        src, dst, dev = src[keep], dst[keep], dev[keep]
+        by_dst = np.lexsort((dst, src))          # src is sorted already
+        pairs.append((src, dst[by_dst], dev[by_dst]))
         start = stop
-    return cand
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
-def _search(dist: np.ndarray, cand: list, iso_tol: float, budget: int):
-    """Depth-first extension of sources, fewest candidates first; returns
-    the maps found as ``(perm, worst)`` pairs sorted by permutation,
-    whether the search finished, and its node count.  ``worst`` is the
-    largest deviation the search measured along the map's path.
+def _far(dist: np.ndarray, src, dst, xs, ys, tol: float) -> np.ndarray:
+    """Whether |D(dst[p], y) - D(src[p], x)| > ``tol`` for some (x, y) in
+    (xs, ys), per p, ``CANDIDATE_BLOCK`` entries at a time."""
+    out = np.zeros(len(src), dtype=bool)
+    step = max(1, CANDIDATE_BLOCK // max(len(src), 1))
+    for a in range(0, len(xs), step):
+        dev = dist[dst[:, None], ys[a:a + step]]
+        dev -= dist[src[:, None], xs[a:a + step]]
+        out |= np.any(np.abs(dev, out=dev) > tol, axis=1)
+    return out
 
-    The matrix is held in search order, so depth d checks a candidate c
-    of source ``order[d]`` against the assigned prefix as the row
-    ``ordered[d, :d]`` against the gather ``dist[c, target[:d]]``, where
-    ``target[e]`` is the cell assigned at depth e.  A node is an unused
-    candidate tried at a depth, counted in list order before the budget
-    test and before the prune.
 
-    Each descent to depth d takes a chain step first.  It checks the
-    unused candidates of depths d, d + 1, ... against ``target[:d]`` in
-    one blocked gather: first on the last prefix column alone, then the
-    survivors on all of them.  Along the longest run of depths where
-    exactly one candidate survives, the survivors are the only possible
-    picks; the lower triangle of ``ordered[d:e, d:e]`` against
-    ``dist[picks][:, picks]`` checks them against each other, and the
-    run is cut at the first pick that fails or repeats.  With every
-    deviation finite, a maximum over some columns that exceeds
-    ``iso_tol`` also exceeds it over all of them, so the picks are
-    exactly the cells that the one-depth walk keeps.
+def _fix(dist: np.ndarray, state, xs, ys, tol: float):
+    """A search state (image, src, dst) holds image[x], the cell that x is
+    sent to or -1 while x is open, and the open cells' candidate pairs
+    (src[p], dst[p]) by cell.  This is ``state`` with each open xs[a]
+    sent to its candidate ys[a], refined: an open pair (u, j) survives a
+    placed (x, y) only if |D(j, y) - D(u, x)| <= ``tol``, and a cell left
+    with one candidate is placed in turn.  None once a cell has no
+    candidate left or two cells placed together clash."""
+    image, src, dst = state
+    image = image.copy()
+    xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+    n = len(image)
+    while True:
+        taken = np.zeros(n, dtype=bool)
+        taken[ys] = True
+        # the pairs placed together have not been checked against each other
+        if (np.count_nonzero(taken) < len(ys)
+                or _far(dist, xs, ys, xs, ys, tol).any()):
+            return None
+        image[xs] = ys
+        keep = (image[src] < 0) & ~taken[dst]
+        src, dst = src[keep], dst[keep]
+        keep = ~_far(dist, src, dst, xs, ys, tol)
+        src, dst = src[keep], dst[keep]
+        counts = np.bincount(src, minlength=n)
+        if np.any((image < 0) & (counts == 0)):
+            return None
+        single = counts[src] == 1
+        if not single.any():
+            return image, src, dst
+        xs, ys = src[single], dst[single]
 
-    The nodes of a forced depth are counted in bulk: those up to and
-    including its pick at once, those after it as an integer on the
-    level stack, added when the walk pops that depth, which is when the
-    one-depth walk counts them.  Both additions take the budget test;
-    one that overshoots stops at ``budget + 1`` nodes with no new map,
-    since no leaf lies among the nodes it skips.  The first depth
-    without a forced pick is walked one candidate at a time.
 
-    Each placed depth keeps in ``worst`` its largest deviation against
-    the depths placed before it, from row maxima that the checks reduce
-    anyway: the full prefix check of its pick or of its walked
-    candidate, and for a pick also its row of the pick-against-pick
-    triangle.  The maximum over a map's depths covers each pair of
-    distinct cells once, in one order.
+def _branch_cell(state) -> int:
+    """The open cell with the fewest candidates, the lowest one on a tie."""
+    counts = np.bincount(state[1], minlength=len(state[0]))
+    return int(np.argmin(np.where(counts > 0, counts, len(counts) + 1)))
 
-    With ``cap = min(CANDIDATE_BLOCK, max(n * n, CHAIN_FLOOR))``, a step
-    takes at most ``CHAIN_DEPTHS`` depths and ``cap // 2`` candidates,
-    and cuts its block short at the depth where the full check of its
-    survivors would gather more than ``cap`` entries (never short of
-    depth d itself), so its temporaries stay near the n * n entries that
-    one depth's check may gather.  The floor lets a step on a small
-    space cover a whole forced map, which a cap of n * n splits in two.
-    Two tables, built once, replace per-step index arithmetic: the depth
-    of every flat candidate entry, and the depth where the step from
-    each depth ends."""
+
+def _distortions(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's full-matrix distortion, ``CANDIDATE_BLOCK`` entries at a
+    time."""
+    out = np.empty(len(rows))
+    step = max(1, CANDIDATE_BLOCK // dist.size)
+    for a in range(0, len(rows), step):
+        p = rows[a:a + step]
+        dev = dist[p[:, :, None], p[:, None, :]] - dist
+        out[a:a + step] = np.abs(dev, out=dev).max(axis=(1, 2))
+    return out
+
+
+def _transversal(gens: list, b: int, n: int) -> dict:
+    """For each cell c in the orbit of b under ``gens``, a product u of
+    fewer than the orbit's size of them with u[b] = c."""
+    out = {b: np.arange(n)}
+    queue = [b]
+    for x in queue:
+        for g in gens:
+            y = int(g[x])
+            if y not in out:
+                out[y] = g[out[x]]
+                queue.append(y)
+    return out
+
+
+def _chain(dist: np.ndarray, iso_tol: float, budget: int):
+    """The stabilizer chain: its base, one transversal per base cell,
+    whether the chain is certified, and the search nodes spent."""
     n = len(dist)
     budget = max(budget, 0)      # a negative budget stops at the first node
-    order = np.argsort([len(c) for c in cand], kind="stable")
-    ordered = dist[np.ix_(order, order)]
-    flat = np.concatenate([cand[i] for i in order] + [np.empty(0, np.intp)])
-    counts = np.array([len(cand[i]) for i in order], dtype=np.intp)
-    starts = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=starts[1:])
-    cap = min(CANDIDATE_BLOCK, max(n * n, CHAIN_FLOOR))
-    depth_of = np.repeat(np.arange(n, dtype=np.int32), counts)  # per entry
-    d = np.arange(n)
-    step_end = np.clip(
-        np.searchsorted(starts, starts[:-1] + cap // 2, side="right") - 1,
-        d + 1, np.minimum(d + CHAIN_DEPTHS, n)).tolist()
-    below = np.tri(min(n, CHAIN_DEPTHS), k=-1, dtype=bool)
-    target = np.empty(n, dtype=np.intp)
-    worst = np.zeros(n)          # per depth: its deviation from the prefix
-    used = [False] * n
-    found = []
     nodes = 0
-    levels = []      # per depth: the walk of its candidates, or the nodes left
 
-    def record():
-        perm = np.empty(n, dtype=np.intp)
-        perm[order] = target
-        found.append((perm, float(worst.max())))
-
-    def descend(d):
-        """Place the forced picks from depth d on and push the walk of the
-        first depth without one; False once the budget is spent."""
+    def search(state, x, y, tol):
+        """The first map found depth first from ``state`` with x sent to y,
+        at ``tol``; None if there is none or the budget ran out."""
         nonlocal nodes
-        while True:
-            a = starts[d]
-            stop = step_end[d]
-            cells = flat[a:starts[stop]]
-            rows = depth_of[a:starts[stop]]
-            mark = np.full(n, n)         # -1 on the prefix, later pick depths
-            mark[target[:d]] = -1
-            live = np.flatnonzero(mark[cells] >= 0)
-            if d > 1:                    # thin on the last column first
-                dev = ordered[rows[live], d - 1]
-                dev -= dist[cells[live], target[d - 1]]
-                live = live[~(np.abs(dev, out=dev) > iso_tol)]
-                if len(live) * d > cap:
-                    stop = max(d + 1, rows[live[cap // d]])
-                    live = live[rows[live] < stop]
-            dev = ordered[rows[live], :d]
-            dev -= dist[cells[live, None], target[:d]]
-            dev = np.abs(dev, out=dev).max(axis=1, initial=0.0)
-            keep = ~(dev > iso_tol)
-            live, dev = live[keep], dev[keep]
-            forced = np.bincount(rows[live], minlength=stop)[d:] == 1
-            run = stop - d if forced.all() else int(forced.argmin())
-            if not run:
-                head = starts[d + 1] - a
-                k = int(np.searchsorted(live, head))
-                far = np.ones(head, dtype=bool)
-                far[live[:k]] = False
-                score = np.zeros(head)
-                score[live[:k]] = dev[:k]
-                levels.append(zip(cells[:head].tolist(), far.tolist(),
-                                  score.tolist()))
-                return True
-            pos = live[:run]
-            picks = cells[pos]
-            depths = np.arange(d, d + run)
-            pair = ordered[d:d + run, d:d + run] - dist[picks[:, None], picks]
-            pair = np.abs(pair, out=pair).max(axis=1, initial=0.0,
-                                              where=below[:run, :run])
-            bad = pair > iso_tol
-            np.minimum.at(mark, picks, depths)
-            bad |= mark[picks] < depths
-            if bad.any():
-                run = int(bad.argmax())
-                pos, picks = pos[:run], picks[:run]
-            end = starts[d + run] - a
-            seen = np.add.accumulate(mark[cells[:end]] >= rows[:end],
-                                     dtype=np.intp)
-            upto = seen[pos]
-            total = seen[starts[d + 1:d + run + 1] - a - 1]
-            nodes += int(upto.sum() - total[:-1].sum())
+        todo = [(state, [(x, y)])]
+        while todo:
+            state, branches = todo[-1]
+            if not branches:
+                todo.pop()
+                continue
+            u, j = branches.pop()
+            nodes += 1
             if nodes > budget:
-                nodes = budget + 1
-                return False
-            target[d:d + run] = picks
-            np.maximum(pair[:run], dev[:run], out=worst[d:d + run])
-            for j in picks.tolist():
-                used[j] = True
-            levels.extend((total - upto).tolist())
-            d += run
-            if d == n:
-                used[target[-1]] = False
-                record()
-                return True
+                return None
+            child = _fix(dist, state, [u], [j], tol)
+            if child is None:
+                continue
+            if not len(child[1]):
+                return child[0]  # every cell placed: a map
+            u = _branch_cell(child)
+            cands = child[2][child[1] == u]
+            todo.append((child, [(u, c) for c in cands[::-1]]))
+        return None
 
-    complete = descend(0)
-    while complete and levels:
-        depth = len(levels) - 1
-        top = levels[-1]
-        if type(top) is int:     # the nodes after a forced pick, now due
-            nodes += top
-            step = None
-        else:
-            step = next(top, None)
-        if step is None:
-            if nodes > budget:
-                nodes = budget + 1
-                complete = False
-                break
-            levels.pop()
-            if depth:
-                used[target[depth - 1]] = False
-            continue
-        j, far, score = step
-        if used[j]:
-            continue
-        nodes += 1
-        if nodes > budget:
-            complete = False
+    # level i (from 0) refines at (i + 1) * iso_tol; the base ends where
+    # fixing it leaves each cell only itself, so at most n - 1 levels
+    src, dst, dev = _profile_pairs(dist, n * iso_tol)
+    image = np.full(n, -1)       # the base, each cell placed on itself
+    base, states = [], []
+    while nodes <= budget:
+        tol = (len(base) + 1) * iso_tol
+        # dev also holds each pair's largest deviation against the base
+        keep = (dev <= tol) & (image[src] < 0) & (image[dst] < 0)
+        state = _fix(dist, (image, src[keep], dst[keep]), [], [], tol)
+        if not len(state[1]):
             break
-        if far:
-            continue
-        target[depth] = j
-        worst[depth] = score
-        if depth == n - 1:
-            record()
-            continue
-        used[j] = True
-        complete = descend(depth + 1)
-    perms = np.array([perm for perm, _ in found], dtype=np.intp)
-    _, by_perm = np.unique(perms.reshape(-1, n), axis=0, return_index=True)
-    return [found[k] for k in by_perm], complete, nodes
+        nodes += 1               # a base cell, placed on itself
+        states.append(state)
+        b = _branch_cell(state)
+        base.append(b)
+        image[b] = b
+        np.maximum(dev, np.abs(dist[dst, b] - dist[src, b]), out=dev)
+
+    gens, levels = [], [None] * len(base)    # levels: one transversal each
+    worst = 0.0                  # the largest distortion of a found map
+    certified = True
+    for i in reversed(range(len(base))):
+        b = base[i]
+        levels[i] = _transversal(gens, b, n)
+        for c in states[i][2][states[i][1] == b]:
+            if nodes > budget or not certified:
+                break
+            if c in levels[i]:
+                continue
+            perm = search(states[i], b, c, (i + 1) * iso_tol)
+            if perm is None:
+                continue         # c is refuted, or the budget ran out
+            # a map here above iso_tol means that iso_tol sits in no gap
+            distortion = _distortions(dist, perm[None])[0]
+            certified = distortion <= iso_tol
+            if certified:
+                worst = max(worst, distortion)
+                gens.append(perm)
+                levels[i] = _transversal(gens, b, n)
+    # a stored map is a product of fewer than its orbit's size of found maps
+    for level in levels:
+        if certified and not len(level) * worst <= iso_tol / 2:
+            stored = np.array([*level.values()])
+            certified = _distortions(dist, stored).max() <= iso_tol
+    return base, levels, certified and nodes <= budget, nodes
 
 
 def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
                          budget: int = DEFAULT_NODE_BUDGET) -> EnumerationResult:
     """All cell permutations with distance distortion at most ``iso_tol``,
-    by default the rounding scale ``DEFAULT_ISO_TOL``.
+    by default the rounding scale ``DEFAULT_ISO_TOL``, found as a
+    stabilizer chain (Sims 1970; Seress, *Permutation Group Algorithms*,
+    2003) on the candidates of ``profile_candidates``.
 
-    A map of distortion at most ``iso_tol`` sends each cell i to a cell
-    j whose sorted distance row p_j satisfies max_c |p_i[c] - p_j[c]| <=
-    ``iso_tol``.  Every column c is one term of that maximum, so one
-    column with |p_i[c] - p_j[c]| > ``iso_tol`` rules the pair out
-    exactly: ``profile_candidates`` windows the pairs on the last column,
-    tests the quartile columns, and runs the full row check only on the
-    pairs left, which gives the per-row lists exactly.
+    The base cells are fixed one at a time (``_fix``), each the open cell
+    with the fewest candidates, until only the identity fixes them all.
+    Then, deepest level first, each candidate image c of base cell b_i
+    that the maps found so far do not reach (orbit pruning; McKay &
+    Piperno, *J. Symbolic Comput.* 60, 2014) gets one depth-first search
+    for a map that fixes b_1..b_(i-1) and sends b_i to c.  ``nodes``
+    counts the pairs placed, one per base cell and one per search node;
+    past ``budget`` the chain stops.
 
-    Sources are then extended depth first, fewest candidates first, and
-    each depth checks all candidates of its source against the cells
-    already assigned in one vectorized step (``_search``).  A node is
-    one extension attempt: an unused candidate target tried for a
-    source, whether or not the distance check keeps it.  Past ``budget``
-    nodes the search stops and flags the result incomplete rather than
-    failing.
+    Level i (from 1) refines and searches at i * ``iso_tol``, a bound on
+    the distortion of a product of i maps within ``iso_tol``: a search
+    that finds no map refutes c.  A map found above ``iso_tol``, or a
+    stored map (a product of found ones) above it, shows that
+    ``iso_tol`` sits in no gap, and the chain is not certified.  A
+    certified chain holds every isometry, and ``order``, the product of
+    ``orbit_sizes``, is the order of the group it generates.
 
-    Once two or three cells are placed, most depths are forced: one
-    unused candidate survives.  A chain step finds such a run of depths
-    in one gather against the cells placed so far, checks the picks
-    against each other, and places them together.  Checking fewer
-    columns first is exact, since with finite deviations one column
-    over ``iso_tol`` rules a candidate out.  The forced depths' other
-    candidates are counted in bulk where the one-depth walk would count
-    them, so the maps, ``nodes``, ``complete`` and every budget cut stay
-    those of that walk.  A NaN or negative ``iso_tol`` raises
+    ``maps`` lists the products of one stored map per level, sorted,
+    each with its full-matrix distortion, except those above ``iso_tol``;
+    ``complete`` means that it holds every isometry.  No listing gathers
+    more than ``LIST_CEILING`` entries (maps x n^2): above it ``maps`` is
+    empty, while ``order`` stays certified.  After a budget cut or in a
+    chain that is not certified, ``order`` is None and ``maps`` lists
+    the maps found so far.  A NaN or negative ``iso_tol`` raises
     ``ValueError``.
-
-    Each map's ``distortion`` is the largest deviation the search itself
-    measured along the map's path: each pair of distinct cells once, in
-    one order.  A ``FiniteMMS`` is exactly symmetric with a zero
-    diagonal, so that equals the maximum over the whole matrix, bit for
-    bit.
     """
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
-    dist = space.dist
-    found, complete, nodes = _search(
-        dist, profile_candidates(dist, iso_tol), iso_tol, budget)
-    maps = tuple(_isometry_map(space, perm, worst) for perm, worst in found)
-    return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
+    dist, n = space.dist, space.n
+    base, levels, certified, nodes = _chain(dist, iso_tol, budget)
+    sizes = tuple(len(level) for level in levels)
+    count = math.prod(sizes)
+    maps = ()
+    if count * n * n <= LIST_CEILING:
+        rows = np.arange(n)[None]
+        for level in reversed(levels):
+            rows = np.array([*level.values()])[:, rows].reshape(-1, n)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        distortion = _distortions(dist, rows)
+        keep = distortion <= iso_tol
+        rows = rows[keep]
+        rows.setflags(write=False)
+        defect = np.abs(space.weight[rows] - space.weight).max(axis=1)
+        maps = tuple(map(IsometryMap, rows, distortion[keep].tolist(),
+                         defect.tolist()))
+    return EnumerationResult(
+        maps=maps, complete=certified and count * n * n <= LIST_CEILING,
+        nodes=nodes, order=count if certified else None, base=tuple(base),
+        orbit_sizes=sizes)
 
 
 def generate_subgroup(space: FiniteMMS, gens,

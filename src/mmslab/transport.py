@@ -11,6 +11,7 @@ fixed-set symmetrization competitor live.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -38,17 +39,22 @@ def as_measure(space: FiniteMMS, spec) -> np.ndarray:
     """Coerce a measure description to a dense nonnegative mass vector.
 
     Accepts a dense vector, a ``{point: mass}`` mapping, or an iterable of
-    ``(point, mass)`` pairs; a point outside ``[0, n)``, a negative mass
-    and masses without a finite positive sum raise.
+    ``(point, mass)`` pairs; a point outside ``[0, n)``, a mass that is not
+    a real number (a bool, a string), a negative mass and masses without
+    a finite positive sum raise.
     """
     out = np.zeros(space.n)
     if isinstance(spec, np.ndarray):
         if spec.shape != (space.n,):
             raise ValueError(f"expected a vector of {space.n} masses")
+        if spec.dtype.kind not in "iuf":
+            raise ValueError(f"masses must be real numbers, got {spec.dtype}")
         out[:] = spec
     else:
         pairs = spec.items() if isinstance(spec, dict) else spec
         for i, m in pairs:
+            if isinstance(m, bool) or not isinstance(m, numbers.Real):
+                raise ValueError(f"mass {m!r} is not a real number")
             out[cell_id(space, i)] += float(m)
     total = out.sum()
     if not np.isfinite(total):          # a NaN or inf mass, or an overflow

@@ -272,11 +272,15 @@ def test_ot_probe_rejects_bad_search_options(tmp_path, capsys, option, value):
     ('{"atoms": [{"point": 3, "mass": Infinity}]}', "finite"),
     ('{"atoms": [{"point": 3, "mass": 1e308}, {"point": 4, "mass": 1e308}]}',
      "finite"),
-    ('{"uniform": []}', "at least one cell")],
-    ids=["nan-mass", "inf-mass", "overflowing-sum", "empty-uniform"])
+    ('{"uniform": []}', "at least one cell"),
+    ('{"atoms": [{"point": 3, "mass": true}]}', "mass True is not a real"),
+    ('{"atoms": [{"point": 3, "mass": "1"}]}', "mass '1' is not a real")],
+    ids=["nan-mass", "inf-mass", "overflowing-sum", "empty-uniform",
+         "bool-mass", "string-mass"])
 def test_measures_without_a_finite_mass_emit_error_objects(tmp_path, capsys,
                                                            measure, message):
-    # these used to end in "attempt to get argmax of an empty sequence"
+    # these used to end in "attempt to get argmax of an empty sequence",
+    # or for a bool or a string, in a plan for a mass of 1
     path = segment_16_file(tmp_path, capsys)
     error = run_error(capsys, "ot", "solve", "--space", path,
                       "--mu0", '{"point": 0}', "--mu1", measure)
@@ -1186,7 +1190,7 @@ def _golden_cases():
         ("iso-enum", ["iso", "enum", "--space", "circle.json",
                       "--iso-tol", "1e-9"], True),
         ("iso-enum-budget", ["iso", "enum", "--space", "earring.json",
-                             "--iso-tol", "1e-9", "--budget", "40"], True),
+                             "--iso-tol", "1e-9", "--budget", "3"], True),
         ("iso-fix", ["iso", "fix", "--space", "circle.json",
                      "--iso-tol", "1e-9", "--fix-tol", "1e-9",
                      "--ball", "0:1.0", "--ball", "3:0.5"], True),

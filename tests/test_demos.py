@@ -32,7 +32,9 @@ def test_spaces_demo_runs_and_round_trips_exactly():
 @pytest.mark.parametrize("script, verdict", [
     ("02_transport.py", "competitor ok? True"),
     ("03_contraction.py", "density bound ok=True heights ok=True"),
-    ("04_symmetry.py", "enumeration complete=True: 64 maps (11599 search nodes)"),
+    ("04_symmetry.py", "enumeration complete=True: 64 maps (chain order 64, "
+                       "base of 6 cells, 27 search nodes)"),
+    ("04_symmetry.py", "30-circle wedge: order 1073741824 = 2^30"),
     ("04_symmetry.py", "closure: order 64, closed=True"),
     ("05_regularity.py", "necklace vertex, eps=0.02: verdict 'out'"),
     ("06_cli.py", "isometries: 8 complete: True"),

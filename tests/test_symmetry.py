@@ -33,7 +33,7 @@ from mmslab import (
     small_subgroup_probe,
 )
 from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_GROUP_BUDGET, MAX_POWER,
-                             _block_data, _search, _sup_on_half_ball,
+                             _block_data, _sup_on_half_ball,
                              profile_candidates)
 
 TAU = 2 * math.pi
@@ -191,9 +191,11 @@ def test_wedge_maps_are_reflection_combinations():
 
 
 def test_node_budget_exhaustion_is_flagged():
+    # the chain spends 5 nodes on this circle: 2 base cells, 3 searches
     sp = circle_space(1.0, 10)
-    res = enumerate_isometries(sp, iso_tol=1e-9, budget=5)
+    res = enumerate_isometries(sp, iso_tol=1e-9, budget=2)
     assert not res.complete
+    assert res.order is None
     assert len(res.maps) < 20
 
 
@@ -291,7 +293,7 @@ def test_ball_grid_symmetries_are_the_dihedral_eight():
     assert set(map(tuple, res.perms())) == expected
 
 
-# === the level-batched search against the per-node search ===
+# === the chain search against the per-node search ===
 
 def candidate_oracle(dist, iso_tol):
     """Profile candidates by the plain per-row check."""
@@ -301,9 +303,9 @@ def candidate_oracle(dist, iso_tol):
 
 
 def enumeration_oracle(space, iso_tol, budget=DEFAULT_NODE_BUDGET):
-    """The enumeration as it stood before the level-batched search: the
-    per-row prefilter, one distance check per search node, and each
-    map's distortion from the full ``np.ix_`` gather."""
+    """Every map, one by one: the per-row prefilter, a depth-first
+    search with one distance check per node, and each map's distortion
+    from the full ``np.ix_`` gather."""
     n = space.n
     dist = space.dist
     profiles = np.sort(dist, axis=1)
@@ -399,6 +401,14 @@ def test_matrices_off_the_contract_are_rejected(entry, message):
         FiniteMMS(dist=dist, weight=sp.weight, meta=sp.meta)
 
 
+def torus(k, seed):
+    """A relabelled k x k grid on the flat torus, with the sum metric."""
+    c = circle_space(1.0, k).dist
+    dist = (c[:, None, :, None] + c[None, :, None, :]).reshape(k * k, k * k)
+    return relabelled(FiniteMMS(dist=dist, weight=np.ones(k * k),
+                                meta={"pitch": TAU / k}), seed)
+
+
 ORACLE_SPACES = {
     "circle-16": lambda: relabelled(circle_space(1.0, 16), 1),
     "circle-ulp": off_by_one_ulp,
@@ -410,18 +420,27 @@ ORACLE_SPACES = {
     "cloud": lambda: cloud_space(np.random.default_rng(3).standard_normal((9, 3))),
     "necklace": lambda: necklace(NecklaceParams(beads=((0.6, 0.5),),
                                                 resolution=0.05)),
+    # 512 maps; the oracle takes 1,995,520 of its 2,000,000 nodes
+    "torus-8-3": lambda: torus(8, 3),
 }
 BOUNDED = 3000      # node budget of the searches at two pitches
 
 
 def assert_same_enumeration(res, ref):
-    assert res.nodes == ref.nodes
     assert res.complete == ref.complete
     assert np.array_equal(res.perms(), ref.perms())
     assert res.perms().dtype == ref.perms().dtype
     for m, r in zip(res.maps, ref.maps):
         assert m.distortion == r.distortion
         assert m.measure_defect == r.measure_defect
+
+
+def assert_listed_maps_are_isometries(sp, res, tol):
+    assert all(m.distortion <= tol for m in res.maps)
+    # the full gather again on at most 512 maps: 9! are listed at times
+    for m in res.maps[::max(1, len(res.maps) // 512)]:
+        assert m.distortion == isometry_from_perm(sp, m.perm).distortion
+        assert not m.perm.flags.writeable
 
 
 @pytest.mark.parametrize("pitches", [0, 2, math.inf])
@@ -450,47 +469,92 @@ def test_profile_window_keeps_a_pair_at_the_rounding_edge():
 @pytest.mark.parametrize("pitches", [0, 2])
 @pytest.mark.parametrize("name", ORACLE_SPACES)
 def test_level_search_matches_the_per_node_oracle(name, pitches):
+    # at the rounding scale every map set, distortion and defect is the
+    # oracle's.  At two pitches the tolerance sits in no gap on most of
+    # these spaces: the chain then says so within its budget, and lists
+    # only maps within the tolerance
     sp = ORACLE_SPACES[name]()
-    if pitches:
-        tol, budget = pitches * sp.pitch(), BOUNDED
-    else:
-        tol, budget = 1e-9, DEFAULT_NODE_BUDGET
-    assert_same_enumeration(enumerate_isometries(sp, tol, budget),
-                            enumeration_oracle(sp, tol, budget))
+    if not pitches:
+        res = enumerate_isometries(sp, 1e-9)
+        assert res.complete and res.order == len(res.maps)
+        assert_same_enumeration(res, enumeration_oracle(sp, 1e-9))
+        return
+    tol = pitches * sp.pitch()
+    res = enumerate_isometries(sp, tol, BOUNDED)
+    assert res.nodes <= BOUNDED + 1
+    assert_listed_maps_are_isometries(sp, res, tol)
+    if res.complete:
+        # every map the oracle reaches within its budget, all if it ends
+        ref = enumeration_oracle(sp, tol, BOUNDED)
+        if ref.complete:
+            assert_same_enumeration(res, ref)
+        listed = set(map(tuple, res.perms()))
+        assert ref.maps and all(tuple(r.perm) in listed for r in ref.maps)
 
 
 @pytest.mark.parametrize("pitches", [0, 2])
 @pytest.mark.parametrize("name", ["circle-16", "earring-4-24", "ball-2-4",
                                   "necklace"])
 def test_budget_cuts_match_the_oracle(name, pitches):
+    # a cut chain lists the products of the maps it found so far: all of
+    # them isometries, and at the rounding scale all of them the oracle's
     sp = ORACLE_SPACES[name]()
     tol = pitches * sp.pitch() or 1e-9
-    full = enumeration_oracle(sp, tol, BOUNDED if pitches else
-                              DEFAULT_NODE_BUDGET).nodes
-    for budget in sorted({1, 7, full // 3, full - 1, full}):
-        assert_same_enumeration(enumerate_isometries(sp, tol, budget),
-                                enumeration_oracle(sp, tol, budget))
+    full = enumerate_isometries(sp, tol, BOUNDED)
+    oracle = {tuple(m.perm): m.distortion for m in
+              enumeration_oracle(sp, tol).maps} if not pitches else None
+    cuts = {-1, 0, 1, 7, full.nodes // 3, full.nodes - 1}
+    for budget in sorted(b for b in cuts if b < full.nodes):
+        res = enumerate_isometries(sp, tol, budget)
+        assert not res.complete and res.order is None
+        assert res.nodes == max(budget, 0) + 1
+        assert_listed_maps_are_isometries(sp, res, tol)
+        if oracle is not None:
+            assert all(oracle[tuple(m.perm)] == m.distortion
+                       for m in res.maps)
+    again = enumerate_isometries(sp, tol, full.nodes)
+    assert_same_enumeration(again, full)
+    assert (again.nodes, again.order) == (full.nodes, full.order)
 
 
-def test_enumeration_peak_memory_stays_within_the_oracle():
-    sp = hawaiian_truncation(8, 64)
-
-    def peak(search):
-        tracemalloc.start()
-        try:
-            res = search(sp, 1e-9)
-            return res, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    res, new_peak = peak(enumerate_isometries)
-    ref, old_peak = peak(enumeration_oracle)
-    assert_same_enumeration(res, ref)
-    assert len(res.maps) == 256
-    assert new_peak <= old_peak
+def planted_near_tie():
+    """A relabelled circle with one edge stretched by 1.5 tolerances: a
+    rotation that moves that edge has distortion above the tolerance
+    but within twice it, so the tolerance sits in no gap."""
+    sp = relabelled(circle_space(1.0, 12), 10)
+    stretched = sp.dist.copy()
+    i, j = np.argwhere(np.isclose(sp.dist, sp.pitch()))[0]
+    stretched[i, j] = stretched[j, i] = sp.dist[i, j] + 1.5e-9
+    return FiniteMMS(dist=stretched, weight=sp.weight, meta=sp.meta)
 
 
-# === chain steps: forced depths placed in one step ===
+def test_a_planted_near_tie_leaves_the_chain_incomplete():
+    sp = planted_near_tie()
+    res = enumerate_isometries(sp, 1e-9)
+    assert not res.complete and res.order is None
+    assert_listed_maps_are_isometries(sp, res, 1e-9)
+    ref = enumeration_oracle(sp, 1e-9)
+    assert set(map(tuple, res.perms())) <= set(map(tuple, ref.perms()))
+    # at 2e-9 the stretch is within the tolerance, which sits in a gap
+    wide = enumerate_isometries(sp, 2e-9)
+    assert wide.complete
+    assert_same_enumeration(wide, enumeration_oracle(sp, 2e-9))
+
+
+@pytest.mark.parametrize("space, order", [
+    (lambda: hawaiian_truncation(60, 8), 2 ** 60),
+    (lambda: necklace(NecklaceParams(beads=((0.4, 0.3), (1.0, 0.3)),
+                                     resolution=math.pi / 300)), 2 ** 29)],
+    ids=["earring-60-8", "two-bead-necklace"])
+def test_the_chain_certifies_orders_too_large_to_list(space, order):
+    sp = space()
+    res = enumerate_isometries(sp)
+    assert res.order == order
+    assert math.prod(res.orbit_sizes) == order
+    assert len(res.base) == len(res.orbit_sizes) == order.bit_length() - 1
+    # above the listing ceiling nothing is listed, so maps is not complete
+    assert res.maps == () and not res.complete
+
 
 CHAIN_SPACES = {
     "circle-24": lambda: relabelled(circle_space(1.0, 24), 6),
@@ -499,68 +563,14 @@ CHAIN_SPACES = {
 }
 
 
-@pytest.mark.parametrize("name", CHAIN_SPACES)
-def test_chain_steps_match_the_oracle_under_every_budget(name):
-    # past two or three placed cells these searches are mostly forced
-    # depths, so budget cuts land inside chains and in deferred counts
-    sp = CHAIN_SPACES[name]()
-    full = enumeration_oracle(sp, 1e-9).nodes
-    rng = np.random.default_rng(sorted(CHAIN_SPACES).index(name))
-    budgets = {-1, 0, 1, full - 1, full, full + 1,
-               *rng.integers(1, full + 2, 20).tolist()}
-    for budget in sorted(budgets):
-        assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
-                                enumeration_oracle(sp, 1e-9, budget))
-
-
 @pytest.mark.parametrize("name", ["earring-8-64", *CHAIN_SPACES])
 def test_search_distortion_equals_the_full_gather(name):
-    # every FiniteMMS is exactly symmetric with a zero diagonal, so each
-    # map is scored from its search path instead of an n^2 gather
+    # each listed map carries the distortion of the full n^2 gather
     sp = (hawaiian_truncation(8, 64) if name == "earring-8-64"
           else CHAIN_SPACES[name]())
     res = enumerate_isometries(sp, 1e-9)
     assert res.complete and res.maps
-    for m in res.maps:
-        assert m.distortion == isometry_from_perm(sp, m.perm).distortion
-        assert not m.perm.flags.writeable
-
-
-def torus(k, seed):
-    """A relabelled k x k grid on the flat torus, with the sum metric."""
-    c = circle_space(1.0, k).dist
-    dist = (c[:, None, :, None] + c[None, :, None, :]).reshape(k * k, k * k)
-    return relabelled(FiniteMMS(dist=dist, weight=np.ones(k * k),
-                                meta={"pitch": TAU / k}), seed)
-
-
-def test_chain_steps_that_cut_their_block_match_the_oracle():
-    # the last placed cell leaves several of a torus cell's 64 candidates
-    # per depth, so a deep chain step has more survivors than its full
-    # check may gather and cuts its block short
-    sp = torus(8, 3)
-    rng = np.random.default_rng(9)
-    for budget in sorted({1, 5000, *rng.integers(1, 40_000, 6).tolist()}):
-        assert_same_enumeration(enumerate_isometries(sp, 1e-9, budget),
-                                enumeration_oracle(sp, 1e-9, budget))
-
-
-def test_chain_step_peak_memory_stays_within_the_level_walk():
-    # every cell of a circle is a candidate of every cell, so a chain
-    # step sees the most candidates per depth; the budget keeps the maps
-    # found few, so the peak is the search's own working set.  The walk
-    # of one depth per step peaked at 6.64x dist.nbytes on this run.
-    sp = relabelled(circle_space(1.0, 96), 7)
-    cand = profile_candidates(sp.dist, 1e-9)
-    assert all(len(c) == sp.n for c in cand)
-    tracemalloc.start()
-    try:
-        rows, complete, nodes = _search(sp.dist, cand, 1e-9, 20_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not complete and nodes == 20_001 and len(rows) == 4
-    assert peak <= 6.6 * sp.dist.nbytes
+    assert_listed_maps_are_isometries(sp, res, 1e-9)
 
 
 # === fixed sets ===

@@ -97,6 +97,10 @@ def test_as_measure_rejects_bad_input():
         as_measure(sp, {})
     with pytest.raises(ValueError):
         as_measure(sp, np.ones(3))
+    # each was read as a mass of 1
+    for spec in ({0: True}, {0: "1"}, [(0, np.True_)], np.array([True, False])):
+        with pytest.raises(ValueError, match="real number"):
+            as_measure(sp, spec)
 
 
 @pytest.mark.parametrize("spec", [
