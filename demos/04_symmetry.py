@@ -42,7 +42,7 @@ print(f"30-circle wedge: order {big.order} = 2^{big.order.bit_length() - 1}"
       f", certified from {len(big.base)} base cells in {big.nodes} nodes "
       f"({len(big.maps)} maps listed)")
 
-group = generate_subgroup(sp, [m.perm for m in res.maps], budget=256)
+group = generate_subgroup(sp, [m.perm for m in res.maps])
 print(f"closure: order {len(group)}, closed={group.closed}")
 
 # fixed mass of each map; the identity keeps everything, a reflection

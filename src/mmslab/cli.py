@@ -30,9 +30,8 @@ from mmslab.core import (DIST_MODES, cell_id, load_space, save_space,
 from mmslab.generators import GENERATORS, generate
 from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
-from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
-                             DEFAULT_NODE_BUDGET, MAX_MOTION_DIM,
-                             EuclideanIsometry, _check_group_budget,
+from mmslab.symmetry import (DEFAULT_ISO_TOL, DEFAULT_NODE_BUDGET,
+                             MAX_MOTION_DIM, EuclideanIsometry,
                              condition_a_scan, critical_scale, displacement,
                              enumerate_isometries, euclidean_power_escape,
                              fixed_set, small_subgroup_probe)
@@ -304,10 +303,8 @@ def _cmd_iso_condition_a(args, sp):
 def _cmd_iso_probe(args, sp):
     for i in args.compact or ():        # bad ids fail before the search
         cell_id(sp, i)
-    _check_group_budget(args.budget)    # and so does an oversized budget
     maps = enumerate_isometries(sp, iso_tol=args.iso_tol)
-    res = small_subgroup_probe(sp, args.eps, compact=args.compact,
-                               budget=args.budget, maps=maps)
+    res = small_subgroup_probe(sp, args.eps, compact=args.compact, maps=maps)
     sub = res.subgroup
     results = _fields(res, subgroup=None if sub is None else
                       _fields(sub, "generators", "closed", order=len(sub)))
@@ -500,7 +497,6 @@ def _build_parser():
              help="search for a nontrivial small-displacement subgroup")
     p.add_argument("--eps", required=True, type=float)
     p.add_argument("--compact", type=_ids)
-    p.add_argument("--budget", type=int, default=DEFAULT_GROUP_BUDGET)
     p = leaf(iso, "escape", _cmd_iso_escape, common,
              help="first power of a rigid motion past the threshold")
     p.add_argument("--q", type=json.loads, help="orthogonal matrix, JSON")

@@ -6,6 +6,8 @@ measured distortion and weight defect.  On top of the enumeration sit
 fixed sets, the displacement functional over half-radius balls, subgroup
 closures, the small-subgroup probe, a closed-form power-escape check for
 Euclidean motions, and the fixed-mass versus displacement comparisons.
+Every listing of a group, an enumeration or a closure, holds at most
+``MAX_LISTED`` elements; a larger group is counted or left open.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from mmslab.core import (FiniteMMS, ball_indices, cell_id, require_nonnegative,
 
 DEFAULT_ISO_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_GROUP_BUDGET = 4096
 COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
 CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
 # Most entries (maps x n^2) that a listing may gather to score its maps:
@@ -31,6 +32,11 @@ CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
 # 250 Mi in about 1.5 s (2-core x86_64).  A larger group is counted, not
 # listed.
 LIST_CEILING = 1 << 28
+# Most elements that any listing of a group holds, an enumeration or a
+# closure: closing (Z/2)^15 on the 106-cell earring(15, 8) takes about
+# 3.9 s and a 115 MB tracemalloc peak (2-core x86_64); both grow as
+# elements times cells.
+MAX_LISTED = 1 << 15
 # Most powers ``euclidean_power_escape`` scans: for a motion that never
 # escapes, about 0.6 s in R^3 and 1.5 s in R^6 (2-core x86_64).
 MAX_POWER = 10_000_000
@@ -38,10 +44,6 @@ MAX_POWER = 10_000_000
 # number of spectral blocks; at MAX_POWER a never-escaping motion of R^12
 # takes about 2.1 s and a 380 MB tracemalloc peak (2-core x86_64).
 MAX_MOTION_DIM = 12
-# Largest group ``budget`` of a closure: reaching it, the closure of
-# (Z/2)^15 on the 106-cell earring(15, 8) takes about 3.9 s and a 115 MB
-# tracemalloc peak (2-core x86_64); both grow as elements times cells.
-MAX_GROUP_BUDGET = 1 << 15
 
 
 # === maps and groups ===
@@ -86,12 +88,6 @@ def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
     defect = np.abs(space.weight[perm] - space.weight).max()
     return IsometryMap(perm, float(np.abs(moved, out=moved).max()),
                        float(defect))
-
-
-def _check_group_budget(budget):
-    if not budget <= MAX_GROUP_BUDGET:
-        raise ValueError(f"budget must be at most {MAX_GROUP_BUDGET}, "
-                         f"got {budget}")
 
 
 def compose(outer, inner) -> np.ndarray:
@@ -376,9 +372,10 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
 
     ``maps`` lists the products of one stored map per level, sorted,
     each with its full-matrix distortion, except those above ``iso_tol``;
-    ``complete`` means that it holds every isometry.  No listing gathers
-    more than ``LIST_CEILING`` entries (maps x n^2): above it ``maps`` is
-    empty, while ``order`` stays certified.  After a budget cut or in a
+    ``complete`` means that it holds every isometry.  No listing holds
+    more than ``MAX_LISTED`` maps or gathers more than ``LIST_CEILING``
+    entries (maps x n^2): above either ``maps`` is empty, while
+    ``order`` stays certified.  After a budget cut or in a
     chain that is not certified, ``order`` is None and ``maps`` lists
     the maps found so far.  A NaN or negative ``iso_tol`` raises
     ``ValueError``.
@@ -389,8 +386,9 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     base, levels, certified, nodes = _chain(dist, iso_tol, budget)
     sizes = tuple(len(level) for level in levels)
     count = math.prod(sizes)
+    listed = count <= MAX_LISTED and count * n * n <= LIST_CEILING
     maps = ()
-    if count * n * n <= LIST_CEILING:
+    if listed:
         rows = np.arange(n)[None]
         for level in reversed(levels):
             rows = np.array([*level.values()])[:, rows].reshape(-1, n)
@@ -403,13 +401,12 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
         maps = tuple(map(IsometryMap, rows, distortion[keep].tolist(),
                          defect.tolist()))
     return EnumerationResult(
-        maps=maps, complete=certified and count * n * n <= LIST_CEILING,
+        maps=maps, complete=certified and listed,
         nodes=nodes, order=count if certified else None, base=tuple(base),
         orbit_sizes=sizes)
 
 
-def generate_subgroup(space: FiniteMMS, gens,
-                      budget: int = DEFAULT_GROUP_BUDGET) -> Subgroup:
+def generate_subgroup(space: FiniteMMS, gens) -> Subgroup:
     """Closure of the generators under composition, from the identity.
 
     A finite set of permutations closed under composition is a group, so
@@ -418,18 +415,17 @@ def generate_subgroup(space: FiniteMMS, gens,
     composes every element with every kept generator, ``COMPOSE_BLOCK``
     entries (at least one row) at a time, and appends the new products
     (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
-    1991).  The closure stops once it holds more than ``budget``
-    elements, so ``closed`` means the group has at most ``budget``; an
-    open result holds more than ``budget`` elements of the group.  A
-    ``budget`` above ``MAX_GROUP_BUDGET`` raises ``ValueError``."""
-    _check_group_budget(budget)
+    1991).  The closure stops once it holds more than ``MAX_LISTED``
+    elements, so ``closed`` means the group has at most ``MAX_LISTED``;
+    an open result holds more than ``MAX_LISTED`` elements of the
+    group."""
     gens = np.unique(_perm_rows(space, gens), axis=0)
     n = space.n
     queue = [np.arange(n).tobytes()]
     seen = set(queue)
     kept = []
     for gen in gens:
-        if len(seen) > budget:
+        if len(seen) > MAX_LISTED:
             break
         if gen.tobytes() in seen:
             continue
@@ -437,7 +433,7 @@ def generate_subgroup(space: FiniteMMS, gens,
         seeds = np.array(kept)
         step = max(1, COMPOSE_BLOCK // (len(seeds) * n))
         head = 0
-        while head < len(queue) and len(seen) <= budget:
+        while head < len(queue) and len(seen) <= MAX_LISTED:
             rows = np.frombuffer(b"".join(queue[head:head + step]),
                                  dtype=np.intp).reshape(-1, n)
             head += len(rows)
@@ -445,7 +441,7 @@ def generate_subgroup(space: FiniteMMS, gens,
                 if key not in seen:
                     seen.add(key)
                     queue.append(key)
-    closed = len(seen) <= budget
+    closed = len(seen) <= MAX_LISTED
     del seen
     # The elements are distinct, so sorting them as rows gives what
     # np.unique(axis=0) returns; it is done in place, with the structured
@@ -520,8 +516,7 @@ class SubgroupProbe:
     candidates: int = 0
 
 
-def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
-                         budget: int = DEFAULT_GROUP_BUDGET, *,
+def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None, *,
                          maps: EnumerationResult) -> SubgroupProbe:
     """Look for a nontrivial subgroup whose elements all move the compact
     set ``compact`` (every cell by default) by less than ``epsilon``.
@@ -529,13 +524,11 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     Filters the isometries of ``maps`` to the small movers, closes each
     candidate, and returns the first closure that stays inside the
     filter.  An incomplete enumeration, or a candidate whose closure
-    passed ``budget`` elements, makes a negative answer inconclusive.  A
-    NaN, infinite or nonpositive ``epsilon``, a ``budget`` above
-    ``MAX_GROUP_BUDGET``, an empty ``compact`` or an id outside the space
-    raises.
+    passed ``MAX_LISTED`` elements, makes a negative answer
+    inconclusive.  A NaN, infinite or nonpositive ``epsilon``, an empty
+    ``compact`` or an id outside the space raises.
     """
     require_positive("epsilon", epsilon)
-    _check_group_budget(budget)
     compact = (np.arange(space.n) if compact is None else
                np.array([cell_id(space, i) for i in compact], dtype=np.intp))
     if not compact.size:
@@ -547,9 +540,9 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None,
     rows = maps.perms().reshape(len(maps.maps), space.n)
     nontrivial = np.any(rows != np.arange(space.n), axis=1)
     small = rows[nontrivial & (sup_move(rows) < epsilon)]
-    cut = False                  # some candidate's closure passed the budget
+    cut = False                  # some candidate's closure passed MAX_LISTED
     for perm in small:
-        sub = generate_subgroup(space, [perm], budget=budget)
+        sub = generate_subgroup(space, [perm])
         if not sub.closed:
             cut = True
             continue
@@ -754,9 +747,11 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
     radius ``s`` around ``x``, against the ball's own mass.
 
     The condition holds when the gap is strictly positive.  With no
-    nontrivial isometries the supremum is vacuous and reported as zero,
-    the strongest possible verdict.  ``s`` and ``fix_tol`` must be finite
-    and nonnegative.
+    nontrivial map listed the supremum is reported as zero; it is
+    ``vacuous``, the strongest possible verdict, only when ``maps`` is
+    complete, since a group counted but not listed has maps that this
+    scan never sees.  ``s`` and ``fix_tol`` must be finite and
+    nonnegative.
     """
     require_nonnegative("s", s)
     if fix_tol is None:
@@ -772,7 +767,7 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
     gap = ball_mass - fix_sup
     return ConditionAReport(
         holds=bool(gap > 0.0),
-        vacuous=len(rows) == 0,
+        vacuous=len(rows) == 0 and maps.complete,
         complete=maps.complete,
         fix_sup=fix_sup,
         ball_mass=ball_mass,

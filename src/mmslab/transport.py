@@ -394,17 +394,6 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
                        certificate="search")
 
 
-def is_induced_by_map(coupling: Coupling) -> bool:
-    """True when every source cell with positive mass feeds exactly one
-    target cell (masses above 1e-9 count)."""
-    tol = 1e-9
-    for a in range(coupling.matrix.shape[0]):
-        row = coupling.matrix[a]
-        if row.sum() > tol and int((row > tol).sum()) != 1:
-            return False
-    return True
-
-
 # === geodesic plans ===
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def test_criterion_05_earring_symmetries(capsys):
     res = enumerate_isometries(sp, iso_tol=1e-9)
     maps_ok = len(res.maps) == 64 and res.complete
     defects_ok = all(m.measure_defect <= 1e-9 for m in res.maps)
-    closure = generate_subgroup(sp, [m.perm for m in res.maps], budget=256)
+    closure = generate_subgroup(sp, [m.perm for m in res.maps])
     closure_ok = closure.closed and len(closure) == 64
 
     # fixed-mass clause, taken literally: every nonidentity map keeps at

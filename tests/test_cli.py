@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,8 +30,7 @@ from mmslab import cli
 from mmslab.cli import main
 from mmslab.generators import NecklaceParams, necklace, necklace_fibers
 from mmslab.regularity import MAX_R_SAMPLES
-from mmslab.symmetry import (DEFAULT_GROUP_BUDGET, DEFAULT_ISO_TOL,
-                             DEFAULT_NODE_BUDGET, MAX_GROUP_BUDGET,
+from mmslab.symmetry import (DEFAULT_ISO_TOL, DEFAULT_NODE_BUDGET,
                              MAX_MOTION_DIM)
 from mmslab.transport import MAX_PROBE_DRAWS
 
@@ -496,10 +496,7 @@ SCAN = ("--eps", "0.1", "--delta", "0.5", "--k", "1", "--r-samples", "2",
     ("r_samples", ["gh", "scan", "--x", "3", *SCAN,
                    "--r-samples", "1000000"]),
     ("r_samples", ["gh", "regular-mass", *SCAN,
-                   "--r-samples", str(MAX_R_SAMPLES + 1)]),
-    ("budget", ["iso", "probe", "--eps", "0.5", "--budget", "1000000000"]),
-    ("budget", ["iso", "probe", "--eps", "0.5",
-                "--budget", str(MAX_GROUP_BUDGET + 1)])])
+                   "--r-samples", str(MAX_R_SAMPLES + 1)])])
 def test_scalars_outside_their_domain_fail_fast_and_name_it(tmp_path, capsys,
                                                             name, argv):
     # each once gave a verdict with exit 0, ran past 15 s, or raised an
@@ -1057,22 +1054,21 @@ def _readme_verbs():
     return pairs
 
 
-def _parser_verbs():
-    def subparsers(parser):
-        return next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
 
+
+def _parser_verbs():
     return {(group, verb)
-            for group, sub in subparsers(cli._build_parser()).items()
-            for verb in subparsers(sub)}
+            for group, sub in _subparsers(cli._build_parser()).items()
+            for verb in _subparsers(sub)}
 
 
 def test_iso_defaults_come_from_the_library():
     parse = cli._build_parser().parse_args
     space = ["--space", "s.json"]
     assert parse(["iso", "enum", *space]).budget == DEFAULT_NODE_BUDGET
-    assert parse(["iso", "probe", *space, "--eps", "0.1"]).budget == (
-        DEFAULT_GROUP_BUDGET)
     for verb, rest in [("enum", []), ("fix", []),
                        ("displacement", ["--x", "0", "--r", "1"]),
                        ("condition-a", ["--x", "0", "--s", "1"]),
@@ -1082,6 +1078,14 @@ def test_iso_defaults_come_from_the_library():
         assert parse(["iso", verb, *space, *rest]).iso_tol == DEFAULT_ISO_TOL
 
 
+def test_iso_probe_has_no_group_budget(capsys):
+    # every closure obeys the one listing ceiling, symmetry.MAX_LISTED
+    rc, cap = run(capsys, "iso", "probe", "--space", "s.json", "--eps", "0.1",
+                  "--budget", "5")
+    assert rc == 1
+    assert "unrecognized arguments: --budget 5" in cap.err
+
+
 def test_readme_lists_the_verbs_of_the_parser(capsys):
     listed = _readme_verbs()
     for group, verb in sorted(listed):
@@ -1089,6 +1093,20 @@ def test_readme_lists_the_verbs_of_the_parser(capsys):
         assert rc == 0, (group, verb)
         assert cap.out.startswith(f"usage: mms-lab {group} {verb} ")
     assert _parser_verbs() == listed
+
+
+def test_readme_flags_are_options_of_their_verbs():
+    # each backticked `<group> <verb> ... --flag` in README.md names
+    # options that the verb's parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    groups = _subparsers(cli._build_parser())
+    pattern = rf"`((?:{'|'.join(groups)}) [a-z][\w-]* [^`]*--[^`]*)`"
+    refs = [m.split() for m in re.findall(pattern, readme)]
+    assert refs
+    for group, verb, *words in refs:
+        options = _subparsers(groups[group])[verb]._option_string_actions
+        for flag in (w for w in words if w.startswith("--")):
+            assert flag in options, (group, verb, flag)
 
 
 def test_numbers_carry_twelve_significant_digits(capsys):

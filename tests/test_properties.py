@@ -36,6 +36,7 @@ from mmslab import (
     save_space,
     segment_space,
 )
+from mmslab import symmetry
 from mmslab.cli import main
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=24,
@@ -185,14 +186,16 @@ CLOSURE_SPECS = [("circle", 8, 0), ("circle", 9, 0), ("earring", 3, 8),
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS)
 @pytest.mark.parametrize("budget", [3, 8, 16, 20, 40, 4096])
-def test_closure_matches_the_tuple_oracle(spec, budget):
+def test_closure_matches_the_tuple_oracle(spec, budget, monkeypatch):
     base = make_space(spec)
     labels = np.random.default_rng(len(spec[0]) + budget).permutation(base.n)
     space = relabel(base, labels)
     perms = np.asarray(enumerate_isometries(space, iso_tol=1e-9).perms())
     nontrivial = [p for p in perms if np.any(p != np.arange(space.n))]
+    # the listing ceiling plays the budget of the oracle
+    monkeypatch.setattr(symmetry, "MAX_LISTED", budget)
     for gens in (perms, nontrivial[:1], nontrivial[-2:], nontrivial[1::3]):
-        sub = generate_subgroup(space, gens, budget=budget)
+        sub = generate_subgroup(space, gens)
         elements, generators, closed = closure_oracle(space, gens, budget)
         assert np.array_equal(np.asarray(sub.generators).reshape(-1, space.n),
                               np.asarray(generators).reshape(-1, space.n))

@@ -32,7 +32,8 @@ from mmslab import (
     necklace,
     small_subgroup_probe,
 )
-from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_GROUP_BUDGET, MAX_POWER,
+from mmslab import symmetry
+from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_LISTED, MAX_POWER,
                              _block_data, _sup_on_half_ball,
                              profile_candidates)
 
@@ -468,7 +469,7 @@ def test_profile_window_keeps_a_pair_at_the_rounding_edge():
 
 @pytest.mark.parametrize("pitches", [0, 2])
 @pytest.mark.parametrize("name", ORACLE_SPACES)
-def test_level_search_matches_the_per_node_oracle(name, pitches):
+def test_level_search_matches_the_per_node_oracle(name, pitches, monkeypatch):
     # at the rounding scale every map set, distortion and defect is the
     # oracle's.  At two pitches the tolerance sits in no gap on most of
     # these spaces: the chain then says so within its budget, and lists
@@ -480,6 +481,14 @@ def test_level_search_matches_the_per_node_oracle(name, pitches):
         assert_same_enumeration(res, enumeration_oracle(sp, 1e-9))
         return
     tol = pitches * sp.pitch()
+    if name == "cloud":
+        # every one of the 9! permutations is within two pitches: the
+        # chain certifies them, lists none, and lists them all under a
+        # ceiling raised to 9!
+        res = enumerate_isometries(sp, tol, BOUNDED)
+        assert res.order == math.factorial(9) > MAX_LISTED
+        assert res.maps == () and not res.complete
+        monkeypatch.setattr(symmetry, "MAX_LISTED", math.factorial(9))
     res = enumerate_isometries(sp, tol, BOUNDED)
     assert res.nodes <= BOUNDED + 1
     assert_listed_maps_are_isometries(sp, res, tol)
@@ -554,6 +563,22 @@ def test_the_chain_certifies_orders_too_large_to_list(space, order):
     assert len(res.base) == len(res.orbit_sizes) == order.bit_length() - 1
     # above the listing ceiling nothing is listed, so maps is not complete
     assert res.maps == () and not res.complete
+
+
+def test_a_group_above_the_listing_ceiling_is_counted_in_little_memory():
+    """Every permutation of a nine-point equidistant space is an
+    isometry.  Listing all 9! = 362,880 of them took 1.1 s and a 129 MiB
+    tracemalloc peak; the chain counts them."""
+    sp = FiniteMMS(dist=1.0 - np.eye(9), weight=np.ones(9))
+    tracemalloc.start()
+    try:
+        res = enumerate_isometries(sp, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.order == math.factorial(9) > MAX_LISTED
+    assert res.maps == () and not res.complete
+    assert peak < 8 << 20
 
 
 CHAIN_SPACES = {
@@ -657,18 +682,6 @@ def test_generated_subgroups_have_the_expected_orders():
     assert compose(r0, r1) in both
 
 
-def test_group_budgets_above_the_ceiling_are_rejected():
-    sp = circle_space(1.0, 8)
-    maps = enumerate_isometries(sp)
-    assert len(generate_subgroup(sp, [rotation_perm(8, 1)],
-                                 budget=MAX_GROUP_BUDGET)) == 8
-    for budget in (MAX_GROUP_BUDGET + 1, 10**9):
-        with pytest.raises(ValueError, match="budget must be at most"):
-            generate_subgroup(sp, [rotation_perm(8, 1)], budget=budget)
-        with pytest.raises(ValueError, match="budget must be at most"):
-            small_subgroup_probe(sp, epsilon=0.1, budget=budget, maps=maps)
-
-
 def test_a_closure_peaks_below_three_copies_of_its_elements():
     """Closing the 13 circle flips of earring(13, 8) into its 8,192
     elements peaked at 4.3x their bytes when each element was also joined
@@ -677,7 +690,7 @@ def test_a_closure_peaks_below_three_copies_of_its_elements():
     gens = [circle_reflection(sp, k) for k in range(13)]
     tracemalloc.start()
     try:
-        sub = generate_subgroup(sp, gens, budget=MAX_GROUP_BUDGET)
+        sub = generate_subgroup(sp, gens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -686,13 +699,14 @@ def test_a_closure_peaks_below_three_copies_of_its_elements():
     assert peak <= 3 * sub.elements.nbytes
 
 
-def test_generated_rotations_recover_the_cyclic_group():
+def test_generated_rotations_recover_the_cyclic_group(monkeypatch):
     sp = circle_space(1.0, 8)
     sub = generate_subgroup(sp, [rotation_perm(8, 1)])
     assert sub.closed
     assert set(map(tuple, sub.elements)) == {rotation_perm(8, s) for s in range(8)}
-    truncated = generate_subgroup(sp, [rotation_perm(8, 1)], budget=3)
-    assert not truncated.closed
+    monkeypatch.setattr(symmetry, "MAX_LISTED", 3)
+    truncated = generate_subgroup(sp, [rotation_perm(8, 1)])
+    assert not truncated.closed and len(truncated) > 3
 
 
 # === small subgroup probe ===
@@ -726,16 +740,19 @@ def test_probe_is_inconclusive_after_a_truncated_enumeration():
     assert probe.inconclusive
 
 
-def test_probe_is_inconclusive_when_the_budget_cuts_a_closure():
-    # the swap of the two close cells is a small mover of order 2; a group
-    # budget of one element cuts its closure, which once read as "none"
+def test_probe_is_inconclusive_when_the_budget_cuts_a_closure(monkeypatch):
+    # the swap of the two close cells is a small mover of order 2; a
+    # listing ceiling of one element cuts its closure, which once read as
+    # "none"
     dist = np.array([[0.0, 0.01, 1.0], [0.01, 0.0, 1.0], [1.0, 1.0, 0.0]])
     sp = FiniteMMS(dist=dist, weight=np.ones(3))
     maps = enumerate_isometries(sp)
-    for budget in (4096, 2):
-        probe = small_subgroup_probe(sp, epsilon=0.1, budget=budget, maps=maps)
+    for ceiling in (MAX_LISTED, 2):
+        monkeypatch.setattr(symmetry, "MAX_LISTED", ceiling)
+        probe = small_subgroup_probe(sp, epsilon=0.1, maps=maps)
         assert probe.found and not probe.inconclusive
-    probe = small_subgroup_probe(sp, epsilon=0.1, budget=1, maps=maps)
+    monkeypatch.setattr(symmetry, "MAX_LISTED", 1)
+    probe = small_subgroup_probe(sp, epsilon=0.1, maps=maps)
     assert not probe.found
     assert probe.inconclusive
     assert probe.candidates == 1
@@ -950,6 +967,17 @@ def test_condition_a_is_vacuous_without_symmetry():
     assert rep.vacuous and rep.holds
     assert rep.nontrivial == 0
     assert rep.fix_sup == 0.0
+
+
+def test_condition_a_is_not_vacuous_when_the_group_is_not_listed():
+    # the chain certifies 2^30 maps and lists none: the scan sees no
+    # nontrivial map, yet the supremum is not vacuous
+    sp = hawaiian_truncation(30, 8)
+    maps = enumerate_isometries(sp)
+    assert maps.order == 2 ** 30 and maps.maps == ()
+    rep = condition_a_scan(sp, x=0, s=10.0, fix_tol=1e-9, maps=maps)
+    assert not rep.vacuous and not rep.complete
+    assert rep.nontrivial == 0
 
 
 def test_large_fix_implication_is_exercised_on_the_small_circle():
