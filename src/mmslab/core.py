@@ -325,9 +325,9 @@ def _near_graph(space: FiniteMMS, radius: float):
 def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     """Rescale the metric: distances are divided by ``factor``; weights
     are untouched.  Blowing up (factor > 1) zooms in.  The result drops
-    the recipe ``meta["params"]``, so it has no necklace layout."""
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
+    the recipe ``meta["params"]``, so it has no necklace layout.  A NaN,
+    infinite or nonpositive ``factor`` raises ``ValueError``."""
+    require_positive("factor", factor)
     meta = dict(space.meta)
     meta.pop("params", None)
     meta["scaled_by"] = float(meta.get("scaled_by", 1.0) * factor)

@@ -25,8 +25,7 @@ from mmslab.core import (FiniteMMS, ball_indices, cell_id, require_nonnegative,
 
 DEFAULT_ISO_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 2_000_000
-COMPOSE_BLOCK = 1 << 17        # index entries (1 MB) per batch of a closure
-CANDIDATE_BLOCK = 1 << 16      # profile entries (512 KB) per candidate batch
+CANDIDATE_BLOCK = 1 << 16      # entries (512 KB) per batch of a gather
 # Most entries (maps x n^2) that a listing may gather to score its maps:
 # earring(8, 64)'s 256 maps take 62 Mi, and circle(1, 500)'s 1,000 maps
 # 250 Mi in about 1.5 s (2-core x86_64).  A larger group is counted, not
@@ -84,9 +83,8 @@ def _perm_rows(space: FiniteMMS, perms) -> np.ndarray:
 def isometry_from_perm(space: FiniteMMS, perm) -> IsometryMap:
     perm = _perm_rows(space, [perm])[0]
     perm.setflags(write=False)
-    moved = space.dist.take(perm, axis=0).take(perm, axis=1) - space.dist
     defect = np.abs(space.weight[perm] - space.weight).max()
-    return IsometryMap(perm, float(np.abs(moved, out=moved).max()),
+    return IsometryMap(perm, float(_distortions(space.dist, perm[None])[0]),
                        float(defect))
 
 
@@ -129,27 +127,21 @@ class EnumerationResult:
 
 # === enumeration ===
 
-def profile_candidates(dist: np.ndarray, iso_tol: float) -> list:
-    """For each cell i, the cells j (ascending) whose sorted distance
-    rows differ by at most ``iso_tol`` in every column: the only targets
-    a map of distortion at most ``iso_tol`` can send i to.
+def _profile_pairs(dist: np.ndarray, iso_tol: float):
+    """The candidate pairs (src, dst): each cell src with each cell dst
+    whose sorted distance row differs from its own by at most
+    ``iso_tol`` in every column, the only targets a map of distortion at
+    most ``iso_tol`` can send src to.  The pairs come by src and then by
+    dst, each with its row deviation max_c |p_src[c] - p_dst[c]|.
 
     Every column of the row-sorted matrix is one term of that maximum,
     so one column that differs by more than ``iso_tol`` rejects a pair
     exactly.  The pairs are windowed on the last column (sorted once and
     searched per row, with a rounding margin so that the window never
-    drops a pair that passes), thinned on the quartile columns, and only
-    the survivors get the full row check, ``CANDIDATE_BLOCK`` profile
-    entries at a time.  The lists are those of the plain per-row check,
-    element for element.
+    drops a pair that passes), and each pair in the window gets the full
+    row check, ``CANDIDATE_BLOCK`` profile entries at a time.  The pairs
+    and deviations are those of the plain per-row check, bit for bit.
     """
-    src, dst, _ = _profile_pairs(dist, iso_tol)
-    return np.split(dst, np.cumsum(np.bincount(src, minlength=len(dist)))[:-1])
-
-
-def _profile_pairs(dist: np.ndarray, iso_tol: float):
-    """``profile_candidates`` as flat pairs (src, dst), by src and then by
-    dst, with each pair's row deviation max_c |p_src[c] - p_dst[c]|."""
     n = len(dist)
     profiles = np.sort(dist, axis=1)
     key = profiles[:, -1]
@@ -162,22 +154,18 @@ def _profile_pairs(dist: np.ndarray, iso_tol: float):
     hi = np.searchsorted(sorted_key, key + reach, side="right")
     width = hi - lo
     ends = np.cumsum(width)
-    cols = np.unique([n // 4, n // 2, 3 * n // 4, n - 1])
-    group = max(1, CANDIDATE_BLOCK // len(cols))    # window pairs per group
     batch = max(1, CANDIDATE_BLOCK // n)            # pairs per full check
 
     pairs = []
     start = 0
     while start < n:
+        # the rows whose windows hold about CANDIDATE_BLOCK pairs together
         stop = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - width[start] + group, side="right")))
+            ends, ends[start] - width[start] + CANDIDATE_BLOCK, side="right")))
         w = width[start:stop]
         src = np.repeat(np.arange(start, stop), w)
         dst = by_key[np.arange(len(src))
                      + np.repeat(lo[start:stop] - (np.cumsum(w) - w), w)]
-        far = np.abs(profiles[src[:, None], cols] - profiles[dst[:, None], cols])
-        keep = ~np.any(far > iso_tol, axis=1)
-        src, dst = src[keep], dst[keep]
         dev = np.empty(len(src))
         for b in range(0, len(src), batch):
             diff = profiles[src[b:b + batch]] - profiles[dst[b:b + batch]]
@@ -351,7 +339,7 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     """All cell permutations with distance distortion at most ``iso_tol``,
     by default the rounding scale ``DEFAULT_ISO_TOL``, found as a
     stabilizer chain (Sims 1970; Seress, *Permutation Group Algorithms*,
-    2003) on the candidates of ``profile_candidates``.
+    2003) on the candidate pairs of ``_profile_pairs``.
 
     The base cells are fixed one at a time (``_fix``), each the open cell
     with the fewest candidates, until only the identity fixes them all.
@@ -375,10 +363,11 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     ``complete`` means that it holds every isometry.  No listing holds
     more than ``MAX_LISTED`` maps or gathers more than ``LIST_CEILING``
     entries (maps x n^2): above either ``maps`` is empty, while
-    ``order`` stays certified.  After a budget cut or in a
-    chain that is not certified, ``order`` is None and ``maps`` lists
-    the maps found so far.  A NaN or negative ``iso_tol`` raises
-    ``ValueError``.
+    ``order`` stays certified.  After a budget cut or in a chain that
+    is not certified, ``order`` is None, and ``maps`` lists the same way
+    the products of the maps stored so far that lie within ``iso_tol``:
+    not every isometry, and nothing above either ceiling.  A NaN or
+    negative ``iso_tol`` raises ``ValueError``.
     """
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
@@ -412,7 +401,7 @@ def generate_subgroup(space: FiniteMMS, gens) -> Subgroup:
     A finite set of permutations closed under composition is a group, so
     no inverses are taken.  Generators already in the closure are
     skipped; each one kept restarts a queue at the first element,
-    composes every element with every kept generator, ``COMPOSE_BLOCK``
+    composes every element with every kept generator, ``CANDIDATE_BLOCK``
     entries (at least one row) at a time, and appends the new products
     (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
     1991).  The closure stops once it holds more than ``MAX_LISTED``
@@ -431,7 +420,7 @@ def generate_subgroup(space: FiniteMMS, gens) -> Subgroup:
             continue
         kept.append(gen)
         seeds = np.array(kept)
-        step = max(1, COMPOSE_BLOCK // (len(seeds) * n))
+        step = max(1, CANDIDATE_BLOCK // (len(seeds) * n))
         head = 0
         while head < len(queue) and len(seen) <= MAX_LISTED:
             rows = np.frombuffer(b"".join(queue[head:head + step]),
@@ -448,7 +437,7 @@ def generate_subgroup(space: FiniteMMS, gens) -> Subgroup:
     # view that np.unique sorts by, and the bytes keys are copied in
     # blocks, so no second or third full copy is made.
     elements = np.empty((len(queue), n), dtype=np.intp)
-    step = max(1, COMPOSE_BLOCK // n)
+    step = max(1, CANDIDATE_BLOCK // n)
     for s in range(0, len(queue), step):
         block = queue[s:s + step]
         elements[s:s + len(block)] = np.frombuffer(
@@ -746,12 +735,12 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
     by default) any nontrivial map of ``maps`` keeps inside the ball of
     radius ``s`` around ``x``, against the ball's own mass.
 
-    The condition holds when the gap is strictly positive.  With no
-    nontrivial map listed the supremum is reported as zero; it is
-    ``vacuous``, the strongest possible verdict, only when ``maps`` is
-    complete, since a group counted but not listed has maps that this
-    scan never sees.  ``s`` and ``fix_tol`` must be finite and
-    nonnegative.
+    The condition holds when the gap is strictly positive and ``maps``
+    is complete.  With no nontrivial map listed the supremum is
+    reported as zero; it is ``vacuous``, the strongest possible
+    verdict, only when ``maps`` is complete too, since a group counted
+    but not listed has maps that this scan never sees.  ``s`` and
+    ``fix_tol`` must be finite and nonnegative.
     """
     require_nonnegative("s", s)
     if fix_tol is None:
@@ -766,7 +755,7 @@ def condition_a_scan(space: FiniteMMS, x: int, s: float,
                   default=0.0)
     gap = ball_mass - fix_sup
     return ConditionAReport(
-        holds=bool(gap > 0.0),
+        holds=bool(gap > 0.0) and maps.complete,
         vacuous=len(rows) == 0 and maps.complete,
         complete=maps.complete,
         fix_sup=fix_sup,
@@ -846,15 +835,18 @@ def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
     Requires displacement at ``lo`` to sit at or above lo/20 and at
     ``hi`` strictly below hi/20; the functional is a step function of r,
     so the result is a bracket of width ``tol`` and the defect achieved
-    at its left end.  ``lo`` and ``hi`` must be finite and nonnegative
-    and ``tol`` positive; a ``tol`` below the spacing of floats near the
-    crossing ends at a bracket of two adjacent floats.
+    at its left end.  ``lo`` and ``hi`` must be finite and nonnegative,
+    ``tol`` positive and ``group`` not empty; a ``tol`` below the
+    spacing of floats near the crossing ends at a bracket of two
+    adjacent floats.
     """
     require_nonnegative("lo", lo)
     require_nonnegative("hi", hi)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     perms = _perm_rows(space, group)
+    if not len(perms):          # as listed for a group counted, not listed
+        raise ValueError("group must hold at least one permutation")
     d_lo = _displacement(space, perms, lo, x)
     d_hi = _displacement(space, perms, hi, x)
     if d_lo < lo / 20.0 or d_hi >= hi / 20.0:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -830,6 +831,18 @@ def test_iso_critical_scale_brackets_the_crossing(tmp_path, capsys):
     assert res["bracket"][1] - res["bracket"][0] <= 1e-4
 
 
+def test_iso_critical_scale_on_an_unlisted_group_emits_error_object(
+        tmp_path, capsys):
+    # earring(30, 8)'s 2^30 maps are counted, not listed: an empty group
+    # used to end in "no crossing inside the bracket"
+    path = tmp_path / "earring.json"
+    save_space(hawaiian_truncation(30, 8), str(path))
+    error = run_error(capsys, "iso", "critical-scale", "--space", path,
+                      "--x", 0, "--lo", 0.8, "--hi", 63.0)
+    assert error == {"type": "ValueError",
+                     "message": "group must hold at least one permutation"}
+
+
 def test_iso_critical_scale_tol_zero_emits_error_object(tmp_path):
     # a zero tol used to make the bisection spin for ever, so the call
     # runs in a child process that the timeout can stop
@@ -1107,6 +1120,34 @@ def test_readme_flags_are_options_of_their_verbs():
         options = _subparsers(groups[group])[verb]._option_string_actions
         for flag in (w for w in words if w.startswith("--")):
             assert flag in options, (group, verb, flag)
+
+
+SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+
+
+def _readme_number(text):
+    """A number as README.md writes it: 16,384, 10⁷, 2^15 or 1e-9."""
+    text = text.rstrip(",.").replace(",", "")
+    if "^" in text:
+        base, exp = text.split("^")
+        return int(base) ** int(exp)
+    base = text.rstrip(SUPERSCRIPTS)
+    if base != text:
+        exp = text[len(base):].translate(str.maketrans(SUPERSCRIPTS,
+                                                       "0123456789"))
+        return int(base) ** int(exp)
+    return float(text)
+
+
+def test_readme_constants_match_the_code():
+    # each backticked `module.NAME` = value in README.md is the constant
+    # NAME of mmslab.module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    refs = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)` =\s+([^\s\]]+)", readme)
+    assert len(refs) >= 13
+    for module, name, text in refs:
+        value = getattr(importlib.import_module(f"mmslab.{module}"), name)
+        assert _readme_number(text) == value, (module, name, text)
 
 
 def test_numbers_carry_twelve_significant_digits(capsys):

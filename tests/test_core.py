@@ -450,8 +450,10 @@ def test_scale_divides_distances():
 
 
 def test_scale_rejects_nonpositive_factor():
-    with pytest.raises(ValueError):
-        scale(two_point(), 0.0)
+    # an infinite factor gave every distance 0, with pitch 0
+    for factor in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="factor"):
+            scale(two_point(), factor)
 
 
 def test_triangle_violations_survive_scaling():

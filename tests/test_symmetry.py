@@ -34,8 +34,7 @@ from mmslab import (
 )
 from mmslab import symmetry
 from mmslab.symmetry import (DEFAULT_NODE_BUDGET, MAX_LISTED, MAX_POWER,
-                             _block_data, _sup_on_half_ball,
-                             profile_candidates)
+                             _block_data, _profile_pairs, _sup_on_half_ball)
 
 TAU = 2 * math.pi
 
@@ -297,10 +296,13 @@ def test_ball_grid_symmetries_are_the_dihedral_eight():
 # === the chain search against the per-node search ===
 
 def candidate_oracle(dist, iso_tol):
-    """Profile candidates by the plain per-row check."""
+    """Candidate pairs (src, dst) and their row deviations by the plain
+    per-row check."""
     profiles = np.sort(dist, axis=1)
-    return [np.flatnonzero(np.max(np.abs(profiles - profiles[i]), axis=1)
-                           <= iso_tol) for i in range(len(dist))]
+    dev = np.array([np.max(np.abs(profiles - profiles[i]), axis=1)
+                    for i in range(len(dist))])
+    src, dst = np.nonzero(dev <= iso_tol)
+    return src, dst, dev[src, dst]
 
 
 def enumeration_oracle(space, iso_tol, budget=DEFAULT_NODE_BUDGET):
@@ -447,12 +449,12 @@ def assert_listed_maps_are_isometries(sp, res, tol):
 @pytest.mark.parametrize("pitches", [0, 2, math.inf])
 @pytest.mark.parametrize("name", ORACLE_SPACES)
 def test_profile_candidates_match_the_per_row_check(name, pitches):
+    # the same pairs in the same order, and the same deviations bit for bit
     sp = ORACLE_SPACES[name]()
     tol = pitches * sp.pitch() or 1e-9
-    got = profile_candidates(sp.dist, tol)
+    got = _profile_pairs(sp.dist, tol)
     want = candidate_oracle(sp.dist, tol)
-    assert len(got) == len(want) == sp.n
-    for a, b in zip(got, want):
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -462,9 +464,8 @@ def test_profile_window_keeps_a_pair_at_the_rounding_edge():
     a, b, t = 1.0592123670732445, 0.42605242103668667, 0.6331599460365578
     assert abs(a - b) <= t and b < a - t
     dist = np.array([[0.0, a], [b, 0.0]])
-    got = profile_candidates(dist, t)
-    assert [c.tolist() for c in got] == [[0, 1], [0, 1]]
-    assert [c.tolist() for c in candidate_oracle(dist, t)] == [[0, 1], [0, 1]]
+    for src, dst, _ in (_profile_pairs(dist, t), candidate_oracle(dist, t)):
+        assert (src.tolist(), dst.tolist()) == ([0, 0, 1, 1], [0, 1, 0, 1])
 
 
 @pytest.mark.parametrize("pitches", [0, 2])
@@ -971,13 +972,15 @@ def test_condition_a_is_vacuous_without_symmetry():
 
 def test_condition_a_is_not_vacuous_when_the_group_is_not_listed():
     # the chain certifies 2^30 maps and lists none: the scan sees no
-    # nontrivial map, yet the supremum is not vacuous
+    # nontrivial map, yet the supremum is not vacuous, and a gap of the
+    # whole ball's mass does not make the condition hold (it used to)
     sp = hawaiian_truncation(30, 8)
     maps = enumerate_isometries(sp)
     assert maps.order == 2 ** 30 and maps.maps == ()
     rep = condition_a_scan(sp, x=0, s=10.0, fix_tol=1e-9, maps=maps)
     assert not rep.vacuous and not rep.complete
     assert rep.nontrivial == 0
+    assert rep.gap == rep.ball_mass > 0 and not rep.holds
 
 
 def test_large_fix_implication_is_exercised_on_the_small_circle():
@@ -1032,6 +1035,16 @@ def test_critical_scale_requires_a_true_bracket():
         critical_scale(sp, group, x=0, lo=1e-6, hi=63.0)
     with pytest.raises(ValueError):
         critical_scale(sp, group, x=0, lo=0.8, hi=40.0)
+
+
+def test_critical_scale_rejects_an_empty_group():
+    # earring(30, 8)'s 2^30 maps are counted, not listed; the bisection
+    # used to report that the bracket held no crossing
+    sp = hawaiian_truncation(30, 8)
+    group = enumerate_isometries(sp).perms()
+    assert group.shape == (0,)
+    with pytest.raises(ValueError, match="group must hold"):
+        critical_scale(sp, group, x=0, lo=0.8, hi=63.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
