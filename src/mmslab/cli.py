@@ -25,8 +25,8 @@ import scipy        # only its version string: scipy's submodules load on use
 from mmslab import __version__
 from mmslab.contraction import (chebyshev_times, mcp_check, necklace_schedule,
                                 scalar_bound, schedule_density_check)
-from mmslab.core import (DIST_MODES, cell_id, load_space, save_space,
-                         validate_space)
+from mmslab.core import (DIST_MODES, cell_id, load_space, require_seed,
+                         save_space, validate_space)
 from mmslab.generators import GENERATORS, generate
 from mmslab.regularity import (epsilon_regular_scan, gh_exact, gh_lower_bound,
                                regular_set_measure)
@@ -317,6 +317,7 @@ def _random_small_motion(k, seed, scale):
         raise ValueError(f"k must be between 1 and {MAX_MOTION_DIM}, got {k}")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
+    require_seed(seed)
     from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k))

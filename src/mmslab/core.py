@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class FiniteMMS:
     (``-0.0 == 0.0``) with a zero diagonal, checked in row blocks with no
     n^2 temporary; anything else raises ``ValueError`` here, naming the
     first offending entry, so no later stage has to allow for it.
+    ``scale`` and ``ball``, whose matrices come from a checked one, skip
+    only the symmetry and diagonal pass.
     """
 
     dist: np.ndarray
@@ -82,15 +84,9 @@ class FiniteMMS:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dist = _as_float_array(self.dist, "dist", 2)
-        weight = _as_float_array(self.weight, "weight", 1)
-        if dist.shape[0] != dist.shape[1]:
-            raise ValueError("dist must be square")
-        if dist.shape[0] == 0:
-            raise ValueError("a space needs at least one cell")
-        if weight.shape[0] != dist.shape[0]:
-            raise ValueError("weight length must match dist")
-        n = dist.shape[0]
+        self._settle()
+        n = self.n
+        dist = self.dist
         step = max(1, TRIANGLE_BLOCK // n)
         for s in range(0, n, step):
             upper, lower = dist[s:s + step, s:], dist[s:, s:s + step].T
@@ -102,6 +98,18 @@ class FiniteMMS:
             i = np.flatnonzero(dist.diagonal())[0]
             raise ValueError(f"dist must have a zero diagonal: "
                              f"dist[{i}, {i}] = {dist[i, i]}")
+
+    def _settle(self):
+        """Every check of construction but the symmetry and diagonal
+        pass; stores the arrays as finite, read-only float arrays."""
+        dist = _as_float_array(self.dist, "dist", 2)
+        weight = _as_float_array(self.weight, "weight", 1)
+        if dist.shape[0] != dist.shape[1]:
+            raise ValueError("dist must be square")
+        if dist.shape[0] == 0:
+            raise ValueError("a space needs at least one cell")
+        if weight.shape[0] != dist.shape[0]:
+            raise ValueError("weight length must match dist")
         if np.any(weight <= 0):
             raise ValueError("weights must be strictly positive")
         coords = self.coords
@@ -172,11 +180,17 @@ def validate_space(space: FiniteMMS, seed: int = 0) -> ValidationReport:
     """Report the triangle inequality's defects; never raises on violations.
 
     The defect of a triple (i, j, k) is d(i,j) - d(i,k) - d(k,j).  Up to
-    ``FULL_TRIANGLE_LIMIT`` points every triple is checked.  Above it,
-    ``_graph_witness`` bounds the defect of every triple in O(n^2 deg)
-    work; the report then has ``certificate`` "graph", no violations,
-    the worst defect among the triples the witness evaluated, and
-    n |E(H)| of them as ``triples_checked``.
+    ``FULL_TRIANGLE_LIMIT`` points every triple is checked, by the
+    min-plus product min_k (d(i,k) + d(k,j)) with those very sums.  As d
+    is exactly symmetric and a rounded sum commutes, the product is
+    symmetric: only its upper triangle is computed, row i as one
+    reduction over k of an n x (n - i) block of sums, and then mirrored.
+    That needs about 2 n^2 floats beyond the matrix (the product, then
+    the defect, and one block).  Above the limit, ``_graph_witness``
+    bounds the defect of every triple in O(n^2 deg) work; the report
+    then has ``certificate`` "graph", no violations, the worst defect
+    among the triples the witness evaluated, and n |E(H)| of them as
+    ``triples_checked``.
 
     Where the witness fails, a seeded random sample of
     ``min(MAX_SAMPLED_TRIPLES, 4 n^2)`` triples is checked.  It is drawn and
@@ -185,8 +199,10 @@ def validate_space(space: FiniteMMS, seed: int = 0) -> ValidationReport:
     report is the same as if the whole sample were drawn at once.  Up to
     32 violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
     threshold of ``ok``), are listed in draw order.  ``seed`` drives only
-    the sample.
+    the sample, but one that is no nonnegative integer (a bool, say)
+    raises ``ValueError`` whichever check runs.
     """
+    require_seed(seed)
     d = space.dist
     n = space.n
     worst = 0.0
@@ -200,11 +216,14 @@ def validate_space(space: FiniteMMS, seed: int = 0) -> ValidationReport:
     elif exhaustive:
         certificate = "exhaustive"
         if n >= 3:
-            # defect[i, j] = d(i,j) - min_k (d(i,k) + d(k,j)), k loop chunked
-            best = np.full((n, n), np.inf)
-            for k in range(n):
-                np.minimum(best, d[:, k][:, None] + d[k, :][None, :], out=best)
-                checked += n * n
+            # defect[i, j] = d(i,j) - min_k (d(i,k) + d(k,j)), a symmetric
+            # product: the upper part of row i, then its mirror
+            best = np.empty((n, n))
+            for i in range(n):
+                row = best[i, i:]
+                np.minimum.reduce(d[i, :, None] + d[:, i:], axis=0, out=row)
+                best[i:, i] = row
+            checked = n ** 3
             defect = d - best
             worst = float(defect.max())
             if worst > TRIANGLE_TOL:
@@ -244,7 +263,7 @@ def _graph_witness(space: FiniteMMS):
     H is the directed graph of the edges (k -> j) with
     0 < D(k,j) <= ``WITNESS_PITCHES`` pitches, weighted by D(k,j).  With
     m_ij = min over the edges (k -> j) of D(i,k) + D(k,j), the witness
-    computes, in row blocks of i,
+    computes, in blocks of cells j,
 
         d+ = max(0, max_ij D(i,j) - m_ij)    (defects of the triples it sees)
         d- = max(0, max_{j != i} m_ij - D(i,j))    (slack of the best
@@ -269,13 +288,19 @@ def _graph_witness(space: FiniteMMS):
     on nonnegative terms, are covered by scaling it by 1 + 4 eps.
 
     Returns (d+, n |E(H)|, bound) when the bound is at most
-    ``TRIANGLE_TOL``, else None.  It stops at the first row block that
+    ``TRIANGLE_TOL``, else None.  It stops at the first block that
     already breaks the bound, so a failed attempt costs one block, and
     returns None at once when the space has no usable pitch or a cell
     with no in-edge.  H comes from ``_near_graph``: as D is symmetric,
-    row j of it lists the edges into j.  The paths are gathered about
-    ``TRIANGLE_BLOCK`` at a time, so it needs memory for the edge list
-    and a constant beyond the matrix.
+    row j of it lists the edges into j, and column j of m is the minimum
+    over those edges (k -> j) of the whole rows D(k, .) + D(j, k), the
+    same sums as D(i,k) + D(k,j).  The cells j are taken by in-degree g,
+    about ``TRIANGLE_BLOCK`` // (g n) of them at a time; a block gathers
+    the g rows of each of its cells and reduces them at once.  As d+ and
+    d- are running maxima, the order of the blocks changes neither them
+    nor whether the bound breaks.  A block holds about ``TRIANGLE_BLOCK``
+    paths (g n, if more, for one cell), so the witness needs memory for
+    the edge list and one block beyond the matrix.
     """
     d = space.dist
     n = space.n
@@ -283,24 +308,29 @@ def _graph_witness(space: FiniteMMS):
     if not radius > 0:
         return None
     indptr, tails, weights = _near_graph(space, radius)
-    if not np.diff(indptr).all():
+    degree = np.diff(indptr)
+    if not degree.all():
         return None
     eps = np.finfo(float).eps
     rho = 3 * eps * max(float(d.max()), -float(d.min()))
     w_min = float(weights.min())
     plus = minus = bound = 0.0
-    rows = max(1, TRIANGLE_BLOCK // len(tails))
-    for s in range(0, n, rows):
-        block = d[s:s + rows]
-        paths = block.take(tails, axis=1)
-        paths += weights
-        defect = block - np.minimum.reduceat(paths, indptr[:-1], axis=1)
-        plus = max(plus, float(defect.max()))
-        defect[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
-        minus = max(minus, -float(defect.min()))
-        bound = (n - 1) * (plus + 2 * minus + 3 * rho) * (1 + 4 * eps)
-        if bound > TRIANGLE_TOL or not w_min > minus + rho:
-            return None
+    # row b of defect is column j = block[b] of D - m
+    for g in np.unique(degree):
+        cells = np.flatnonzero(degree == g)
+        step = max(1, TRIANGLE_BLOCK // (g * n))
+        for s in range(0, len(cells), step):
+            block = cells[s:s + step]
+            edges = (indptr[block][:, None] + np.arange(g)).ravel()
+            paths = d.take(tails[edges], axis=0).reshape(len(block), g, n)
+            paths += weights[edges].reshape(len(block), g, 1)
+            defect = d[block] - np.minimum.reduce(paths, axis=1)
+            plus = max(plus, float(defect.max()))
+            defect[np.arange(len(block)), block] = np.inf
+            minus = max(minus, -float(defect.min()))
+            bound = (n - 1) * (plus + 2 * minus + 3 * rho) * (1 + 4 * eps)
+            if bound > TRIANGLE_TOL or not w_min > minus + rho:
+                return None
     return plus, n * len(tails), bound
 
 
@@ -333,7 +363,19 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     meta["scaled_by"] = float(meta.get("scaled_by", 1.0) * factor)
     if "pitch" in meta:
         meta["pitch"] = float(meta["pitch"]) / factor
-    return replace(space, dist=space.dist / factor, meta=meta)
+    return _derived(space.dist / factor, space.weight, space.coords, meta)
+
+
+def _derived(dist, weight, coords, meta) -> FiniteMMS:
+    """The space on ``dist``, a quotient or a principal submatrix of a
+    checked space's matrix, so exactly symmetric with a zero diagonal
+    already: built with every check of construction but that pass."""
+    space = object.__new__(FiniteMMS)
+    for name, value in (("dist", dist), ("weight", weight),
+                        ("coords", coords), ("meta", meta)):
+        object.__setattr__(space, name, value)
+    space._settle()
+    return space
 
 
 def cell_id(space: FiniteMMS, i) -> int:
@@ -365,6 +407,14 @@ def require_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
+def require_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is a nonnegative
+    integer (a bool is not one), before any work that it would seed."""
+    if (isinstance(seed, (bool, np.bool_))
+            or not isinstance(seed, numbers.Integral) or seed < 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def ball_indices(space: FiniteMMS, center: int, radius: float) -> np.ndarray:
     """The cells of the closed ball of ``radius`` around ``center``."""
     return np.flatnonzero(space.dist[cell_id(space, center)] <= radius)
@@ -384,12 +434,8 @@ def ball(space: FiniteMMS, center: int, radius: float) -> FiniteMMS:
     meta.pop("params", None)
     meta["subset"] = [int(i) for i in idx]
     meta["ball"] = {"center": int(center), "radius": float(radius)}
-    return FiniteMMS(
-        dist=space.dist[np.ix_(idx, idx)].copy(),
-        weight=space.weight[idx].copy(),
-        coords=None if space.coords is None else space.coords[idx].copy(),
-        meta=meta,
-    )
+    return _derived(space.dist[np.ix_(idx, idx)], space.weight[idx],
+                    None if space.coords is None else space.coords[idx], meta)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
-                         cell_id, trivial_geodesic)
+                         cell_id, require_seed, trivial_geodesic)
 from mmslab.symmetry import DEFAULT_ISO_TOL, invert, isometry_from_perm
 
 # scipy loads inside the functions that use it, so that a process which
@@ -340,9 +340,10 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
 
     ``deviation`` is the largest entrywise difference from the base
     coupling among the optimal couplings the draws found (0 for a
-    forest).  ``tol`` must be a nonnegative number and ``draws`` between
-    1 and ``MAX_PROBE_DRAWS``.
+    forest).  ``tol`` must be a nonnegative number, ``seed`` a
+    nonnegative integer and ``draws`` between 1 and ``MAX_PROBE_DRAWS``.
     """
+    require_seed(seed)
     if not tol >= 0.0:
         raise ValueError(f"tol must be a nonnegative number, not {tol}")
     if not 1 <= draws <= MAX_PROBE_DRAWS:

@@ -18,6 +18,7 @@ import pytest
 from mmslab import (
     FiniteMMS,
     ball,
+    circle_space,
     condition_a_scan,
     displacement,
     enumerate_isometries,
@@ -121,6 +122,28 @@ def test_space_validate_strict_flags_only_a_sampled_ok(tmp_path, capsys, make,
     assert doc["results"]["certificate"] == certificate
     bound = doc["results"]["triangle_defect_bound"]
     assert bound == "inf" if certificate == "sample" else bound <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "validate", "circle"],
+    ["space", "validate", "ball-grid"],
+    ["ot", "probe", "circle"],
+    ["ot", "probe", "ball-grid"],
+    ["iso", "escape", "--random"]])
+def test_a_negative_seed_fails_up_front_and_names_it(tmp_path, capsys, argv):
+    # validate and probe exited 0 where the seed goes unused, and failed
+    # on a sampled space or a random motion with an anonymous numpy error
+    if argv[0] != "iso":
+        space = (circle_space(1.0, 12) if argv[2] == "circle"
+                 else euclidean_ball_grid(2, 1.0, 0.1))
+        path = tmp_path / "space.json"
+        save_space(space, str(path))
+        argv = [*argv[:2], "--space", path]
+        if argv[0] == "ot":
+            argv += ["--mu0", '{"point": 0}', "--mu1", '{"uniform": [1, 2]}']
+    error = run_error(capsys, *argv, "--seed", "-1")
+    assert error == {"type": "ValueError",
+                     "message": "seed must be a nonnegative integer, got -1"}
 
 
 def test_space_validate_has_no_tol_option(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Core data structures: spaces, validation, balls, geodesics, round trips."""
 
+import functools
 import itertools
 import json
 import math
@@ -296,13 +297,73 @@ def test_sampled_validation_memory_stays_near_the_matrix():
     assert peak < 0.5 * space.dist.nbytes, peak
 
 
-def exhaustive_worst_defect(d):
-    """Worst triangle defect over all n^3 triples, by the min-plus check
-    ``validate_space`` runs up to 300 cells, with the same sums."""
-    best = np.full(d.shape, np.inf)
-    for k in range(d.shape[0]):
-        np.minimum(best, d[:, k][:, None] + d[k, :][None, :], out=best)
-    return float((d - best).max())
+def exhaustive_validation_oracle(space):
+    """The report of the min-plus check ``validate_space`` runs up to 300
+    cells, as it ran it: one full n x n update per k, with the same sums
+    d(i,k) + d(k,j)."""
+    d = space.dist
+    n = space.n
+    worst, violations, checked = 0.0, [], 0
+    if n >= 3:
+        best = np.full((n, n), np.inf)
+        for k in range(n):
+            np.minimum(best, d[:, k][:, None] + d[k, :][None, :], out=best)
+            checked += n * n
+        defect = d - best
+        worst = float(defect.max())
+        if worst > TRIANGLE_TOL:
+            for i, j in np.argwhere(defect > TRIANGLE_TOL)[:32]:
+                k = int(np.argmin(d[i, :] + d[:, j]))
+                violations.append((int(i), int(j), k, float(defect[i, j])))
+    return ValidationReport(
+        n=n, triangle_violations=tuple(violations),
+        worst_triangle_defect=max(worst, 0.0), triples_checked=checked,
+        certificate="exhaustive", triangle_defect_bound=max(worst, 0.0))
+
+
+def graph_witness_oracle(space):
+    """``_graph_witness`` as it ran in row blocks of i: every path
+    D(i,k) + D(j,k) of the block gathered along the edge list, and m_ij
+    one ``np.minimum.reduceat`` over the edges into j."""
+    d = space.dist
+    n = space.n
+    radius = core.WITNESS_PITCHES * space.pitch()
+    if not radius > 0:
+        return None
+    indptr, tails, weights = core._near_graph(space, radius)
+    if not np.diff(indptr).all():
+        return None
+    eps = np.finfo(float).eps
+    rho = 3 * eps * max(float(d.max()), -float(d.min()))
+    w_min = float(weights.min())
+    plus = minus = bound = 0.0
+    rows = max(1, TRIANGLE_BLOCK // len(tails))
+    for s in range(0, n, rows):
+        block = d[s:s + rows]
+        paths = block.take(tails, axis=1)
+        paths += weights
+        defect = block - np.minimum.reduceat(paths, indptr[:-1], axis=1)
+        plus = max(plus, float(defect.max()))
+        defect[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
+        minus = max(minus, -float(defect.min()))
+        bound = (n - 1) * (plus + 2 * minus + 3 * rho) * (1 + 4 * eps)
+        if bound > TRIANGLE_TOL or not w_min > minus + rho:
+            return None
+    return plus, n * len(tails), bound
+
+
+def validation_oracle(space, seed=0):
+    """The whole ``validate_space`` report from the three oracles."""
+    if space.n <= core.FULL_TRIANGLE_LIMIT:
+        return exhaustive_validation_oracle(space)
+    witness = graph_witness_oracle(space)
+    if witness is None:
+        return sampled_validation_oracle(space, seed=seed)
+    worst, checked, bound = witness
+    return ValidationReport(
+        n=space.n, triangle_violations=(), worst_triangle_defect=max(worst, 0.0),
+        triples_checked=checked, certificate="graph",
+        triangle_defect_bound=bound)
 
 
 GRAPH_SPACES = {
@@ -323,28 +384,139 @@ def test_graph_bound_covers_the_exhaustive_worst_defect(kind):
     rep = validate_space(space)
     assert rep.certificate == "graph" and rep.ok
     assert rep.triangle_violations == ()
-    worst = exhaustive_worst_defect(space.dist)
+    worst = exhaustive_validation_oracle(space).worst_triangle_defect
     # the witness sees some triples, and its bound covers them all
-    assert rep.worst_triangle_defect <= max(worst, 0.0)
+    assert rep.worst_triangle_defect <= worst
     assert worst <= rep.triangle_defect_bound <= TRIANGLE_TOL
     assert rep.triples_checked % space.n == 0
 
 
-@pytest.mark.parametrize("change", [1e-8, -1e-8])
-@pytest.mark.parametrize("pair", [(3, 5), (3, 40), (10, 300), (200, 420)])
-def test_a_planted_defect_fails_the_witness(pair, change):
-    # raising the distance of two neighbouring cells would leave a metric,
-    # so every pair here has a cell between its ends
+PLANTED_PAIRS = [(3, 5), (3, 40), (10, 300), (200, 420)]
+
+
+def planted_necklace(pair, change):
+    """The 423-cell graph necklace with ``change`` added to one distance;
+    raising the distance of two neighbouring cells would leave a metric,
+    so every pair in ``PLANTED_PAIRS`` has a cell between its ends."""
     space = GRAPH_SPACES["necklace"]()
-    assert validate_space(space).certificate == "graph"
     dist = space.dist.copy()
     a, b = pair
     dist[a, b] = dist[b, a] = dist[a, b] + change
-    planted = replace(space, dist=dist)
-    assert exhaustive_worst_defect(planted.dist) > TRIANGLE_TOL
+    return replace(space, dist=dist)
+
+
+@pytest.mark.parametrize("change", [1e-8, -1e-8])
+@pytest.mark.parametrize("pair", PLANTED_PAIRS)
+def test_a_planted_defect_fails_the_witness(pair, change):
+    assert validate_space(GRAPH_SPACES["necklace"]()).certificate == "graph"
+    planted = planted_necklace(pair, change)
+    assert exhaustive_validation_oracle(planted).worst_triangle_defect > TRIANGLE_TOL
     rep = validate_space(planted)
     assert rep.certificate == "sample" and rep.triangle_defect_bound == math.inf
     assert rep == sampled_validation_oracle(planted)
+
+
+def tied_space(n, seed):
+    """Symmetric with entries in {1, 2} off its zero diagonal: a metric
+    in which almost every min-plus minimum is tied."""
+    dist = np.triu(np.random.default_rng(seed).integers(1, 3, (n, n)), 1)
+    return FiniteMMS(dist=(dist + dist.T).astype(float), weight=np.ones(n))
+
+
+def signed_zero_space():
+    """Zeros of both signs, on the diagonal and off it, that compare
+    equal across it."""
+    return FiniteMMS(
+        dist=np.array([[-0.0, 1.0, 0.0], [1.0, 0.0, -0.0], [-0.0, 0.0, -0.0]]),
+        weight=np.ones(3))
+
+
+ORACLE_SPACES = {
+    **GRAPH_SPACES,
+    **{f"planted-{a}-{b}-{change:+.0e}": functools.partial(
+        planted_necklace, (a, b), change)
+       for a, b in PLANTED_PAIRS for change in (1e-8, -1e-8)},
+    "ball-grid": lambda: euclidean_ball_grid(2, 1.0, 0.1),
+    **{f"random-{n}": functools.partial(random_symmetric_space, n, n)
+       for n in (3, 4, 7, 31, 150, 299, 300)},
+    **{f"tied-{n}": functools.partial(tied_space, n, n)
+       for n in (3, 4, 7, 31, 150, 299, 300)},
+    "signed-zeros": signed_zero_space,
+    "one-cell": lambda: FiniteMMS(dist=np.zeros((1, 1)), weight=np.ones(1)),
+    "two-cell": two_point,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
+def test_validation_matches_the_old_loops_to_the_bit(kind):
+    """The upper-triangle min-plus pass and the degree-bucketed witness do
+    the same sums as the loops they replaced: the reports, and the
+    witness's own result, are equal, down to the sign of a zero."""
+    space = ORACLE_SPACES[kind]()
+    rep, old = validate_space(space), validation_oracle(space)
+    assert rep == old and repr(rep) == repr(old)
+    witness, old_witness = core._graph_witness(space), graph_witness_oracle(space)
+    assert witness == old_witness and repr(witness) == repr(old_witness)
+
+
+def test_the_oracle_spaces_reach_every_path():
+    reports = {kind: validation_oracle(make())
+               for kind, make in ORACLE_SPACES.items()}
+    assert {rep.certificate for rep in reports.values()} == {
+        "exhaustive", "graph", "sample"}
+    assert reports["ball-grid"].n == 317
+    assert reports["ball-grid"].certificate == "sample"
+    assert not reports["random-300"].ok and reports["tied-300"].ok
+    # the earring's witness graph spans the widest range of in-degrees
+    earring = GRAPH_SPACES["earring"]()
+    indptr, _, _ = core._near_graph(
+        earring, core.WITNESS_PITCHES * earring.pitch())
+    degree = np.diff(indptr)
+    assert (degree.min(), degree.max()) == (2, 244)
+
+
+def test_witness_memory_stays_a_fraction_of_the_matrix():
+    """A block gathers about TRIANGLE_BLOCK paths, not one n-long row per
+    edge of every cell in it."""
+    space = necklace(NecklaceParams(beads=((0.5, 0.3),),
+                                    resolution=math.pi / 2 / 675))
+    assert space.n >= 900
+    tracemalloc.start()
+    try:
+        rep = validate_space(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.certificate == "graph"
+    assert peak < 0.15 * space.dist.nbytes, peak
+
+
+def test_exhaustive_memory_stays_near_twice_the_matrix():
+    space = necklace(NecklaceParams(beads=((0.5, 0.3), (0.9, 0.3)),
+                                    resolution=math.pi / 2 / 225))
+    assert space.n == 282
+    tracemalloc.start()
+    try:
+        rep = validate_space(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.certificate == "exhaustive"
+    assert peak < 2.21 * space.dist.nbytes, peak
+
+
+@pytest.mark.parametrize("seed", [-1, True, np.bool_(False), 1.5, "0", None])
+def test_a_seed_that_is_no_nonnegative_integer_is_rejected(seed):
+    # validate_space once took -1 on any space it checked exhaustively or
+    # by the witness, where the seed goes unused
+    for space in (circle_space(1.0, 12), GRAPH_SPACES["circle"]()):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative"):
+            validate_space(space, seed=seed)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    space = euclidean_ball_grid(2, 1.0, 0.1)
+    assert validate_space(space, seed=np.int64(3)) == validate_space(space, seed=3)
 
 
 def pitch_oracle(space):
@@ -512,6 +684,35 @@ def test_segment_ball_mass_matches_quadrature():
     lo, hi = c - r, c + r
     exact = (hi - lo) / 2 + (math.sin(2 * hi) - math.sin(2 * lo)) / 4
     assert sub.total_mass == pytest.approx(exact, abs=3 * h)
+
+
+DERIVED_SOURCES = {
+    "circle": lambda: circle_space(1.0, 40),
+    "ball-grid": lambda: euclidean_ball_grid(2, 1.0, 0.2),
+    "signed-zeros": signed_zero_space,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED_SOURCES))
+def test_scale_and_ball_equal_the_checked_construction(kind):
+    """``scale`` and ``ball`` skip the symmetry pass of a matrix derived
+    from a checked one, and give the very space the checked construction
+    gives."""
+    space = DERIVED_SOURCES[kind]()
+    idx = ball_indices(space, 1, 0.9)
+    for derived, dist, weight, coords in (
+            (scale(space, 3.0), space.dist / 3.0, space.weight, space.coords),
+            (ball(space, 1, 0.9), space.dist[np.ix_(idx, idx)],
+             space.weight[idx],
+             None if space.coords is None else space.coords[idx])):
+        checked = FiniteMMS(dist=dist, weight=weight, coords=coords,
+                            meta=derived.meta)
+        assert type(derived) is FiniteMMS
+        for name in ("dist", "weight", "coords"):
+            a, b = getattr(derived, name), getattr(checked, name)
+            assert same_bits(a, b), name
+            assert a is None or not a.flags.writeable
+        assert derived.meta == checked.meta
 
 
 def test_scale_and_ball_commute():
