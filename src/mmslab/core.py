@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,8 +74,6 @@ class FiniteMMS:
     (``-0.0 == 0.0``) with a zero diagonal, checked in row blocks with no
     n^2 temporary; anything else raises ``ValueError`` here, naming the
     first offending entry, so no later stage has to allow for it.
-    ``scale`` and ``ball``, whose matrices come from a checked one, skip
-    only the symmetry and diagonal pass.
     """
 
     dist: np.ndarray
@@ -84,9 +82,15 @@ class FiniteMMS:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._settle()
-        n = self.n
-        dist = self.dist
+        dist = _as_float_array(self.dist, "dist", 2)
+        weight = _as_float_array(self.weight, "weight", 1)
+        if dist.shape[0] != dist.shape[1]:
+            raise ValueError("dist must be square")
+        if dist.shape[0] == 0:
+            raise ValueError("a space needs at least one cell")
+        if weight.shape[0] != dist.shape[0]:
+            raise ValueError("weight length must match dist")
+        n = dist.shape[0]
         step = max(1, TRIANGLE_BLOCK // n)
         for s in range(0, n, step):
             upper, lower = dist[s:s + step, s:], dist[s:, s:s + step].T
@@ -98,18 +102,6 @@ class FiniteMMS:
             i = np.flatnonzero(dist.diagonal())[0]
             raise ValueError(f"dist must have a zero diagonal: "
                              f"dist[{i}, {i}] = {dist[i, i]}")
-
-    def _settle(self):
-        """Every check of construction but the symmetry and diagonal
-        pass; stores the arrays as finite, read-only float arrays."""
-        dist = _as_float_array(self.dist, "dist", 2)
-        weight = _as_float_array(self.weight, "weight", 1)
-        if dist.shape[0] != dist.shape[1]:
-            raise ValueError("dist must be square")
-        if dist.shape[0] == 0:
-            raise ValueError("a space needs at least one cell")
-        if weight.shape[0] != dist.shape[0]:
-            raise ValueError("weight length must match dist")
         if np.any(weight <= 0):
             raise ValueError("weights must be strictly positive")
         coords = self.coords
@@ -199,8 +191,8 @@ def validate_space(space: FiniteMMS, seed: int = 0) -> ValidationReport:
     report is the same as if the whole sample were drawn at once.  Up to
     32 violations, the triples whose defect exceeds ``TRIANGLE_TOL`` (the
     threshold of ``ok``), are listed in draw order.  ``seed`` drives only
-    the sample, but one that is no nonnegative integer (a bool, say)
-    raises ``ValueError`` whichever check runs.
+    the sample, but a bool or negative one raises ``ValueError``
+    whichever check runs.
     """
     require_seed(seed)
     d = space.dist
@@ -363,19 +355,7 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     meta["scaled_by"] = float(meta.get("scaled_by", 1.0) * factor)
     if "pitch" in meta:
         meta["pitch"] = float(meta["pitch"]) / factor
-    return _derived(space.dist / factor, space.weight, space.coords, meta)
-
-
-def _derived(dist, weight, coords, meta) -> FiniteMMS:
-    """The space on ``dist``, a quotient or a principal submatrix of a
-    checked space's matrix, so exactly symmetric with a zero diagonal
-    already: built with every check of construction but that pass."""
-    space = object.__new__(FiniteMMS)
-    for name, value in (("dist", dist), ("weight", weight),
-                        ("coords", coords), ("meta", meta)):
-        object.__setattr__(space, name, value)
-    space._settle()
-    return space
+    return replace(space, dist=space.dist / factor, meta=meta)
 
 
 def cell_id(space: FiniteMMS, i) -> int:
@@ -408,10 +388,11 @@ def require_nonnegative(name: str, value) -> None:
 
 
 def require_seed(seed) -> None:
-    """Raise ``ValueError`` naming ``seed`` unless it is a nonnegative
-    integer (a bool is not one), before any work that it would seed."""
+    """Raise ``ValueError`` naming ``seed`` if it is a bool or a negative
+    integer, before any work that it would seed.  Anything else goes to
+    ``np.random.default_rng`` as it is (a SeedSequence, say)."""
     if (isinstance(seed, (bool, np.bool_))
-            or not isinstance(seed, numbers.Integral) or seed < 0):
+            or isinstance(seed, numbers.Integral) and seed < 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -434,8 +415,12 @@ def ball(space: FiniteMMS, center: int, radius: float) -> FiniteMMS:
     meta.pop("params", None)
     meta["subset"] = [int(i) for i in idx]
     meta["ball"] = {"center": int(center), "radius": float(radius)}
-    return _derived(space.dist[np.ix_(idx, idx)], space.weight[idx],
-                    None if space.coords is None else space.coords[idx], meta)
+    return FiniteMMS(
+        dist=space.dist[np.ix_(idx, idx)].copy(),
+        weight=space.weight[idx].copy(),
+        coords=None if space.coords is None else space.coords[idx].copy(),
+        meta=meta,
+    )
 
 
 @dataclass(frozen=True)

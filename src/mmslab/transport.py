@@ -340,8 +340,8 @@ def uniqueness_probe(space: FiniteMMS, mu0, mu1, tol: float = 1e-8,
 
     ``deviation`` is the largest entrywise difference from the base
     coupling among the optimal couplings the draws found (0 for a
-    forest).  ``tol`` must be a nonnegative number, ``seed`` a
-    nonnegative integer and ``draws`` between 1 and ``MAX_PROBE_DRAWS``.
+    forest).  ``tol`` must be a nonnegative number, ``seed`` no bool
+    nor negative integer and ``draws`` between 1 and ``MAX_PROBE_DRAWS``.
     """
     require_seed(seed)
     if not tol >= 0.0:

@@ -505,8 +505,8 @@ def test_exhaustive_memory_stays_near_twice_the_matrix():
     assert peak < 2.21 * space.dist.nbytes, peak
 
 
-@pytest.mark.parametrize("seed", [-1, True, np.bool_(False), 1.5, "0", None])
-def test_a_seed_that_is_no_nonnegative_integer_is_rejected(seed):
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), True, np.bool_(False)])
+def test_a_bool_or_negative_seed_is_rejected(seed):
     # validate_space once took -1 on any space it checked exhaustively or
     # by the witness, where the seed goes unused
     for space in (circle_space(1.0, 12), GRAPH_SPACES["circle"]()):
@@ -514,9 +514,11 @@ def test_a_seed_that_is_no_nonnegative_integer_is_rejected(seed):
             validate_space(space, seed=seed)
 
 
-def test_numpy_integer_seeds_are_accepted():
+def test_numpy_seeds_are_accepted():
     space = euclidean_ball_grid(2, 1.0, 0.1)
     assert validate_space(space, seed=np.int64(3)) == validate_space(space, seed=3)
+    sequence = np.random.SeedSequence(3)
+    assert validate_space(space, seed=sequence) == validate_space(space, seed=3)
 
 
 def pitch_oracle(space):
@@ -684,35 +686,6 @@ def test_segment_ball_mass_matches_quadrature():
     lo, hi = c - r, c + r
     exact = (hi - lo) / 2 + (math.sin(2 * hi) - math.sin(2 * lo)) / 4
     assert sub.total_mass == pytest.approx(exact, abs=3 * h)
-
-
-DERIVED_SOURCES = {
-    "circle": lambda: circle_space(1.0, 40),
-    "ball-grid": lambda: euclidean_ball_grid(2, 1.0, 0.2),
-    "signed-zeros": signed_zero_space,
-}
-
-
-@pytest.mark.parametrize("kind", sorted(DERIVED_SOURCES))
-def test_scale_and_ball_equal_the_checked_construction(kind):
-    """``scale`` and ``ball`` skip the symmetry pass of a matrix derived
-    from a checked one, and give the very space the checked construction
-    gives."""
-    space = DERIVED_SOURCES[kind]()
-    idx = ball_indices(space, 1, 0.9)
-    for derived, dist, weight, coords in (
-            (scale(space, 3.0), space.dist / 3.0, space.weight, space.coords),
-            (ball(space, 1, 0.9), space.dist[np.ix_(idx, idx)],
-             space.weight[idx],
-             None if space.coords is None else space.coords[idx])):
-        checked = FiniteMMS(dist=dist, weight=weight, coords=coords,
-                            meta=derived.meta)
-        assert type(derived) is FiniteMMS
-        for name in ("dist", "weight", "coords"):
-            a, b = getattr(derived, name), getattr(checked, name)
-            assert same_bits(a, b), name
-            assert a is None or not a.flags.writeable
-        assert derived.meta == checked.meta
 
 
 def test_scale_and_ball_commute():
