@@ -77,15 +77,21 @@ def _measure(space, doc):
     """Mass vector from a measure document.
 
     The canonical form is {"atoms": [{"point": i, "mass": m}, ...]};
-    {"point": i} and {"uniform": [ids]} are accepted shorthands.
+    {"point": i} and {"uniform": [ids]} are accepted shorthands; a
+    document of another shape raises ``ValueError`` naming these forms.
     """
-    if isinstance(doc, dict) and "atoms" in doc:
-        pairs = [(a["point"], a["mass"]) for a in doc["atoms"]]
-        return as_measure(space, pairs)
-    if isinstance(doc, dict) and "point" in doc:
-        return delta(space, doc["point"])
-    if isinstance(doc, dict) and "uniform" in doc:
-        return uniform_on(space, doc["uniform"])
+    if isinstance(doc, dict):
+        if "atoms" in doc:
+            atoms = doc["atoms"]
+            if isinstance(atoms, list) and all(
+                    isinstance(a, dict) and {"point", "mass"} <= a.keys()
+                    for a in atoms):
+                return as_measure(space,
+                                  [(a["point"], a["mass"]) for a in atoms])
+        elif "point" in doc:
+            return delta(space, doc["point"])
+        elif isinstance(doc.get("uniform"), list):
+            return uniform_on(space, doc["uniform"])
     raise ValueError('measure must be {"atoms": [...]}, {"point": i},'
                      ' or {"uniform": [ids]}')
 
@@ -321,8 +327,11 @@ def _random_small_motion(k, seed, scale):
     from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((k, k))
-    q = expm(scale * (a - a.T))
-    v = scale * rng.standard_normal(k)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked right below
+        q = expm(scale * (a - a.T))
+        v = scale * rng.standard_normal(k)
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        raise ValueError(f"scale must keep the drawn motion finite, got {scale}")
     return EuclideanIsometry(q=q, v=v)
 
 

@@ -423,12 +423,17 @@ def scalar_bound(t_max: float = 0.2, d_max: float = HALF_PI + 0.25,
     """Grid check of 5/4 - t/4 <= t sin^2(d)/sin^2(t d) on
     (0, t_max] x (0, d_max].
 
-    ``t_max`` and ``d_max`` must be finite and positive, ``cushion``
-    finite and nonnegative, and ``samples`` in [2, ``MAX_SCALAR_SAMPLES``];
-    anything else raises ``ValueError`` before the grid is built.
+    ``t_max`` and ``d_max`` must be finite and positive with
+    t_max * d_max < pi, the lemma's domain (past it sin(t d) reaches 0),
+    ``cushion`` finite and nonnegative, and ``samples`` in
+    [2, ``MAX_SCALAR_SAMPLES``]; anything else raises ``ValueError``
+    before the grid is built.
     """
     require_positive("t_max", t_max)
     require_positive("d_max", d_max)
+    if not t_max * d_max < math.pi:
+        raise ValueError(f"t_max must keep t_max * d_max below pi, got "
+                         f"{t_max} * {d_max}")
     require_nonnegative("cushion", cushion)
     if not 2 <= samples <= MAX_SCALAR_SAMPLES:
         raise ValueError(f"samples must lie in [2, {MAX_SCALAR_SAMPLES}],"

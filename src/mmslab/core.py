@@ -355,7 +355,9 @@ def scale(space: FiniteMMS, factor: float) -> FiniteMMS:
     meta["scaled_by"] = float(meta.get("scaled_by", 1.0) * factor)
     if "pitch" in meta:
         meta["pitch"] = float(meta["pitch"]) / factor
-    return replace(space, dist=space.dist / factor, meta=meta)
+    with np.errstate(over="ignore"):    # FiniteMMS rejects an overflow
+        dist = space.dist / factor
+    return replace(space, dist=dist, meta=meta)
 
 
 def cell_id(space: FiniteMMS, i) -> int:
@@ -495,39 +497,44 @@ def geodesic_tolerance(space: FiniteMMS) -> float:
     return 2.0 * space.pitch()
 
 
-class ShortestChains:
-    """Shortest node chains through the cells within ``EDGE_FACTOR``
-    pitches of each other, from ``_near_graph``.
+def geodesics_between(space: FiniteMMS, pairs) -> list:
+    """One shortest node chain per ``(a, b)`` of ``pairs``, as a list of
+    DiscreteGeodesics in the same order, through the cells within
+    ``EDGE_FACTOR`` pitches of each other (from ``_near_graph``).
 
-    The graph and its edge list are built once; ``between`` then needs
-    only the Dijkstra rows of the two endpoints, which callers compute
-    for many endpoints in one ``dijkstra(indices=...)`` call.
+    The graph is built once per call, and one Dijkstra call covers the
+    distinct sources, one the distinct targets.  Each chain is the first
+    that a depth-first walk of the tight edges reaches, with time stamps
+    proportional to accumulated graph length; a pair (a, a) gets the
+    two-node chain that stays at a.  Every chain is checked against
+    ``dist[a, b]`` and the constant-speed invariant (within
+    ``geodesic_tolerance``); a mismatch means the space's metric is not
+    the path metric of its own neighbor graph.
     """
-
-    def __init__(self, space: FiniteMMS):
+    pairs = list(pairs)
+    moved = [(a, b) for a, b in pairs if a != b]
+    if moved:
         from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
         pitch = space.pitch()
         if pitch <= 0:
             raise ValueError("space has no usable pitch")
-        self.space = space
         indptr, cols, wts = _near_graph(space, EDGE_FACTOR * pitch)
-        self.graph = csr_matrix((wts, cols, indptr), shape=space.dist.shape)
-        self.geodesic_tol = geodesic_tolerance(space)
+        graph = csr_matrix((wts, cols, indptr), shape=space.dist.shape)
         # edge list in CSR order: rows ascending, columns ascending per row
-        self._rows = np.repeat(np.arange(space.n), np.diff(indptr))
-        self._cols = self.graph.indices
-        self._wts = self.graph.data
-
-    def distances(self, sources) -> np.ndarray:
-        """Dijkstra rows, one per source, from one call."""
-        from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self.graph, directed=False, indices=sources)
-
-    def between(self, a: int, b: int, da: np.ndarray, db: np.ndarray,
-                budget: int = 1) -> list:
-        """Up to ``budget`` shortest chains from a to b (a != b), given the
-        Dijkstra rows ``da`` of a and ``db`` of b."""
-        space, tol = self.space, self.geodesic_tol
+        rows = np.repeat(np.arange(space.n), np.diff(indptr))
+        src, dst = (np.unique(ends) for ends in zip(*moved))
+        d_src = dijkstra(graph, directed=False, indices=src)
+        d_dst = dijkstra(graph, directed=False, indices=dst)
+        tol = geodesic_tolerance(space)
+    out = []
+    for a, b in pairs:
+        if a == b:
+            out.append(DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0),
+                                        length=0.0))
+            continue
+        da = d_src[np.searchsorted(src, a)]
+        db = d_dst[np.searchsorted(dst, b)]
         total = da[b]
         if not np.isfinite(total):
             raise ValueError("endpoints are not connected in the neighbor graph")
@@ -540,64 +547,36 @@ class ShortestChains:
         # DAG of tight edges: u -> v on a shortest path iff
         # da[u] + w + db[v] == total; da[v] > da[u] keeps the walk
         # monotone, so ties make no cycles
-        rows, cols = self._rows, self._cols
-        tight = ((da[rows] + self._wts + db[cols] <= total + slack)
+        tight = ((da[rows] + wts + db[cols] <= total + slack)
                  & (da[cols] > da[rows]))
-        heads = rows[tight]
-        succ = cols[tight].tolist()
-        ptr = np.searchsorted(heads, np.arange(space.n + 1)).tolist()
-        chains = _walk(succ, ptr, a, b, budget)
-        out = []
-        length = float(space.dist[a, b])
-        for chain in chains:
-            tt = da[np.asarray(chain)] / total
-            g = DiscreteGeodesic(nodes=tuple(chain), times=tuple(tt), length=length)
-            defect = constant_speed_defect(space, g)
-            if defect > tol:
-                raise ValueError(f"constant-speed defect {defect:.3g} exceeds tolerance")
-            out.append(g)
-        return out
+        ptr = np.searchsorted(rows[tight], np.arange(space.n + 1)).tolist()
+        chain = _walk(cols[tight].tolist(), ptr, a, b)
+        g = DiscreteGeodesic(nodes=tuple(chain), times=tuple(da[chain] / total),
+                             length=float(space.dist[a, b]))
+        defect = constant_speed_defect(space, g)
+        if defect > tol:
+            raise ValueError(f"constant-speed defect {defect:.3g} exceeds tolerance")
+        out.append(g)
+    return out
 
 
-def _walk(succ: list, ptr: list, a: int, b: int, budget: int) -> list:
-    """Depth-first walk of a DAG from a to b with an explicit stack; the
-    successors of u are ``succ[ptr[u]:ptr[u + 1]]``, tried in that order.
-    Returns the first ``budget`` chains reaching b, in the order found."""
-    chains = []
+def _walk(succ: list, ptr: list, a: int, b: int) -> list:
+    """The first chain from a to b that a depth-first walk of a DAG
+    reaches, with an explicit stack; the successors of u are
+    ``succ[ptr[u]:ptr[u + 1]]``, tried in that order."""
     path = [a]
     stack = [iter(succ[ptr[a]:ptr[a + 1]])]
-    while stack and len(chains) < budget:
+    while stack:
         v = next(stack[-1], None)
         if v is None:
             stack.pop()
             path.pop()
         elif v == b:
-            chains.append(path + [v])
+            return path + [v]
         else:
             path.append(v)
             stack.append(iter(succ[ptr[v]:ptr[v + 1]]))
-    return chains
-
-
-def trivial_geodesic(a: int) -> DiscreteGeodesic:
-    """The two-node chain that stays at a."""
-    return DiscreteGeodesic(nodes=(a, a), times=(0.0, 1.0), length=0.0)
-
-
-def geodesics_between(space: FiniteMMS, a: int, b: int, budget: int = 1) -> list:
-    """Shortest node chains from a to b through the neighbor graph.
-
-    Returns up to ``budget`` distinct shortest chains as DiscreteGeodesics
-    with time stamps proportional to accumulated graph length.  Every chain
-    is checked against the constant-speed invariant and against
-    ``dist[a, b]`` (within ``geodesic_tolerance``); a mismatch means the
-    space's metric is not the path metric of its own neighbor graph.
-    """
-    if a == b:
-        return [trivial_geodesic(a)]
-    sc = ShortestChains(space)
-    da, db = sc.distances([a, b])
-    return sc.between(a, b, da, db, budget=budget)
+    raise ValueError("no chain of tight edges reaches the endpoint")
 
 
 # === serialization ===

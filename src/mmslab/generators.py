@@ -90,9 +90,11 @@ def circle_space(radius: float, resolution: int) -> FiniteMMS:
         raise ValueError("need at least 3 cells")
     m = _count("resolution", resolution)
     circumference = 2 * math.pi * radius
-    arc = circumference * np.arange(m) / m
-    gap = np.abs(arc[:, None] - arc[None, :])
-    dist = np.minimum(gap, circumference - gap)
+    # past the float range this is NaN, which FiniteMMS rejects
+    with np.errstate(invalid="ignore"):
+        arc = circumference * np.arange(m) / m
+        gap = np.abs(arc[:, None] - arc[None, :])
+        dist = np.minimum(gap, circumference - gap)
     theta = 2 * math.pi * np.arange(m) / m
     coords = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     meta = {"generator": "circle", "pitch": circumference / m, "cells": m,
@@ -318,9 +320,10 @@ def necklace_fibers(space: FiniteMMS):
 # === Euclidean ball grids ===
 
 def euclidean_ball_grid(k: int, r: float, resolution: float) -> FiniteMMS:
-    """Grid discretization of the closed Euclidean ball of radius r in R^k."""
-    if k not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2, or 3")
+    """Grid discretization of the closed Euclidean ball of radius r in R^k;
+    k is 1, 2 or 3 (2.0 passes, a bool raises)."""
+    if isinstance(k, bool) or k not in (1, 2, 3):
+        raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
     if not (_real("r", r) > 0 and _real("resolution", resolution) > 0):
         raise ValueError("radius and resolution must be positive")
     pitch = float(resolution)

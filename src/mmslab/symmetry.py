@@ -360,13 +360,15 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
 
     ``maps`` lists the products of one stored map per level, sorted,
     each with its full-matrix distortion, except those above ``iso_tol``;
-    ``complete`` means that it holds every isometry.  No listing holds
-    more than ``MAX_LISTED`` maps or gathers more than ``LIST_CEILING``
-    entries (maps x n^2): above either ``maps`` is empty, while
-    ``order`` stays certified.  After a budget cut or in a chain that
-    is not certified, ``order`` is None, and ``maps`` lists the same way
-    the products of the maps stored so far that lie within ``iso_tol``:
-    not every isometry, and nothing above either ceiling.  A NaN or
+    ``complete`` means that it holds every isometry.  A listed product
+    above ``iso_tol`` shows the same as a stored map above it: it is
+    dropped, ``order`` is None and ``complete`` False.  No listing
+    holds more than ``MAX_LISTED`` maps or gathers more than
+    ``LIST_CEILING`` entries (maps x n^2): above either ``maps`` is
+    empty, while ``order`` stays certified.  After a budget cut or in a
+    chain that is not certified, ``order`` is None, and ``maps`` lists
+    the same way the products of the maps stored so far that lie within
+    ``iso_tol``: not every isometry, and nothing above either ceiling.  A NaN or
     negative ``iso_tol`` raises ``ValueError``.
     """
     if not iso_tol >= 0:
@@ -384,6 +386,7 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
         rows = rows[np.lexsort(rows.T[::-1])]
         distortion = _distortions(dist, rows)
         keep = distortion <= iso_tol
+        certified = certified and bool(keep.all())
         rows = rows[keep]
         rows.setflags(write=False)
         defect = np.abs(space.weight[rows] - space.weight).max(axis=1)
@@ -549,7 +552,8 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None, *,
 
 @dataclass(frozen=True)
 class EuclideanIsometry:
-    """Rigid motion y -> Q y + v of R^k."""
+    """Rigid motion y -> Q y + v of R^k; Q and v must be finite, and Q
+    orthogonal to 1e-12."""
 
     q: np.ndarray
     v: np.ndarray
@@ -559,6 +563,8 @@ class EuclideanIsometry:
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if q.shape[0] != q.shape[1] or q.shape[0] != v.shape[0]:
             raise ValueError("shape mismatch between Q and v")
+        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+            raise ValueError("Q and v must be finite")
         if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > 1e-12:
             raise ValueError("Q is not orthogonal")
         object.__setattr__(self, "q", q)
@@ -672,12 +678,13 @@ def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
     spectral blocks of Q and the accumulated translation, so powers are
     scanned without iterating the map.  Cheap bounds locate the first
     candidate range; the exact supremum decides inside it.  ``max_pow``
-    above ``MAX_POWER``, a dimension ``iso.k`` above ``MAX_MOTION_DIM`` or
-    a NaN, infinite or nonpositive ``threshold`` raises.
+    below 1 or above ``MAX_POWER``, a dimension ``iso.k`` above
+    ``MAX_MOTION_DIM`` or a NaN, infinite or nonpositive ``threshold``
+    raises.
     """
     require_positive("threshold", threshold)
-    if max_pow > MAX_POWER:
-        raise ValueError(f"max_pow must be at most {MAX_POWER}, got {max_pow}")
+    if not 1 <= max_pow <= MAX_POWER:
+        raise ValueError(f"max_pow must lie in [1, {MAX_POWER}], got {max_pow}")
     if iso.k > MAX_MOTION_DIM:
         raise ValueError(f"k must be at most {MAX_MOTION_DIM}, got {iso.k}")
     if iso.is_identity():

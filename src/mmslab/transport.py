@@ -17,8 +17,8 @@ from itertools import chain
 
 import numpy as np
 
-from mmslab.core import (DiscreteGeodesic, FiniteMMS, ShortestChains,
-                         cell_id, require_seed, trivial_geodesic)
+from mmslab.core import (DiscreteGeodesic, FiniteMMS, cell_id,
+                         geodesics_between, require_seed)
 from mmslab.symmetry import DEFAULT_ISO_TOL, invert, isometry_from_perm
 
 # scipy loads inside the functions that use it, so that a process which
@@ -56,7 +56,8 @@ def as_measure(space: FiniteMMS, spec) -> np.ndarray:
             if isinstance(m, bool) or not isinstance(m, numbers.Real):
                 raise ValueError(f"mass {m!r} is not a real number")
             out[cell_id(space, i)] += float(m)
-    total = out.sum()
+    with np.errstate(over="ignore"):    # checked right below
+        total = out.sum()
     if not np.isfinite(total):          # a NaN or inf mass, or an overflow
         raise ValueError("measure masses and their sum must be finite")
     if np.any(out < 0):
@@ -478,33 +479,14 @@ class GeodesicPlan:
 
 
 def lift_to_geodesic_plan(space: FiniteMMS, coupling: Coupling) -> GeodesicPlan:
-    """One geodesic per positive coupling entry (the first chain returned
-    by the shortest-chain search).
-
-    The neighbor graph is built once per plan, and one Dijkstra call
-    covers the distinct sources, one the distinct targets; each entry
-    then costs one vectorized pass over the edges and a walk of its
-    tight edges.
-    """
+    """One geodesic per positive coupling entry, from one
+    ``geodesics_between`` call over all the entries, with the masses
+    normalized to sum to one."""
     entries = list(coupling.entries())
-    moved = [(i, j) for i, j, _ in entries if i != j]
-    if moved:
-        sc = ShortestChains(space)
-        src = np.unique([i for i, _ in moved])
-        dst = np.unique([j for _, j in moved])
-        d_src = sc.distances(src)
-        d_dst = sc.distances(dst)
-    atoms = []
-    for i, j, m in entries:
-        if i == j:
-            g = trivial_geodesic(i)
-        else:
-            g = sc.between(i, j, d_src[np.searchsorted(src, i)],
-                           d_dst[np.searchsorted(dst, j)])[0]
-        atoms.append((g, m))
-    total = sum(m for _, m in atoms)
-    atoms = [(g, m / total) for g, m in atoms]
-    return GeodesicPlan(atoms=tuple(atoms))
+    chains = geodesics_between(space, [(i, j) for i, j, _ in entries])
+    total = sum(m for _, _, m in entries)
+    return GeodesicPlan(atoms=tuple(
+        (g, m / total) for g, (_, _, m) in zip(chains, entries)))
 
 
 def plan_cost(plan: GeodesicPlan) -> float:

@@ -298,13 +298,19 @@ def test_ot_probe_rejects_bad_search_options(tmp_path, capsys, option, value):
      "finite"),
     ('{"uniform": []}', "at least one cell"),
     ('{"atoms": [{"point": 3, "mass": true}]}', "mass True is not a real"),
-    ('{"atoms": [{"point": 3, "mass": "1"}]}', "mass '1' is not a real")],
+    ('{"atoms": [{"point": 3, "mass": "1"}]}', "mass '1' is not a real"),
+    ('{"atoms": [[3, 1]]}', "measure must be "),
+    ('{"atoms": [{"point": 3}]}', "measure must be "),
+    ('{"atoms": 5}', "measure must be "),
+    ('{"uniform": 5}', "measure must be ")],
     ids=["nan-mass", "inf-mass", "overflowing-sum", "empty-uniform",
-         "bool-mass", "string-mass"])
+         "bool-mass", "string-mass", "atom-list", "atom-without-mass",
+         "atoms-number", "uniform-number"])
 def test_measures_without_a_finite_mass_emit_error_objects(tmp_path, capsys,
                                                            measure, message):
     # these used to end in "attempt to get argmax of an empty sequence",
-    # or for a bool or a string, in a plan for a mass of 1
+    # for a bool or a string in a plan for a mass of 1, and for a document
+    # of the wrong shape in a TypeError or KeyError naming no form
     path = segment_16_file(tmp_path, capsys)
     error = run_error(capsys, "ot", "solve", "--space", path,
                       "--mu0", '{"point": 0}', "--mu1", measure)
@@ -479,7 +485,15 @@ def test_an_id_list_that_is_no_json_is_a_usage_error(tmp_path, capsys):
     ("count", ["mcp", "verify", "--x", "0", "--A", "3,4",
                "--t-samples", "100000000"]),
     ("max_pow", ["iso", "escape", "--random", "--scale", "1e-12",
-                 "--max-pow", "1000000000000"])])
+                 "--max-pow", "1000000000000"]),
+    # these once ended in scipy's "array must not contain infs or NaNs",
+    # a NaN verdict with exit 0, and verdicts over no powers
+    ("scale", ["iso", "escape", "--random", "--scale", "1e308"]),
+    ("t_max", ["mcp", "scalar-bound", "--t-max", "1e308"]),
+    ("max_pow", ["iso", "escape", "--q", "[[1,0],[0,1]]", "--v", "[1e-3,0]",
+                 "--max-pow", "-3"]),
+    ("max_pow", ["iso", "escape", "--q", "[[1,0],[0,1]]", "--v", "[1e-3,0]",
+                 "--max-pow", "0"])])
 def test_inputs_outside_a_domain_or_ceiling_fail_fast_and_name_it(
         tmp_path, capsys, name, argv):
     if "verify" in argv:

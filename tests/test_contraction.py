@@ -78,7 +78,9 @@ def test_chebyshev_times_stay_under_the_ceiling():
     ("d_max", {"d_max": -1.0}), ("d_max", {"d_max": math.inf}),
     ("cushion", {"cushion": -1e-12}), ("cushion", {"cushion": math.nan}),
     ("samples", {"samples": 1}),
-    ("samples", {"samples": MAX_SCALAR_SAMPLES + 1})])
+    ("samples", {"samples": MAX_SCALAR_SAMPLES + 1}),
+    # past t d = pi the lemma's sin(t d) reaches 0: a NaN margin
+    ("t_max", {"t_max": 2.0, "d_max": math.pi / 2})])
 def test_scalar_bound_rejects_inputs_outside_its_domain(name, kwargs):
     with pytest.raises(ValueError, match=f"^{name} must "):
         scalar_bound(**kwargs)

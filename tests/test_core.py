@@ -742,7 +742,7 @@ def test_geodesic_constructor_rejects_non_finite_values(times, length, match):
 # === shortest chains ===
 
 def test_geodesics_between_same_point_is_trivial():
-    chains = geodesics_between(chain_space(5), 2, 2)
+    chains = geodesics_between(chain_space(5), [(2, 2)])
     assert len(chains) == 1
     assert chains[0].nodes == (2, 2)
     assert chains[0].length == 0.0
@@ -751,7 +751,7 @@ def test_geodesics_between_same_point_is_trivial():
 def test_segment_chain_matches_direct_distance():
     h = math.pi / 2 / 100
     space = segment_space(h)
-    chains = geodesics_between(space, 10, 60, budget=3)
+    chains = geodesics_between(space, [(10, 60)])
     assert len(chains) == 1
     g = chains[0]
     assert g.length == pytest.approx(space.dist[10, 60])
@@ -766,8 +766,8 @@ def test_constant_speed_invariant_on_returned_chains():
     y = space.coords[:, 1]
     left = int(np.argmin(np.abs(x - 0.7) + np.abs(y)))
     right = int(np.argmin(np.abs(x - 0.9) + np.abs(y)))
-    chains = geodesics_between(space, left, right, budget=6)
-    assert len(chains) >= 2
+    chains = geodesics_between(space, [(left, right), (right, left)])
+    assert len(chains) == 2
     for g in chains:
         assert g.length == pytest.approx(space.dist[left, right])
         assert constant_speed_defect(space, g) <= 2 * space.pitch()
@@ -775,7 +775,7 @@ def test_constant_speed_invariant_on_returned_chains():
 
 def test_geodesics_between_endpoint_distance_equals_length():
     space = chain_space(9)
-    g = geodesics_between(space, 1, 7)[0]
+    g = geodesics_between(space, [(1, 7)])[0]
     assert space.dist[g.start, g.end] == pytest.approx(g.length)
 
 
@@ -783,7 +783,7 @@ def test_constant_speed_defect_in_row_blocks_matches_the_full_matrix():
     """On a 1,600-node chain the blocked check equals the full-matrix
     formula and allocates none of its (nodes x nodes) temporaries."""
     space = segment_space(math.pi / 2 / 1600)
-    g = geodesics_between(space, 0, 1599)[0]
+    g = geodesics_between(space, [(0, 1599)])[0]
     bent = DiscreteGeodesic(nodes=g.nodes[:800] + (805,) + g.nodes[801:],
                             times=g.times, length=g.length)
     for chain in (g, bent):
@@ -810,7 +810,7 @@ def test_unreachable_pair_raises():
     ])
     space = FiniteMMS(dist=dist, weight=np.ones(3), meta={"pitch": 1.0})
     with pytest.raises(ValueError):
-        geodesics_between(space, 0, 2)
+        geodesics_between(space, [(0, 2)])
 
 
 # === persistence ===

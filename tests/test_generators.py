@@ -536,6 +536,9 @@ def test_ball_grid_peak_memory_stays_near_two_matrices():
 def test_ball_grid_rejects_bad_dimension():
     with pytest.raises(ValueError):
         euclidean_ball_grid(4, 1.0, 0.1)
+    # True == 1, so a bool once built a 1-D ball
+    with pytest.raises(ValueError, match="^k must "):
+        euclidean_ball_grid(True, 1.0, 0.5)
 
 
 def test_whole_number_float_counts_build_the_integer_space():

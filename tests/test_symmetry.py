@@ -551,6 +551,21 @@ def test_a_planted_near_tie_leaves_the_chain_incomplete():
     assert_same_enumeration(wide, enumeration_oracle(sp, 2e-9))
 
 
+def test_a_listed_product_above_the_tolerance_uncertifies_the_order():
+    """Two flips of a jittered earring(2, 8) are found within ``iso_tol``,
+    and so is each stored map, but their product is 2.166e-6 off: the
+    listing drops it, so the order 4 of the chain is not certified."""
+    sp = hawaiian_truncation(2, 8)
+    jitter = np.random.default_rng(0).normal(0, 1e-6, (15, 15))
+    dist = sp.dist + (jitter + jitter.T) / 2
+    np.fill_diagonal(dist, 0.0)
+    res = enumerate_isometries(FiniteMMS(dist=dist, weight=sp.weight),
+                               iso_tol=2.0627e-6)
+    assert res.orbit_sizes == (2, 2) and len(res.maps) == 3
+    assert res.order is None and not res.complete
+    assert all(m.distortion <= 2.0627e-6 for m in res.maps)
+
+
 @pytest.mark.parametrize("space, order", [
     (lambda: hawaiian_truncation(60, 8), 2 ** 60),
     (lambda: necklace(NecklaceParams(beads=((0.4, 0.3), (1.0, 0.3)),
@@ -804,6 +819,14 @@ def test_powers_above_the_ceiling_raise_before_the_scan():
     assert euclidean_power_escape(g, max_pow=MAX_POWER).max_pow == MAX_POWER
     with pytest.raises(ValueError, match=f"^max_pow .* got {MAX_POWER + 1}$"):
         euclidean_power_escape(g, max_pow=MAX_POWER + 1)
+
+
+@pytest.mark.parametrize("q, v", [([[math.nan, 0.0], [0.0, 1.0]], [1e-3, 0.0]),
+                                  (np.eye(2), [math.inf, 0.0])])
+def test_a_motion_with_a_non_finite_entry_is_rejected(q, v):
+    # a NaN passed the orthogonality check, and an infinite shift warned
+    with pytest.raises(ValueError, match="must be finite"):
+        EuclideanIsometry(q=q, v=v)
 
 
 def test_line_flip_with_offset():
