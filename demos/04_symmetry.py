@@ -37,10 +37,17 @@ print(f"enumeration complete={res.complete}: {len(res.maps)} maps "
       f"{res.nodes} search nodes)")
 
 # 30 circles: 2^30 maps are too many to list, but the chain counts them
-big = enumerate_isometries(hawaiian_truncation(30, 8), iso_tol=1e-9)
+big_sp = hawaiian_truncation(30, 8)
+big = enumerate_isometries(big_sp, iso_tol=1e-9)
 print(f"30-circle wedge: order {big.order} = 2^{big.order.bit_length() - 1}"
       f", certified from {len(big.base)} base cells in {big.nodes} nodes "
       f"({len(big.maps)} maps listed)")
+# the displacement reads orbits, so the chain's generators serve for the
+# whole group: on the unit ball the second circle's flip moves a cell by
+# pi/4
+print(f"30-circle wedge: displacement at x=0, r=1 is "
+      f"{displacement(big_sp, big.generators, r=1.0, x=0):.4f} "
+      f"(pi/4 = {math.pi / 4:.4f}), from {len(big.generators)} generators")
 
 group = generate_subgroup(sp, [m.perm for m in res.maps])
 print(f"closure: order {len(group)}, closed={group.closed}")
@@ -77,7 +84,7 @@ print(f"displacement of the subgroup on the unit ball: {disp:.4f}")
 # the scale above which the full group stops moving the half-ball by
 # r/20: every map moves some cell of the largest circle a distance pi,
 # so the crossing sits near r = 20 pi
-crit = critical_scale(sp8, full.perms(), x=0, lo=0.8, hi=63.0, tol=1e-4)
+crit = critical_scale(sp8, full.perms(), x=0, lo=0.8, hi=63.0)
 print(f"critical scale r={crit.r:.4f} (20 pi = {20 * math.pi:.4f}), "
       f"displacement there {crit.displacement:.4f}")
 

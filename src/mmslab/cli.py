@@ -256,7 +256,7 @@ def _cmd_mcp_scalar_bound(args, _):
 
 def _cmd_iso_enum(args, sp):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol, budget=args.budget)
-    results = _fields(res, count=len(res.maps), maps=[
+    results = _fields(res, "generators", count=len(res.maps), maps=[
         _fields(m, measure_preserving=m.is_measure_preserving())
         for m in res.maps])
     table = (["iso", "distortion", "measure_defect"],
@@ -284,20 +284,15 @@ def _cmd_iso_fix(args, sp):
 
 
 def _cmd_iso_displacement(args, sp):
-    if args.perm:
-        group, complete = args.perm, True
+    if args.perm:               # only the chain certifies an order
+        group, order = args.perm, None
     else:
         res = enumerate_isometries(sp, iso_tol=args.iso_tol)
-        group, complete = res.perms(), res.complete
-    value = displacement(sp, group, args.r, args.x)
-    results = {
-        "displacement": value,
-        "r": args.r,
-        "x": args.x,
-        "elements": len(group),
-        "r_over_20": args.r / 20.0,
-    }
-    return "§3", results, not complete, None
+        group, order = res.generators, res.order
+    results = {"displacement": displacement(sp, group, args.r, args.x),
+               "r": args.r, "x": args.x, "elements": order,
+               "r_over_20": args.r / 20.0}
+    return "§3", results, not args.perm and order is None, None
 
 
 def _cmd_iso_condition_a(args, sp):
@@ -337,7 +332,8 @@ def _random_small_motion(k, seed, scale):
 
 def _cmd_iso_escape(args, _):
     if args.random:
-        iso = _random_small_motion(args.k, args.seed, args.scale)
+        iso = _random_small_motion(2 if args.k is None else args.k,
+                                   args.seed, args.scale)
     else:
         if args.q is None or args.v is None:
             raise ValueError("need --q and --v, or --random with --k")
@@ -345,16 +341,15 @@ def _cmd_iso_escape(args, _):
                                 v=np.asarray(args.v, dtype=float))
     res = euclidean_power_escape(iso, threshold=args.threshold,
                                  max_pow=args.max_pow)
-    results = _fields(res, k=iso.k)
-    return "Prop 3.1", results, not res.found, None
+    return "Prop 3.1", _fields(res, k=iso.k), not res.found, None
 
 
 def _cmd_iso_critical_scale(args, sp):
     res = enumerate_isometries(sp, iso_tol=args.iso_tol)
-    cs = critical_scale(sp, res.perms(), args.x, args.lo, args.hi,
-                        tol=args.tol)
-    results = _fields(cs, elements=len(res.maps))
-    return "Prop 3.1", results, not res.complete, None
+    # with the identity, as a trivial group has no generators
+    cs = critical_scale(sp, [np.arange(sp.n), *res.generators], args.x,
+                        args.lo, args.hi)
+    return "Prop 3.1", _fields(cs, elements=res.order), res.order is None, None
 
 
 def _cmd_gh_exact(args, sp):
@@ -513,7 +508,7 @@ def _build_parser():
     p.add_argument("--v", type=json.loads, help="translation vector, JSON")
     p.add_argument("--random", action="store_true",
                    help="sample a small random motion instead of --q/--v")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="dimension of --random (2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1e-3)
     p.add_argument("--threshold", type=float, default=0.05)
@@ -523,7 +518,6 @@ def _build_parser():
     p.add_argument("--x", required=True, type=int)
     p.add_argument("--lo", required=True, type=float)
     p.add_argument("--hi", required=True, type=float)
-    p.add_argument("--tol", type=float, default=1e-6)
 
     # gh
     gh = groups.add_parser("gh").add_subparsers(dest="verb", required=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from mmslab.core import (TRIANGLE_BLOCK, DiscreteGeodesic, FiniteMMS,
                          cell_id, constant_speed_defect, geodesic_tolerance,
-                         require_nonnegative, require_positive)
+                         require_nonnegative)
 from mmslab.generators import DIAMOND_SLOPE, NecklaceParams, necklace_fibers
 from mmslab.transport import MASS_TOL, GeodesicPlan, plan_marginals
 
@@ -423,14 +423,16 @@ def scalar_bound(t_max: float = 0.2, d_max: float = HALF_PI + 0.25,
     """Grid check of 5/4 - t/4 <= t sin^2(d)/sin^2(t d) on
     (0, t_max] x (0, d_max].
 
-    ``t_max`` and ``d_max`` must be finite and positive with
-    t_max * d_max < pi, the lemma's domain (past it sin(t d) reaches 0),
-    ``cushion`` finite and nonnegative, and ``samples`` in
-    [2, ``MAX_SCALAR_SAMPLES``]; anything else raises ``ValueError``
-    before the grid is built.
+    ``t_max`` and ``d_max`` must be finite and above the grid's start,
+    1e-9 and 1e-6, with t_max * d_max < pi, the lemma's domain (past it
+    sin(t d) reaches 0), ``cushion`` finite and nonnegative, and
+    ``samples`` in [2, ``MAX_SCALAR_SAMPLES``]; anything else raises
+    ``ValueError`` before the grid is built.
     """
-    require_positive("t_max", t_max)
-    require_positive("d_max", d_max)
+    for name, value, start in ("t_max", t_max, 1e-9), ("d_max", d_max, 1e-6):
+        if not start < value < math.inf:        # the grid's start
+            raise ValueError(f"{name} must be finite and above {start}, "
+                             f"got {value}")
     if not t_max * d_max < math.pi:
         raise ValueError(f"t_max must keep t_max * d_max below pi, got "
                          f"{t_max} * {d_max}")

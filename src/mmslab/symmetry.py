@@ -116,6 +116,7 @@ class EnumerationResult:
     maps: tuple                # IsometryMap, sorted by permutation
     complete: bool             # maps holds every isometry
     nodes: int                 # pairs placed: base cells and search nodes
+    generators: np.ndarray = field(compare=False)  # (k, n): maps found
     order: int | None = None   # of the group the chain generates, if certified
     base: tuple = ()           # cells that only the identity fixes
     orbit_sizes: tuple = ()    # per base cell: its orbit in its stabilizer
@@ -256,7 +257,7 @@ def _transversal(gens: list, b: int, n: int) -> dict:
 
 
 def _chain(dist: np.ndarray, iso_tol: float, budget: int):
-    """The stabilizer chain: its base, one transversal per base cell,
+    """The stabilizer chain: its base, its transversals, the maps found,
     whether the chain is certified, and the search nodes spent."""
     n = len(dist)
     budget = max(budget, 0)      # a negative budget stops at the first node
@@ -331,7 +332,7 @@ def _chain(dist: np.ndarray, iso_tol: float, budget: int):
         if certified and not len(level) * worst <= iso_tol / 2:
             stored = np.array([*level.values()])
             certified = _distortions(dist, stored).max() <= iso_tol
-    return base, levels, certified and nodes <= budget, nodes
+    return base, levels, gens, certified and nodes <= budget, nodes
 
 
 def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
@@ -356,7 +357,8 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     stored map (a product of found ones) above it, shows that
     ``iso_tol`` sits in no gap, and the chain is not certified.  A
     certified chain holds every isometry, and ``order``, the product of
-    ``orbit_sizes``, is the order of the group it generates.
+    ``orbit_sizes``, is the order of the group that ``generators``, the
+    maps the searches found (each within ``iso_tol``), generate.
 
     ``maps`` lists the products of one stored map per level, sorted,
     each with its full-matrix distortion, except those above ``iso_tol``;
@@ -374,7 +376,9 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
     if not iso_tol >= 0:
         raise ValueError(f"iso_tol must be a nonnegative number, got {iso_tol}")
     dist, n = space.dist, space.n
-    base, levels, certified, nodes = _chain(dist, iso_tol, budget)
+    base, levels, gens, certified, nodes = _chain(dist, iso_tol, budget)
+    generators = np.array(gens, dtype=np.intp).reshape(-1, n)
+    generators.setflags(write=False)
     sizes = tuple(len(level) for level in levels)
     count = math.prod(sizes)
     listed = count <= MAX_LISTED and count * n * n <= LIST_CEILING
@@ -393,9 +397,9 @@ def enumerate_isometries(space: FiniteMMS, iso_tol: float = DEFAULT_ISO_TOL,
         maps = tuple(map(IsometryMap, rows, distortion[keep].tolist(),
                          defect.tolist()))
     return EnumerationResult(
-        maps=maps, complete=certified and listed,
-        nodes=nodes, order=count if certified else None, base=tuple(base),
-        orbit_sizes=sizes)
+        maps=maps, complete=certified and listed, nodes=nodes,
+        generators=generators, order=count if certified else None,
+        base=tuple(base), orbit_sizes=sizes)
 
 
 def generate_subgroup(space: FiniteMMS, gens) -> Subgroup:
@@ -483,17 +487,31 @@ def fixed_set(space: FiniteMMS, perm, fix_tol: float | None = None,
                     ball_masses=tuple(inside))
 
 
+def _orbit_reach(space: FiniteMMS, rows: np.ndarray) -> np.ndarray:
+    """Per cell y, the largest d(y, z) over y's orbit under the group that
+    ``rows`` generate: the components of y -> g(y) by label hooking and
+    pointer jumping, O(n k) entries a round, then one gather per size."""
+    label = np.arange(space.n)
+    src, dst = np.tile(label, len(rows)), rows.ravel()
+    while np.any((a := label[src]) != (b := label[dst])):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while np.any(label != label[label]):
+            label = label[label]
+    reach = np.zeros(space.n)
+    by_orbit = np.argsort(label, kind="stable")
+    size = np.bincount(label)[label[by_orbit]]
+    for s in np.unique(size[size > 1]):     # the orbits of s cells, as rows
+        orbits = by_orbit[size == s].reshape(-1, s)
+        reach[orbits] = space.dist[orbits[:, :, None], orbits[:, None]].max(2)
+    return reach
+
+
 def displacement(space: FiniteMMS, group, r: float, x: int) -> float:
-    """Largest move of any group element on the closed half-radius ball:
-    sup over g and over y within r/2 of x of d(y, g(y))."""
+    """Largest d(y, g(y)) over y within r/2 of x and g in the group that
+    ``group`` generates (trivial if empty): y's largest distance to its orbit."""
     require_nonnegative("r", r)
-    return _displacement(space, _perm_rows(space, group), r, x)
-
-
-def _displacement(space: FiniteMMS, rows: np.ndarray, r: float, x: int) -> float:
-    """``displacement`` on validated permutation rows."""
-    idx = ball_indices(space, x, r / 2.0)
-    return float(space.dist[idx, rows[:, idx]].max(initial=0.0))
+    reach = _orbit_reach(space, _perm_rows(space, group))
+    return float(reach[ball_indices(space, x, r / 2.0)].max(initial=0.0))
 
 
 # === small subgroups ===
@@ -513,38 +531,28 @@ def small_subgroup_probe(space: FiniteMMS, epsilon: float, compact=None, *,
     """Look for a nontrivial subgroup whose elements all move the compact
     set ``compact`` (every cell by default) by less than ``epsilon``.
 
-    Filters the isometries of ``maps`` to the small movers, closes each
-    candidate, and returns the first closure that stays inside the
-    filter.  An incomplete enumeration, or a candidate whose closure
-    passed ``MAX_LISTED`` elements, makes a negative answer
-    inconclusive.  A NaN, infinite or nonpositive ``epsilon``, an empty
-    ``compact`` or an id outside the space raises.
-    """
+    Each listed nontrivial map g that moves ``compact`` less is scored
+    by the sup over <g>, the largest distance from a compact cell to its
+    cycle under g; the first below ``epsilon`` is closed as the witness.
+    An incomplete enumeration makes a negative answer inconclusive.  A
+    NaN, infinite or nonpositive ``epsilon``, an empty ``compact`` or an
+    id outside the space raises."""
     require_positive("epsilon", epsilon)
     compact = (np.arange(space.n) if compact is None else
                np.array([cell_id(space, i) for i in compact], dtype=np.intp))
     if not compact.size:
         raise ValueError("compact must hold at least one cell")
-
-    def sup_move(rows):
-        return space.dist[compact, rows[:, compact]].max(axis=1)
-
     rows = maps.perms().reshape(len(maps.maps), space.n)
-    nontrivial = np.any(rows != np.arange(space.n), axis=1)
-    small = rows[nontrivial & (sup_move(rows) < epsilon)]
-    cut = False                  # some candidate's closure passed MAX_LISTED
+    moves = space.dist[compact, rows[:, compact]].max(axis=1)
+    small = rows[np.any(rows != np.arange(space.n), axis=1) & (moves < epsilon)]
     for perm in small:
-        sub = generate_subgroup(space, [perm])
-        if not sub.closed:
-            cut = True
-            continue
-        sup = float(sup_move(sub.elements).max())
-        if sup < epsilon and len(sub) > 1:
+        sup = float(_orbit_reach(space, perm[None])[compact].max())
+        if sup < epsilon:
             return SubgroupProbe(found=True, inconclusive=False,
-                                 epsilon=epsilon, subgroup=sub,
-                                 sup_displacement=sup,
-                                 candidates=len(small))
-    return SubgroupProbe(found=False, inconclusive=cut or not maps.complete,
+                                 epsilon=epsilon,
+                                 subgroup=generate_subgroup(space, [perm]),
+                                 sup_displacement=sup, candidates=len(small))
+    return SubgroupProbe(found=False, inconclusive=not maps.complete,
                          epsilon=epsilon, candidates=len(small))
 
 
@@ -576,7 +584,7 @@ class EuclideanIsometry:
 
     def is_identity(self) -> bool:
         return (float(np.max(np.abs(self.q - np.eye(self.k)))) +
-                float(np.linalg.norm(self.v))) <= 1e-12
+                math.hypot(*self.v)) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -641,11 +649,8 @@ def _sup_on_half_ball(sig, trans):
     case, and when the strongest blocks carry no translation the leftover
     radius goes to one of them at lam = s_max^2 (the hard case)."""
     live = sig > 1e-15
-    dead = float(np.sum(trans[~live] ** 2))
-    if not live.any():
-        return math.sqrt(dead)
     s, c = sig[live], trans[live]
-    smax = float(np.max(s))
+    smax = float(np.max(s, initial=0.0))    # 0 if Q^n fixes every block
     tie = s >= smax * (1.0 - 1e-12)
     lo = smax**2
 
@@ -666,7 +671,7 @@ def _sup_on_half_ball(sig, trans):
         t = np.zeros_like(s)
         t[~tie] = s[~tie] * c[~tie] / (lo - s[~tie] ** 2)
         slack = max(0.25 - float(np.sum(t**2)), 0.0)
-    return math.sqrt(float(np.sum((s * t + c) ** 2)) + lo * slack + dead)
+    return math.hypot(*(s * t + c), *trans[~live], math.sqrt(lo * slack))
 
 
 def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
@@ -695,8 +700,9 @@ def euclidean_power_escape(iso: EuclideanIsometry, threshold: float = 0.05,
     start = 1
     while start <= max_pow:
         ns = np.arange(start, min(start + chunk - 1, max_pow) + 1, dtype=float)
-        sig, trans = _block_amplitudes(blocks, ns)
-        ub = np.sqrt(np.sum((sig / 2.0 + trans) ** 2, axis=0))
+        with np.errstate(over="ignore"):    # inf bounds a huge shift too
+            sig, trans = _block_amplitudes(blocks, ns)
+            ub = np.sqrt(np.sum((sig / 2.0 + trans) ** 2, axis=0))
         top = int(np.argmax(ub))
         if ub[top] > best_ub:
             best_ub, best_n = float(ub[top]), start + top
@@ -834,40 +840,37 @@ class CriticalScale:
     defect: float
 
 
-def critical_scale(space: FiniteMMS, group, x: int, lo: float, hi: float,
-                   tol: float = 1e-6) -> CriticalScale:
-    """Bracket the radius where the displacement functional crosses
-    r/20, by bisection from a bracketing pair.
-
-    Requires displacement at ``lo`` to sit at or above lo/20 and at
-    ``hi`` strictly below hi/20; the functional is a step function of r,
-    so the result is a bracket of width ``tol`` and the defect achieved
-    at its left end.  ``lo`` and ``hi`` must be finite and nonnegative,
-    ``tol`` positive and ``group`` not empty; a ``tol`` below the
-    spacing of floats near the crossing ends at a bracket of two
-    adjacent floats.
-    """
+def critical_scale(space: FiniteMMS, group, x: int, lo: float,
+                   hi: float) -> CriticalScale:
+    """The first radius at or above ``lo`` where the displacement D of
+    the group that ``group`` generates crosses r/20 downward: adjacent
+    floats (a, b) with D(a) >= a/20 and D(b) < b/20, D(a) and its defect.
+    D, the running maximum of ``_orbit_reach`` over the cells by d(x, .),
+    steps up at r = 2 d(x, y); on a step of height c, D(r) >= r/20 holds
+    up to the largest float r with r/20 <= c, and each crossing is such an
+    end.  Requires D(lo) >= lo/20, D(hi) < hi/20, ``lo`` and ``hi``
+    finite and nonnegative, and ``group`` not empty."""
     require_nonnegative("lo", lo)
     require_nonnegative("hi", hi)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    perms = _perm_rows(space, group)
-    if not len(perms):          # as listed for a group counted, not listed
+    rows = _perm_rows(space, group)
+    if not len(rows):           # as listed for a group counted, not listed
         raise ValueError("group must hold at least one permutation")
-    d_lo = _displacement(space, perms, lo, x)
-    d_hi = _displacement(space, perms, hi, x)
-    if d_lo < lo / 20.0 or d_hi >= hi / 20.0:
+    row = space.dist[cell_id(space, x)]
+    by_dist = np.argsort(row, kind="stable")
+    steps = 2.0 * row[by_dist]              # r/2 <= d exactly when r <= 2d
+    heights = np.maximum.accumulate(_orbit_reach(space, rows)[by_dist])
+
+    def holds(r):                           # D(r) >= r/20, per radius
+        return heights[np.searchsorted(steps, r, side="right") - 1] >= r / 20
+
+    if not holds(lo) or holds(hi):
         raise ValueError("no crossing inside the bracket")
-    # lo and hi passed the radius check; bisection stays between them
-    a, b = lo, hi
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if not a < mid < b:     # adjacent floats: the midpoint stalls
-            break
-        if _displacement(space, perms, mid, x) >= mid / 20.0:
-            a = mid
-        else:
-            b = mid
-    d = _displacement(space, perms, a, x)
-    return CriticalScale(r=a, bracket=(a, b), displacement=d,
-                         defect=abs(d - a / 20.0))
+    # each step's end: from below 20 c up to the largest r with r/20 <= c
+    ends = np.nextafter(20.0 * heights, -np.inf)
+    while np.any(fits := np.nextafter(ends, np.inf) / 20.0 <= heights):
+        ends[fits] = np.nextafter(ends[fits], np.inf)
+    a = ends[(ends >= lo) & holds(ends)
+             & ~holds(np.nextafter(ends, np.inf))].min()
+    d = heights[np.searchsorted(steps, a, side="right") - 1]
+    return CriticalScale(r=float(a), bracket=(float(a), float(np.nextafter(
+        a, np.inf))), displacement=float(d), defect=float(abs(d - a / 20)))

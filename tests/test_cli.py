@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -853,6 +854,31 @@ def test_iso_escape_random_is_seeded(capsys):
     assert d1["results"] == d2["results"]
     assert d1["results"]["found"] is True
     assert d1["results"]["displacement"] >= 0.05
+    # --random falls back to the plane
+    rc, doc = run_json(capsys, "iso", "escape", "--random", "--seed", 11)
+    assert rc == 0 and doc["results"]["k"] == 2
+
+
+def test_iso_escape_of_a_huge_shift_is_finite_and_echoes_no_k(capsys):
+    # squaring 1e300 once overflowed to an "inf" displacement
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, doc = run_json(capsys, "iso", "escape", "--q", "[[1]]",
+                           "--v", "[1e300]")
+    assert rc == 0
+    assert doc["results"]["displacement"] == 1e300
+    assert doc["results"]["k"] == 1
+    assert doc["inputs"]["k"] is None
+
+
+def test_mcp_scalar_bound_below_the_grid_start_names_the_parameter(capsys):
+    # the grid starts at d = 1e-6 and t = 1e-9; a smaller end once ran it
+    # backwards to a "nan" margin with exit 0
+    error = run_error(capsys, "mcp", "scalar-bound", "--d-max", "1e-300",
+                      "--t-max", "1")
+    assert error["message"].startswith("d_max must ")
+    error = run_error(capsys, "mcp", "scalar-bound", "--t-max", "1e-9")
+    assert error["message"].startswith("t_max must ")
 
 
 def test_iso_critical_scale_brackets_the_crossing(tmp_path, capsys):
@@ -861,44 +887,56 @@ def test_iso_critical_scale_brackets_the_crossing(tmp_path, capsys):
     save_space(sp, str(path))
     rc, doc = run_json(capsys, "iso", "critical-scale", "--space", path,
                        "--x", 0, "--lo", 0.8, "--hi", 63.0,
-                       "--tol", 1e-4, "--iso-tol", 1e-9)
+                       "--iso-tol", 1e-9)
     assert rc == 0
     res = doc["results"]
-    assert abs(res["r"] - 20 * math.pi) <= 1e-4
-    assert res["bracket"][1] - res["bracket"][0] <= 1e-4
+    # two adjacent floats, the same at the report's 12 digits
+    assert res["bracket"] == [res["r"], res["r"]]
+    assert abs(res["r"] - 20 * math.pi) <= 1e-9
+    # the bracket is exact: no tolerance knob is left to set
+    rc, cap = run(capsys, "iso", "critical-scale", "--space", path,
+                  "--x", 0, "--lo", 0.8, "--hi", 63.0, "--tol", 1e-4)
+    assert rc == 1 and "unrecognized arguments: --tol" in cap.err
 
 
-def test_iso_critical_scale_on_an_unlisted_group_emits_error_object(
-        tmp_path, capsys):
-    # earring(30, 8)'s 2^30 maps are counted, not listed: an empty group
-    # used to end in "no crossing inside the bracket"
+def test_iso_critical_scale_answers_on_an_unlisted_group(tmp_path, capsys):
+    # earring(30, 8)'s 2^30 maps are counted, not listed; the chain's
+    # generators answer for the group
     path = tmp_path / "earring.json"
     save_space(hawaiian_truncation(30, 8), str(path))
-    error = run_error(capsys, "iso", "critical-scale", "--space", path,
-                      "--x", 0, "--lo", 0.8, "--hi", 63.0)
-    assert error == {"type": "ValueError",
-                     "message": "group must hold at least one permutation"}
+    rc, doc = run_json(capsys, "iso", "critical-scale", "--space", path,
+                       "--x", 0, "--lo", 0.8, "--hi", 63.0, "--strict")
+    assert rc == 0
+    res = doc["results"]
+    assert res["r"] == pytest.approx(20 * math.pi, abs=1e-9)
+    assert res["displacement"] == pytest.approx(math.pi, abs=1e-9)
+    assert res["elements"] == 1 << 30
 
 
-def test_iso_critical_scale_tol_zero_emits_error_object(tmp_path):
-    # a zero tol used to make the bisection spin for ever, so the call
-    # runs in a child process that the timeout can stop
+def test_iso_displacement_answers_on_an_unlisted_group(tmp_path, capsys):
+    # it once printed 0.0 here: no map of 2^30 was listed
     path = tmp_path / "earring.json"
-    save_space(hawaiian_truncation(3, 12), str(path))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run(
-        [sys.executable, "-m", "mmslab.cli", "iso", "critical-scale",
-         "--space", str(path), "--x", "0", "--lo", "0.8", "--hi", "63.0",
-         "--tol", "0", "--iso-tol", "1e-9"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert child.returncode == 1
-    doc = json.loads(child.stdout)
-    jsonschema.validate(doc, SCHEMA)
-    assert doc == {"command": "iso critical-scale",
-                   "error": {"type": "ValueError",
-                             "message": "tol must be positive, got 0.0"}}
+    save_space(hawaiian_truncation(30, 8), str(path))
+    rc, doc = run_json(capsys, "iso", "displacement", "--space", path,
+                       "--x", 0, "--r", 1, "--strict")
+    assert rc == 0
+    assert doc["results"]["displacement"] == pytest.approx(math.pi / 4,
+                                                           abs=1e-12)
+    assert doc["results"]["elements"] == 1 << 30
+
+
+def test_iso_displacement_of_given_maps_has_no_certified_order(
+        tmp_path, capsys):
+    # the rotation by one cell generates the rotations, which move cell 0
+    # as far as pi, though the rotation itself moves it by one cell only
+    path = circle_file(tmp_path, capsys, resolution=6)
+    rc, doc = run_json(capsys, "iso", "displacement", "--space", path,
+                       "--x", 0, "--r", 10, "--perm", "[1,2,3,4,5,0]",
+                       "--strict")
+    assert rc == 0
+    assert doc["results"]["displacement"] == pytest.approx(math.pi,
+                                                           abs=1e-12)
+    assert doc["results"]["elements"] is None
 
 
 # === distance verbs ===
@@ -1306,8 +1344,8 @@ def _golden_cases():
                                "--seed", "11"], False),
         ("iso-critical-scale", ["iso", "critical-scale", "--space",
                                 "earring.json", "--x", "0", "--lo", "0.8",
-                                "--hi", "63.0", "--tol", "1e-4",
-                                "--iso-tol", "1e-9"], False),
+                                "--hi", "63.0", "--iso-tol", "1e-9"],
+         False),
         ("gh-exact", ["gh", "exact", "--space", "seg4.json",
                       "--space2", "seg8.json"], False),
         ("gh-scan", ["gh", "scan", "--space", "seg.json", "--x", "40",

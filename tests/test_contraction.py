@@ -80,7 +80,10 @@ def test_chebyshev_times_stay_under_the_ceiling():
     ("samples", {"samples": 1}),
     ("samples", {"samples": MAX_SCALAR_SAMPLES + 1}),
     # past t d = pi the lemma's sin(t d) reaches 0: a NaN margin
-    ("t_max", {"t_max": 2.0, "d_max": math.pi / 2})])
+    ("t_max", {"t_max": 2.0, "d_max": math.pi / 2}),
+    # the grid starts at t = 1e-9 and d = 1e-6 and would run backwards
+    ("t_max", {"t_max": 1e-9}), ("d_max", {"d_max": 1e-6}),
+    ("d_max", {"d_max": 1e-300, "t_max": 1.0})])
 def test_scalar_bound_rejects_inputs_outside_its_domain(name, kwargs):
     with pytest.raises(ValueError, match=f"^{name} must "):
         scalar_bound(**kwargs)

@@ -35,6 +35,9 @@ def test_spaces_demo_runs_and_round_trips_exactly():
     ("04_symmetry.py", "enumeration complete=True: 64 maps (chain order 64, "
                        "base of 6 cells, 27 search nodes)"),
     ("04_symmetry.py", "30-circle wedge: order 1073741824 = 2^30"),
+    ("04_symmetry.py", "30-circle wedge: displacement at x=0, r=1 is 0.7854 "
+                       "(pi/4 = 0.7854)"),
+    ("04_symmetry.py", "critical scale r=62.8319 (20 pi = 62.8319)"),
     ("04_symmetry.py", "closure: order 64, closed=True"),
     ("05_regularity.py", "necklace vertex, eps=0.02: verdict 'out'"),
     ("06_cli.py", "isometries: 8 complete: True"),

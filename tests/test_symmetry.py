@@ -30,6 +30,7 @@ from mmslab import (
     isometry_from_perm,
     large_fix_implies_small_displacement,
     necklace,
+    segment_space,
     small_subgroup_probe,
 )
 from mmslab import symmetry
@@ -359,7 +360,8 @@ def enumeration_oracle(space, iso_tol, budget=DEFAULT_NODE_BUDGET):
         distortion=float(np.max(np.abs(dist[np.ix_(p, p)] - dist))),
         measure_defect=float(np.max(np.abs(space.weight[p] - space.weight))))
         for p in rows)
-    return EnumerationResult(maps=maps, complete=complete, nodes=nodes)
+    return EnumerationResult(maps=maps, complete=complete, nodes=nodes,
+                             generators=rows)
 
 
 def relabelled(space, seed):
@@ -662,6 +664,34 @@ def test_fix_of_a_composition_contains_the_joint_fix():
 
 # === displacement ===
 
+def displacement_oracle(space, rows, r, x):
+    """``displacement`` as it was: the largest move of a listed row on
+    the closed half-radius ball, over those rows only."""
+    idx = np.flatnonzero(space.dist[x] <= r / 2.0)
+    return float(space.dist[idx, np.asarray(rows)[:, idx]].max(initial=0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: segment_space(0.1),
+    lambda: relabelled(circle_space(1.0, 24), 6),
+    lambda: relabelled(hawaiian_truncation(4, 8), 7),
+    lambda: relabelled(euclidean_ball_grid(2, 1.0, 1 / 4), 8),
+    ORACLE_SPACES["necklace"]], ids=["segment", "circle", "earring", "ball",
+                                     "necklace"])
+def test_orbit_displacement_equals_the_max_over_the_listing(make):
+    # over a group, {g(y)} is the orbit of y: the listing and the chain's
+    # generators give the listing's maximum, to the bit
+    sp = make()
+    res = enumerate_isometries(sp)
+    assert res.complete and res.generators.shape[1] == sp.n
+    assert not res.generators.flags.writeable
+    for r in (0.1, 0.5, 2.0):
+        for x in (0, sp.n // 2):
+            expect = displacement_oracle(sp, res.perms(), r, x)
+            assert displacement(sp, res.perms(), r, x) == expect
+            assert displacement(sp, res.generators, r, x) == expect
+
+
 def test_displacement_values_on_the_wedge():
     sp = hawaiian_truncation(2, 12)
     group = enumerate_isometries(sp, iso_tol=1e-9).perms()
@@ -750,7 +780,8 @@ def test_probe_reports_nothing_when_everything_moves():
 def test_probe_is_inconclusive_after_a_truncated_enumeration():
     sp = hawaiian_truncation(2, 12)
     identity = isometry_from_perm(sp, list(range(sp.n)))
-    partial = EnumerationResult(maps=(identity,), complete=False, nodes=1)
+    partial = EnumerationResult(maps=(identity,), complete=False, nodes=1,
+                                generators=np.empty((0, sp.n), np.intp))
     probe = small_subgroup_probe(sp, epsilon=0.1, maps=partial)
     assert not probe.found
     assert probe.inconclusive
@@ -758,20 +789,44 @@ def test_probe_is_inconclusive_after_a_truncated_enumeration():
 
 def test_probe_is_inconclusive_when_the_budget_cuts_a_closure(monkeypatch):
     # the swap of the two close cells is a small mover of order 2; a
-    # listing ceiling of one element cuts its closure, which once read as
-    # "none"
+    # listing ceiling of one element once cut its closure and read as
+    # "none", but the probe scores <swap> by its cycles and closes only
+    # the witness, which the ceiling leaves open
     dist = np.array([[0.0, 0.01, 1.0], [0.01, 0.0, 1.0], [1.0, 1.0, 0.0]])
     sp = FiniteMMS(dist=dist, weight=np.ones(3))
     maps = enumerate_isometries(sp)
-    for ceiling in (MAX_LISTED, 2):
+    for ceiling in (MAX_LISTED, 2, 1):
         monkeypatch.setattr(symmetry, "MAX_LISTED", ceiling)
         probe = small_subgroup_probe(sp, epsilon=0.1, maps=maps)
         assert probe.found and not probe.inconclusive
-    monkeypatch.setattr(symmetry, "MAX_LISTED", 1)
-    probe = small_subgroup_probe(sp, epsilon=0.1, maps=maps)
-    assert not probe.found
-    assert probe.inconclusive
-    assert probe.candidates == 1
+        assert probe.candidates == 1
+        assert probe.sup_displacement == 0.01
+        assert probe.subgroup.closed == (ceiling > 1)
+        assert [0, 1, 2] in probe.subgroup and [1, 0, 2] in probe.subgroup
+
+
+def test_probe_scores_each_candidate_as_its_closure_did():
+    # oracle: close every nontrivial listed map and take the largest move
+    # of its elements on the compact cells
+    for sp, eps, compact in ((hawaiian_truncation(3, 12), TAU / 9, None),
+                             (hawaiian_truncation(4, 8), 0.9, [0, 3, 9]),
+                             (circle_space(1.0, 12), 1.0, None),
+                             (euclidean_ball_grid(2, 1.0, 1 / 4), 0.6, [0])):
+        maps = enumerate_isometries(sp)
+        cells = np.arange(sp.n) if compact is None else np.array(compact)
+        witness = None
+        for perm in maps.perms()[1:]:           # the identity sorts first
+            sub = generate_subgroup(sp, [perm])
+            sup = sp.dist[cells, sub.elements[:, cells]].max()
+            moves = sp.dist[cells, perm[cells]].max()
+            if moves < eps and sup < eps:
+                witness = (sub, sup)
+                break
+        probe = small_subgroup_probe(sp, eps, compact=compact, maps=maps)
+        assert probe.found == (witness is not None)
+        if witness is not None:
+            assert np.array_equal(probe.subgroup.elements, witness[0].elements)
+            assert probe.sup_displacement == witness[1]
 
 
 def test_probe_respects_the_compact_set():
@@ -970,6 +1025,17 @@ def test_euclidean_isometry_validation():
     assert not g.is_identity()
 
 
+def test_escape_of_a_shift_near_the_float_range_stays_finite():
+    # squaring these once overflowed: an "inf" norm and displacement
+    for v, expect in (([1e300], 1e300), ([1e300, 1e300], math.sqrt(2) * 1e300),
+                      ([1.7e308], 1.7e308)):
+        g = EuclideanIsometry(q=np.eye(len(v)), v=v)
+        assert not g.is_identity()
+        res = euclidean_power_escape(g)
+        assert res.found and res.n == 1
+        assert res.displacement == pytest.approx(expect, rel=1e-15)
+
+
 # === fixed mass against displacement ===
 
 def test_condition_a_gap_on_the_wedge():
@@ -1039,16 +1105,33 @@ def test_large_fix_hypothesis_fails_for_the_big_circle():
 
 # === the critical displacement scale ===
 
+def critical_scale_oracle(space, rows, x, lo, hi, tol):
+    """``critical_scale`` as it was: a bisection on ``displacement_oracle``
+    down to a bracket of width ``tol``, or of two adjacent floats."""
+    a, b = lo, hi
+    while b - a > tol:
+        mid = (a + b) / 2.0
+        if not a < mid < b:
+            break
+        if displacement_oracle(space, rows, mid, x) >= mid / 20.0:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
 def test_critical_scale_brackets_the_crossing():
     sp = hawaiian_truncation(3, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
-    res = critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=1e-6)
-    a, b = res.bracket
-    assert b - a <= 1e-6
-    assert displacement(sp, group, a, 0) >= a / 20
-    assert displacement(sp, group, b, 0) < b / 20
-    assert abs(res.r - 20 * math.pi) <= 1e-6
-    assert res.defect <= 1e-6
+    res = enumerate_isometries(sp, iso_tol=1e-9)
+    for group in (res.perms(), res.generators):
+        crit = critical_scale(sp, group, x=0, lo=0.8, hi=63.0)
+        a, b = crit.bracket
+        assert b == np.nextafter(a, np.inf) and crit.r == a
+        assert displacement(sp, group, a, 0) >= a / 20
+        assert displacement(sp, group, b, 0) < b / 20
+        assert abs(crit.r - 20 * math.pi) <= 1e-12
+        assert crit.displacement == math.pi
+        assert crit.defect == abs(math.pi - a / 20)
 
 
 def test_critical_scale_requires_a_true_bracket():
@@ -1061,30 +1144,52 @@ def test_critical_scale_requires_a_true_bracket():
 
 
 def test_critical_scale_rejects_an_empty_group():
-    # earring(30, 8)'s 2^30 maps are counted, not listed; the bisection
-    # used to report that the bracket held no crossing
+    # earring(30, 8)'s 2^30 maps are counted, not listed: its listing is
+    # empty, and only the chain's generators stand for the group
     sp = hawaiian_truncation(30, 8)
-    group = enumerate_isometries(sp).perms()
-    assert group.shape == (0,)
+    res = enumerate_isometries(sp)
+    assert res.perms().shape == (0,)
     with pytest.raises(ValueError, match="group must hold"):
-        critical_scale(sp, group, x=0, lo=0.8, hi=63.0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
-def test_critical_scale_rejects_a_tol_that_is_not_positive(tol):
-    sp = hawaiian_truncation(3, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
-    with pytest.raises(ValueError, match="tol must be positive"):
-        critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=tol)
+        critical_scale(sp, res.perms(), x=0, lo=0.8, hi=63.0)
+    crit = critical_scale(sp, res.generators, x=0, lo=0.8, hi=63.0)
+    assert abs(crit.r - 20 * math.pi) <= 1e-12
 
 
 def test_critical_scale_below_the_float_spacing_stops_at_adjacent_floats():
-    # the midpoint of two adjacent floats is one of them, so the
-    # bisection used to loop there for ever
-    sp = hawaiian_truncation(3, 12)
-    group = enumerate_isometries(sp, iso_tol=1e-9).perms()
-    res = critical_scale(sp, group, x=0, lo=0.8, hi=63.0, tol=1e-300)
-    a, b = res.bracket
-    assert b == np.nextafter(a, np.inf)
-    assert displacement(sp, group, a, 0) >= a / 20
-    assert displacement(sp, group, b, 0) < b / 20
+    # the bracket is exact: the first crossing at or above lo lies inside
+    # the bisection's bracket, however fine its tol
+    for sp, x, lo, hi in ((hawaiian_truncation(3, 12), 0, 0.8, 63.0),
+                          (hawaiian_truncation(6, 16), 0, 0.8, 63.0),
+                          (hawaiian_truncation(4, 8), 5, 0.0, 100.0),
+                          (circle_space(1.0, 24), 3, 0.5, 70.0)):
+        rows = enumerate_isometries(sp).perms()
+        a, b = critical_scale(sp, rows, x=x, lo=lo, hi=hi).bracket
+        assert b == np.nextafter(a, np.inf)
+        assert displacement(sp, rows, a, x) >= a / 20
+        assert displacement(sp, rows, b, x) < b / 20
+        for tol in (1e-9, 1e-300):
+            oa, ob = critical_scale_oracle(sp, rows, x, lo, hi, tol)
+            assert oa <= a and b <= ob
+
+
+def test_critical_scale_finds_the_first_crossing_at_or_above_lo():
+    # two swapped pairs hang off cell 0: {1, 2} at distance 2 with
+    # d(1, 2) = 1, and {3, 4} at distance 15 with d(3, 4) = 4.  D is 1
+    # from r = 4 and 4 from r = 30, so it crosses r/20 downward at 20
+    # and again at 80; a bisection from (4, 100) finds only the second
+    dist = np.zeros((5, 5))
+    far = {1: 2.0, 2: 2.0, 3: 15.0, 4: 15.0}
+    for i in range(1, 5):
+        dist[0, i] = dist[i, 0] = far[i]
+        for j in range(1, 5):
+            if i != j:
+                dist[i, j] = far[i] + far[j]
+    dist[1, 2] = dist[2, 1] = 1.0
+    dist[3, 4] = dist[4, 3] = 4.0
+    sp = FiniteMMS(dist=dist, weight=np.ones(5))
+    rows = [[0, 2, 1, 3, 4], [0, 1, 2, 4, 3]]
+    for lo, crossing in ((4.0, 20.0), (20.0, 20.0), (30.0, 80.0)):
+        crit = critical_scale(sp, rows, x=0, lo=lo, hi=100.0)
+        assert crit.r == crossing
+        assert crit.bracket == (crossing, np.nextafter(crossing, np.inf))
+    assert critical_scale_oracle(sp, rows, 0, 4.0, 100.0, 1e-9)[0] > 79.0
